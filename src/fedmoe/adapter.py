@@ -167,18 +167,6 @@ class MoEAdapter:
 
     # -- routing ---------------------------------------------------------------
 
-    def route(self, x) -> tuple[np.ndarray, list[int]]:
-        """Gate one token: (length-M weight vector, sorted selected indices)."""
-        if self.gating_mode != "topk_softmax":
-            raise UsageError("route() applies only to topk_softmax gating")
-        x = np.asarray(x, dtype=np.float64)
-        if x.shape != (self.dim,):
-            raise DimensionError(f"token shape {x.shape}, expected ({self.dim},)")
-        logits = self.router.WR.values @ x
-        mask = topk_mask(logits, self.k)
-        weights = tz.masked_softmax(Tensor(logits), mask).values
-        return weights, [int(i) for i in np.flatnonzero(mask)]
-
     def _gate(self, logits: Tensor) -> tuple[Tensor, np.ndarray]:
         """Differentiable [tokens, M] weights plus the boolean selection."""
         if self.gating_mode == "uniform_one":

@@ -201,8 +201,3 @@ class Backbone:
     def reset_stats(self) -> None:
         for adapter in self.adapters:
             adapter.stats.reset()
-
-
-def build_backbone(cfg: BackboneConfig, adapter_cfg: AdapterConfig) -> Backbone:
-    """Construct the frozen stack; same config -> bit-identical weights."""
-    return Backbone(cfg, adapter_cfg)

@@ -245,8 +245,12 @@ class ExperimentConfig:
 
         if spr.mode not in ("fixed", "capability"):
             raise ConfigurationError("sparsity.mode must be fixed or capability")
-        for key, value in (("sparsity.k", spr.k), ("sparsity.k_high", spr.k_high),
-                           ("sparsity.k_low", spr.k_low)):
+        if spr.mode == "fixed":
+            budgets = (("sparsity.k", spr.k),)
+        else:
+            budgets = (("sparsity.k_high", spr.k_high),
+                       ("sparsity.k_low", spr.k_low))
+        for key, value in budgets:
             if not 1 <= value <= adp.experts:
                 raise ConfigurationError(
                     f"{key} = {value} outside [1, {adp.experts}]")
@@ -320,8 +324,3 @@ class ExperimentConfig:
         return PartitionSpec(scheme=self.data.partition,
                              n_clients=self.federation.clients,
                              alpha=self.data.alpha, seed=self.seeds.data)
-
-    def with_overrides(self, overrides: dict[str, str]) -> "ExperimentConfig":
-        """A new config with raw-string overrides applied on this one."""
-        base = dict(self.to_items())
-        return ExperimentConfig.resolve(base, overrides)

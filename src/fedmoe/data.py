@@ -184,13 +184,3 @@ def partition(ds: LabeledDataset, spec: PartitionSpec) -> list[np.ndarray]:
             moved = shards[donor].pop(int(rng.integers(len(shards[donor]))))
             shards[i].append(moved)
     return [np.sort(np.asarray(s, dtype=np.int64)) for s in shards]
-
-
-def export_partition_csv(shards: list[np.ndarray], path) -> None:
-    """Write the assignment as `index, client_id`, sorted by index."""
-    pairs = sorted((int(i), client) for client, s in enumerate(shards)
-                   for i in s)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["index", "client_id"])
-        writer.writerows(pairs)

@@ -3,26 +3,31 @@
 Every round: broadcast the global adapter parameters, train each client
 locally on its own shard, average the uploads weighted by shard size, then
 evaluate the new global model on the held-out test set.  Only adapter
-parameters (and the head, when trainable) move over the wire; the frozen
-backbone is reproduced locally from the shared seed.
+parameters (and the head, when trainable) move over the wire.
+
+An experiment builds one frozen backbone and shares it: every client trains
+on it in turn and the server evaluates on it.  A client is a record of its
+shard, its budget K_n, its latest parameters and its own Adam moments;
+``local_train`` loads the record into the shared model, trains, and writes
+the result back.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as tz
 from . import __version__
-from .backbone import Backbone, build_backbone
+from .backbone import Backbone
 from .config import ExperimentConfig
 from .data import LabeledDataset, load_csv, partition, synth_dataset, train_test_split
 from .errors import AggregationError, ConfigurationError, InputError, UsageError
-from .losses import aux_loss_layer, total_loss
+from .losses import aux_loss_layer, reduce_aux, total_loss
 from .metrics import (LoadMatrix, UtilizationReport, evaluate_accuracy,
                       export_heatmap_csv, export_mean_probs_csv,
                       utilization_kl)
@@ -40,24 +45,27 @@ CHECKPOINT_MAGIC = "fedmoe-checkpoint 1"
 
 @dataclass
 class ClientState:
-    """One participant: private shard, sparsity budget, local model + Adam."""
+    """One participant: private shard, sparsity budget, parameters + Adam.
+
+    ``params`` is the client's latest upload, or the initial adapter values
+    before its first round; ``optimizer`` is bound to the shared backbone's
+    trainable tensors but holds this client's own moments.
+    """
 
     client_id: int
     shard: LabeledDataset
-    backbone: Backbone
     k_n: int
-    capability: str = "high"
+    params: list[np.ndarray]
     optimizer: Adam | None = None
 
     def adapter_params(self) -> list[np.ndarray]:
-        return [p.values.copy() for p in self.backbone.trainable_parameters()]
+        return [v.copy() for v in self.params]
 
 
 @dataclass
 class ServerState:
     global_params: list[np.ndarray]
     round_index: int = 0
-    history: list["RoundReport"] = field(default_factory=list)
 
 
 @dataclass
@@ -80,27 +88,20 @@ class RoundReport:
     load: LoadMatrix
 
 
-@dataclass(frozen=True)
-class SparsityPolicy:
-    mode: str = "fixed"      # "fixed" | "capability"
-    k: int = 2
-    k_high: int = 4
-    k_low: int = 1
-
-
 # ---------------------------------------------------------------------------
 # round primitives
 
 
 def broadcast(server: ServerState, clients: list[ClientState]) -> None:
-    """Copy the global parameters into every client model (values, not refs)."""
+    """Copy the global parameters into every client record (values, not refs)."""
     for client in clients:
-        client.backbone.load_trainable([v.copy() for v in server.global_params])
+        client.params = [v.copy() for v in server.global_params]
 
 
-def local_train(client: ClientState, cfg: ExperimentConfig,
+def local_train(client: ClientState, backbone: Backbone, cfg: ExperimentConfig,
                 round_index: int) -> tuple[list[np.ndarray], ClientRoundMetrics]:
-    """One client's local pass; returns updated params and loss averages.
+    """One client's local pass on the shared backbone; returns copies of the
+    updated params (also written back to ``client.params``) and loss averages.
 
     The shuffle stream is seeded by (run seed, round, client id) so a replay
     of the same experiment revisits identical batches.
@@ -109,12 +110,13 @@ def local_train(client: ClientState, cfg: ExperimentConfig,
         raise ConfigurationError(
             f"client {client.client_id}: empty shard cannot train")
     fed, aux_cfg = cfg.federation, cfg.aux
-    backbone = client.backbone
+    backbone.load_trainable(client.params)
     for adapter in backbone.adapters:
         adapter.k = client.k_n
 
+    trainable = backbone.trainable_parameters()
     if client.optimizer is None or fed.reset_optimizer:
-        client.optimizer = Adam(backbone.trainable_parameters(), lr=fed.lr,
+        client.optimizer = Adam(trainable, lr=fed.lr,
                                 weight_decay=fed.weight_decay)
     opt = client.optimizer
 
@@ -131,21 +133,18 @@ def local_train(client: ClientState, cfg: ExperimentConfig,
             with tz.Tape() as tape:
                 logits, _ = backbone.forward(client.shard.features[idx])
                 task = tz.cross_entropy(logits, labels)
+                aux = None
                 if aux_cfg.lam > 0.0:
-                    terms = [aux_loss_layer(p, aux_cfg)
-                             for p in backbone.last_layer_probs]
-                else:
-                    terms = []
-                loss = total_loss(task, terms, aux_cfg)
-                tape.backward(loss)
+                    aux = reduce_aux([aux_loss_layer(p, aux_cfg)
+                                      for p in backbone.last_layer_probs],
+                                     aux_cfg)
+                tape.backward(total_loss(task, aux, aux_cfg))
             opt.step()
             task_sum += task.item()
-            if terms:
-                vals = [t.item() for t in terms]
-                reduced = (sum(vals) / len(vals)
-                           if aux_cfg.layer_reduction == "mean" else sum(vals))
-                aux_sum += reduced
+            if aux is not None:
+                aux_sum += aux.item()
             steps += 1
+    client.params = [p.values.copy() for p in trainable]
     metrics = ClientRoundMetrics(client.client_id, task_sum / steps,
                                  aux_sum / steps, steps)
     return client.adapter_params(), metrics
@@ -186,24 +185,6 @@ def aggregate(uploads: list[tuple[list[np.ndarray], int]]) -> list[np.ndarray]:
     return out
 
 
-def assign_sparsity(clients: list[ClientState], policy: SparsityPolicy,
-                    n_experts: int) -> None:
-    """Set each client's active-expert budget K_n from the policy."""
-    if policy.mode not in ("fixed", "capability"):
-        raise ConfigurationError(f"unknown sparsity mode {policy.mode!r}")
-    for name, k in (("k", policy.k), ("k_high", policy.k_high),
-                    ("k_low", policy.k_low)):
-        if not 1 <= k <= n_experts:
-            raise ConfigurationError(
-                f"sparsity {name} = {k} outside [1, {n_experts}]")
-    for client in clients:
-        if policy.mode == "fixed":
-            client.k_n = policy.k
-        else:
-            client.k_n = (policy.k_high if client.capability == "high"
-                          else policy.k_low)
-
-
 def resolve_eval_k(cfg: ExperimentConfig, clients: list[ClientState]) -> int:
     """Evaluation budget: configured value, else the widest client budget."""
     if cfg.sparsity.eval_k:
@@ -212,15 +193,16 @@ def resolve_eval_k(cfg: ExperimentConfig, clients: list[ClientState]) -> int:
 
 
 def run_round(server: ServerState, clients: list[ClientState],
-              eval_backbone: Backbone, test: LabeledDataset,
+              backbone: Backbone, test: LabeledDataset,
               cfg: ExperimentConfig) -> RoundReport:
-    """broadcast -> local training on every client -> aggregate -> evaluate."""
+    """broadcast -> local training on every client -> aggregate -> evaluate,
+    all on the one shared backbone."""
     round_index = server.round_index
     broadcast(server, clients)
     uploads = []
     fragments = []
     for client in clients:
-        params, frag = local_train(client, cfg, round_index)
+        params, frag = local_train(client, backbone, cfg, round_index)
         uploads.append((params, len(client.shard)))
         fragments.append(frag)
     server.global_params = aggregate(uploads)
@@ -232,17 +214,15 @@ def run_round(server: ServerState, clients: list[ClientState],
     aux = float(np.dot(weights, [f.aux_loss for f in fragments]))
 
     eval_k = resolve_eval_k(cfg, clients)
-    for adapter in eval_backbone.adapters:
+    for adapter in backbone.adapters:
         adapter.k = eval_k
-    accuracy = evaluate_accuracy(eval_backbone, server.global_params, test)
-    load = LoadMatrix.from_stats([a.stats for a in eval_backbone.adapters])
+    accuracy = evaluate_accuracy(backbone, server.global_params, test)
+    load = LoadMatrix.from_stats([a.stats for a in backbone.adapters])
     util = utilization_kl(load)
 
-    report = RoundReport(round_index=round_index, clients=fragments,
-                         task_loss=task, aux_loss=aux, accuracy=accuracy,
-                         eval_k=eval_k, utilization=util, load=load)
-    server.history.append(report)
-    return report
+    return RoundReport(round_index=round_index, clients=fragments,
+                       task_loss=task, aux_loss=aux, accuracy=accuracy,
+                       eval_k=eval_k, utilization=util, load=load)
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +318,7 @@ class ExperimentResult:
     reports: list[RoundReport]
     server: ServerState
     clients: list[ClientState]
-    eval_backbone: Backbone
+    eval_backbone: Backbone      # the one backbone every client trained on
     test: LabeledDataset
     parameter_names: list[str]
     run_dir: Path | None
@@ -352,23 +332,27 @@ def _load_dataset(cfg: ExperimentConfig) -> LabeledDataset:
                          d.separation, cfg.seeds.data)
 
 
-def build_clients(cfg: ExperimentConfig, train: LabeledDataset
-                  ) -> list[ClientState]:
-    """Partition the training set and stand up one local model per client."""
+def build_clients(cfg: ExperimentConfig, train: LabeledDataset,
+                  backbone: Backbone) -> list[ClientState]:
+    """Partition the training set into client records that start from the
+    backbone's initial adapter values.
+
+    K_n is ``sparsity.k`` in fixed mode; in capability mode the leading
+    ``high_fraction`` of clients get ``k_high`` and the rest ``k_low``.
+    """
     shards = partition(train, cfg.partition_spec())
-    backbone_cfg = cfg.backbone_config(train.class_count)
-    adapter_cfg = cfg.adapter_config()
-    n_high = round(cfg.sparsity.high_fraction * len(shards))
+    spr = cfg.sparsity
+    n_high = round(spr.high_fraction * len(shards))
+    initial = [p.values for p in backbone.trainable_parameters()]
     clients = []
     for i, indices in enumerate(shards):
-        capability = "high" if i < n_high else "low"
+        if spr.mode == "fixed":
+            k_n = spr.k
+        else:
+            k_n = spr.k_high if i < n_high else spr.k_low
         clients.append(ClientState(
-            client_id=i, shard=train.subset(indices),
-            backbone=build_backbone(backbone_cfg, adapter_cfg),
-            k_n=cfg.sparsity.k, capability=capability))
-    policy = SparsityPolicy(mode=cfg.sparsity.mode, k=cfg.sparsity.k,
-                            k_high=cfg.sparsity.k_high, k_low=cfg.sparsity.k_low)
-    assign_sparsity(clients, policy, cfg.adapter.experts)
+            client_id=i, shard=train.subset(indices), k_n=k_n,
+            params=[v.copy() for v in initial]))
     return clients
 
 
@@ -383,44 +367,44 @@ def run_experiment(cfg: ExperimentConfig,
     dataset = _load_dataset(cfg)
     train, test = train_test_split(dataset, cfg.data.test_fraction,
                                    cfg.seeds.data)
-    clients = build_clients(cfg, train)
-    eval_backbone = build_backbone(cfg.backbone_config(train.class_count),
-                                   cfg.adapter_config())
+    backbone = Backbone(cfg.backbone_config(train.class_count),
+                        cfg.adapter_config())
+    clients = build_clients(cfg, train, backbone)
     server = ServerState(
         global_params=[p.values.copy()
-                       for p in eval_backbone.trainable_parameters()])
+                       for p in backbone.trainable_parameters()])
 
     reports = []
     for _ in range(cfg.federation.rounds):
-        reports.append(run_round(server, clients, eval_backbone, test, cfg))
+        reports.append(run_round(server, clients, backbone, test, cfg))
 
     out = Path(run_dir) if run_dir is not None else None
     if out is not None:
         out.mkdir(parents=True, exist_ok=True)
         cfg.write(out / "config.txt")
         write_metrics_csv(reports, out / "metrics.csv")
-        names = eval_backbone.parameter_names()
+        names = backbone.parameter_names()
         save_checkpoint(names, server.global_params, out / "checkpoint.bin")
         if reports:
             export_heatmap_csv(reports[-1].load, out / "heatmap.csv")
             export_mean_probs_csv(reports[-1].load, out / "mean_probs.csv")
-        _write_metadata(cfg, clients, eval_backbone, train, test,
+        _write_metadata(cfg, clients, backbone, train, test,
                         out / "metadata.txt")
     return ExperimentResult(reports=reports, server=server, clients=clients,
-                            eval_backbone=eval_backbone, test=test,
-                            parameter_names=eval_backbone.parameter_names(),
+                            eval_backbone=backbone, test=test,
+                            parameter_names=backbone.parameter_names(),
                             run_dir=out)
 
 
 def _write_metadata(cfg: ExperimentConfig, clients: list[ClientState],
-                    eval_backbone: Backbone, train: LabeledDataset,
+                    backbone: Backbone, train: LabeledDataset,
                     test: LabeledDataset, path) -> None:
     lines = [
         f"version = {__version__}",
         f"config_hash = {cfg.hash_id()}",
         f"eval_k = {resolve_eval_k(cfg, clients)}",
         "weight_decay_mode = decoupled",
-        f"frozen_checksum = {eval_backbone.frozen_checksum()}",
+        f"frozen_checksum = {backbone.frozen_checksum()}",
         f"classes = {train.class_count}",
         f"train_examples = {len(train)}",
         f"test_examples = {len(test)}",

@@ -5,7 +5,7 @@ distribution concentrates past a threshold (its max entry reaching
 ``theta_th``), the layer contributes KL(P || uniform) to an auxiliary term
 that pushes routing back toward balance; below the threshold the layer
 contributes exactly zero.  The total objective is
-``task + lam * reduce(per_layer_terms)``.
+``task + lam * reduce_aux(per_layer_terms)``.
 """
 
 from __future__ import annotations
@@ -89,10 +89,9 @@ def aux_loss_layer(p_local, cfg: AuxLossConfig) -> Tensor:
     return kl_divergence(p, uniform_target(p.values.size))
 
 
-def total_loss(task: Tensor, per_layer_aux: list[Tensor], cfg: AuxLossConfig) -> Tensor:
-    """``task + lam * reduce(per_layer_aux)``; returns ``task`` itself at lam=0."""
-    if cfg.lam == 0.0:
-        return task
+def reduce_aux(per_layer_aux: list[Tensor], cfg: AuxLossConfig) -> Tensor:
+    """The per-layer aux terms combined by ``cfg.layer_reduction``: their
+    sum, or their mean (the sum times ``1 / layers``)."""
     if not per_layer_aux:
         raise UsageError("aux weighting is on but no per-layer terms were given")
     aux = per_layer_aux[0]
@@ -100,4 +99,13 @@ def total_loss(task: Tensor, per_layer_aux: list[Tensor], cfg: AuxLossConfig) ->
         aux = aux + term
     if cfg.layer_reduction == "mean":
         aux = aux * (1.0 / len(per_layer_aux))
+    return aux
+
+
+def total_loss(task: Tensor, aux: Tensor | None, cfg: AuxLossConfig) -> Tensor:
+    """``task + lam * aux`` for the reduced aux term; ``task`` itself at lam=0."""
+    if cfg.lam == 0.0:
+        return task
+    if aux is None:
+        raise UsageError("aux weighting is on but no aux term was given")
     return task + cfg.lam * aux

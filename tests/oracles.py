@@ -1,12 +1,16 @@
-"""Independent numerical oracles shared by the test suite.
+"""Independent numerical oracles and test-only helpers shared by the suite.
 
 Everything here is deliberately implemented without the package's autodiff
 machinery so that it can serve as a second opinion on it.
 """
 
+import csv
 import math
 
 import numpy as np
+
+from fedmoe.config import ExperimentConfig
+from fedmoe.errors import DimensionError, UsageError
 
 
 def finite_difference_grads(f, arrays, step=1e-5):
@@ -69,3 +73,42 @@ def adam_single_step(theta, grad, lr, beta1=0.9, beta2=0.999, eps=1e-8,
     theta = theta - lr * weight_decay * theta
     theta = theta - lr * mhat / (math.sqrt(vhat) + eps)
     return theta, m, v, t
+
+
+def route(adapter, x):
+    """Gate one token of a top-K-softmax adapter in plain numpy.
+
+    Returns the length-M weight vector and the sorted selected indices: the
+    K largest router logits (ties toward the lowest index) share a softmax,
+    every other expert gets exactly zero.
+    """
+    if adapter.gating_mode != "topk_softmax":
+        raise UsageError("route() applies only to topk_softmax gating")
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape != (adapter.dim,):
+        raise DimensionError(f"token shape {x.shape}, expected ({adapter.dim},)")
+    logits = adapter.router.WR.values @ x
+    chosen = sorted(sorted(range(len(logits)),
+                           key=lambda i: (-logits[i], i))[:adapter.k])
+    top = max(logits[i] for i in chosen)
+    exps = {i: math.exp(logits[i] - top) for i in chosen}
+    total = sum(exps.values())
+    weights = np.zeros(len(logits))
+    for i, e in exps.items():
+        weights[i] = e / total
+    return weights, chosen
+
+
+def with_overrides(cfg, overrides):
+    """A new config with raw-string overrides applied on ``cfg``."""
+    return ExperimentConfig.resolve(dict(cfg.to_items()), overrides)
+
+
+def export_partition_csv(shards, path):
+    """Write a partition as `index, client_id` rows, sorted by index."""
+    pairs = sorted((int(i), client) for client, s in enumerate(shards)
+                   for i in s)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["index", "client_id"])
+        writer.writerows(pairs)

@@ -3,8 +3,7 @@ import pytest
 from scipy.special import erf
 
 from fedmoe import tensor as tz
-from fedmoe.backbone import (AdapterConfig, Backbone, BackboneConfig,
-                             build_backbone)
+from fedmoe.backbone import AdapterConfig, Backbone, BackboneConfig
 from fedmoe.errors import AggregationError, ConfigurationError, DimensionError
 from fedmoe.tensor import Adam, Tape, Tensor
 
@@ -52,18 +51,18 @@ def frozen_forward_oracle(bb, batch):
 
 
 def test_same_seed_builds_bit_identical_frozen_weights():
-    a = build_backbone(SMALL, SMALL_ADAPTER)
-    b = build_backbone(SMALL, SMALL_ADAPTER)
+    a = Backbone(SMALL, SMALL_ADAPTER)
+    b = Backbone(SMALL, SMALL_ADAPTER)
     for ta, tb in zip(a.frozen_tensors(), b.frozen_tensors()):
         np.testing.assert_array_equal(ta.values, tb.values)
     assert a.frozen_checksum() == b.frozen_checksum()
-    other = build_backbone(BackboneConfig(**{**SMALL.__dict__, "frozen_seed": 12}),
-                           SMALL_ADAPTER)
+    other = Backbone(BackboneConfig(**{**SMALL.__dict__, "frozen_seed": 12}),
+                     SMALL_ADAPTER)
     assert other.frozen_checksum() != a.frozen_checksum()
 
 
 def test_smoke_forward_shape_and_finiteness():
-    bb = build_backbone(SMALL, SMALL_ADAPTER)
+    bb = Backbone(SMALL, SMALL_ADAPTER)
     batch = np.random.default_rng(0).normal(size=(5, 8, 6))
     logits, stats = bb.forward(batch)
     assert logits.shape == (5, 4)
@@ -77,7 +76,7 @@ def test_indivisible_heads_rejected():
 
 
 def test_zero_adapters_match_adapter_free_oracle():
-    bb = build_backbone(SMALL, SMALL_ADAPTER)  # E2 = 0 at init
+    bb = Backbone(SMALL, SMALL_ADAPTER)  # E2 = 0 at init
     batch = np.random.default_rng(1).normal(size=(4, 8, 6))
     logits, _ = bb.forward(batch)
     np.testing.assert_allclose(logits.values, frozen_forward_oracle(bb, batch),
@@ -85,7 +84,7 @@ def test_zero_adapters_match_adapter_free_oracle():
 
 
 def test_stats_count_conservation():
-    bb = build_backbone(SMALL, SMALL_ADAPTER)  # M=4, K=2
+    bb = Backbone(SMALL, SMALL_ADAPTER)  # M=4, K=2
     batch = np.random.default_rng(2).normal(size=(1, 8, 6))
     _, stats = bb.forward(batch, collect_stats=True)
     for layer_stats in stats:
@@ -94,7 +93,7 @@ def test_stats_count_conservation():
 
 
 def test_stats_off_by_default():
-    bb = build_backbone(SMALL, SMALL_ADAPTER)
+    bb = Backbone(SMALL, SMALL_ADAPTER)
     bb.forward(np.zeros((2, 8, 6)))
     assert all(a.stats.tokens_seen == 0 for a in bb.adapters)
 
@@ -102,7 +101,7 @@ def test_stats_off_by_default():
 def test_adapter_gradients_match_fd_through_full_stack():
     cfg = BackboneConfig(layers=2, dim=8, heads=2, seq_len=4, classes=3,
                          input_dim=5, frozen_seed=3)
-    bb = build_backbone(cfg, AdapterConfig(ranks=(2, 2), k=1))
+    bb = Backbone(cfg, AdapterConfig(ranks=(2, 2), k=1))
     rng = np.random.default_rng(4)
     # tie-free routing + live expert outputs
     for adapter in bb.adapters:
@@ -130,7 +129,7 @@ def test_adapter_gradients_match_fd_through_full_stack():
 def test_trainable_count_matches_adapter_configuration():
     cfg = BackboneConfig(layers=3, dim=16, heads=4, seq_len=4, classes=4,
                          input_dim=4, frozen_seed=5)
-    bb = build_backbone(cfg, AdapterConfig(ranks=(2, 3), k=1))
+    bb = Backbone(cfg, AdapterConfig(ranks=(2, 3), k=1))
     per_layer = (2 + 3) * 2 * 16 + 2 * 16  # expert entries + router rows
     got = sum(p.values.size for p in bb.trainable_parameters())
     assert got == 3 * per_layer
@@ -138,7 +137,7 @@ def test_trainable_count_matches_adapter_configuration():
 
 def test_trainable_head_is_exposed_and_loadable():
     cfg = BackboneConfig(**{**SMALL.__dict__, "trainable_head": True})
-    bb = build_backbone(cfg, SMALL_ADAPTER)
+    bb = Backbone(cfg, SMALL_ADAPTER)
     assert bb.parameter_names()[-1] == "head"
     assert bb.trainable_parameters()[-1] is bb.head
     values = [p.values.copy() for p in bb.trainable_parameters()]
@@ -148,7 +147,7 @@ def test_trainable_head_is_exposed_and_loadable():
 
 
 def test_frozen_weights_survive_training_steps():
-    bb = build_backbone(SMALL, SMALL_ADAPTER)
+    bb = Backbone(SMALL, SMALL_ADAPTER)
     before = bb.frozen_checksum()
     rng = np.random.default_rng(6)
     opt = Adam(bb.trainable_parameters(), lr=1e-3, weight_decay=0.01)
@@ -165,7 +164,7 @@ def test_frozen_weights_survive_training_steps():
 
 
 def test_load_trainable_round_trip_and_length_check():
-    bb = build_backbone(SMALL, SMALL_ADAPTER)
+    bb = Backbone(SMALL, SMALL_ADAPTER)
     saved = [p.values.copy() for p in bb.trainable_parameters()]
     bb.load_trainable(saved)
     for p, s in zip(bb.trainable_parameters(), saved):
@@ -175,7 +174,7 @@ def test_load_trainable_round_trip_and_length_check():
 
 
 def test_forward_rejects_wrong_batch_shape():
-    bb = build_backbone(SMALL, SMALL_ADAPTER)
+    bb = Backbone(SMALL, SMALL_ADAPTER)
     with pytest.raises(DimensionError):
         bb.forward(np.zeros((2, 8, 7)))
     with pytest.raises(DimensionError):
@@ -183,7 +182,7 @@ def test_forward_rejects_wrong_batch_shape():
 
 
 def test_layer_probs_are_per_layer_distributions():
-    bb = build_backbone(SMALL, SMALL_ADAPTER)
+    bb = Backbone(SMALL, SMALL_ADAPTER)
     bb.forward(np.random.default_rng(7).normal(size=(3, 8, 6)))
     assert len(bb.last_layer_probs) == 2
     for p in bb.last_layer_probs:

@@ -13,6 +13,8 @@ from fedmoe.config import (ENV_OUTPUT_ROOT, PRESETS, ExperimentConfig,
                            parse_config_file)
 from fedmoe.errors import ConfigurationError
 
+from oracles import with_overrides
+
 TINY = {
     "data.n": "160", "data.input_dim": "6", "data.classes": "4",
     "backbone.dim": "8", "backbone.seq_len": "4", "backbone.heads": "2",
@@ -67,7 +69,7 @@ class TestResolution:
         again = ExperimentConfig.resolve(dict(cfg.to_items()))
         assert again == cfg
         assert again.hash_id() == cfg.hash_id()
-        other = cfg.with_overrides({"federation.lr": "0.002"})
+        other = with_overrides(cfg, {"federation.lr": "0.002"})
         assert other.hash_id() != cfg.hash_id()
 
     def test_presets(self):
@@ -89,10 +91,24 @@ class TestValidation:
         ({"data.source": "csv"}, "csv_path"),
         ({"adapter.gating_mode": "dense"}, "gating_mode"),
         ({"federation.clients": "2"}, "one_label"),  # 4 classes need 4 clients
+        ({"sparsity.mode": "capability", "sparsity.k_high": "9"},
+         "sparsity.k_high"),
     ])
     def test_bad_configs_name_the_problem(self, overrides, needle):
         with pytest.raises(ConfigurationError, match=needle):
             ExperimentConfig.resolve(overrides)
+
+    def test_only_the_budgets_of_the_mode_are_checked(self):
+        fixed = ExperimentConfig.resolve({"adapter.experts": "2",
+                                          "sparsity.k": "1", "aux.lambda": "0"})
+        assert (fixed.sparsity.k, fixed.sparsity.k_high) == (1, 4)
+        capability = ExperimentConfig.resolve({
+            "adapter.experts": "2", "sparsity.mode": "capability",
+            "sparsity.k": "5", "sparsity.k_high": "2", "aux.lambda": "0"})
+        assert capability.sparsity.k_low == 1
+        with pytest.raises(ConfigurationError, match="sparsity.k_low"):
+            ExperimentConfig.resolve({"sparsity.mode": "capability",
+                                      "sparsity.k_low": "0"})
 
     def test_threshold_must_exceed_uniform_mass(self):
         with pytest.raises(ConfigurationError, match="theta_th"):

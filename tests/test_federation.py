@@ -1,12 +1,14 @@
 """Federated rounds: aggregation algebra, determinism, checkpoints."""
 
+import itertools
+
 import numpy as np
 import pytest
 
+from fedmoe.backbone import Backbone
 from fedmoe.config import ExperimentConfig
 from fedmoe.errors import AggregationError, InputError, UsageError
-from fedmoe.federation import (ClientState, ServerState, SparsityPolicy,
-                               aggregate, assign_sparsity, broadcast,
+from fedmoe.federation import (ServerState, aggregate, broadcast,
                                build_clients, load_checkpoint, local_train,
                                resolve_eval_k, run_experiment, run_round,
                                save_checkpoint, write_metrics_csv)
@@ -28,20 +30,20 @@ def small_config(**extra: str) -> ExperimentConfig:
 
 
 def make_world(cfg):
-    """Clients, an eval model, the server, and the test split for ``cfg``."""
-    from fedmoe.backbone import build_backbone
+    """Client records, the shared backbone, the server, and the test split
+    for ``cfg``."""
     from fedmoe.data import train_test_split
     from fedmoe.federation import _load_dataset
 
     dataset = _load_dataset(cfg)
     train, test = train_test_split(dataset, cfg.data.test_fraction,
                                    cfg.seeds.data)
-    clients = build_clients(cfg, train)
-    eval_backbone = build_backbone(cfg.backbone_config(train.class_count),
-                                   cfg.adapter_config())
+    backbone = Backbone(cfg.backbone_config(train.class_count),
+                        cfg.adapter_config())
+    clients = build_clients(cfg, train, backbone)
     server = ServerState(global_params=[
-        p.values.copy() for p in eval_backbone.trainable_parameters()])
-    return clients, eval_backbone, server, test
+        p.values.copy() for p in backbone.trainable_parameters()])
+    return clients, backbone, server, test
 
 
 def random_upload(rng, shapes):
@@ -122,41 +124,38 @@ class TestBroadcastAndSparsity:
     def test_broadcast_copies_values_not_references(self):
         cfg = small_config()
         clients, _, server, _ = make_world(cfg)
-        before = [p for p in clients[0].backbone.trainable_parameters()]
         server.global_params = [v + 1.0 for v in server.global_params]
         broadcast(server, clients)
-        after = clients[0].backbone.trainable_parameters()
-        assert all(a is b for a, b in zip(before, after))  # tensors kept
-        np.testing.assert_array_equal(after[0].values, server.global_params[0])
+        for client in clients:
+            for got, want in zip(client.params, server.global_params):
+                np.testing.assert_array_equal(got, want)
+                assert got is not want
+        assert clients[0].params[0] is not clients[1].params[0]
         server.global_params[0][...] = -99.0
-        assert not np.any(after[0].values == -99.0)
+        assert not any(np.any(c.params[0] == -99.0) for c in clients)
 
     def test_broadcast_no_clients_is_noop(self):
         server = ServerState(global_params=[np.ones(3)])
         broadcast(server, [])  # must not raise
 
     def test_fixed_and_capability_policies(self):
-        cfg = small_config()
-        clients, _, _, _ = make_world(cfg)
-        assign_sparsity(clients, SparsityPolicy(mode="fixed", k=3), 4)
+        clients, _, _, _ = make_world(small_config(**{"sparsity.k": "3"}))
         assert [c.k_n for c in clients] == [3, 3, 3, 3]
-        clients[0].capability = clients[1].capability = "high"
-        clients[2].capability = clients[3].capability = "low"
-        assign_sparsity(clients, SparsityPolicy(mode="capability",
-                                                k_high=4, k_low=1), 4)
+        cfg = small_config(**{"sparsity.mode": "capability",
+                              "sparsity.k_high": "4", "sparsity.k_low": "1",
+                              "sparsity.high_fraction": "0.5"})
+        clients, _, _, _ = make_world(cfg)
         assert [c.k_n for c in clients] == [4, 4, 1, 1]
 
     @pytest.mark.parametrize("policy", [
-        SparsityPolicy(mode="fixed", k=0),
-        SparsityPolicy(mode="fixed", k=5),
-        SparsityPolicy(mode="capability", k_high=9),
-        SparsityPolicy(mode="warp"),
+        {"sparsity.mode": "fixed", "sparsity.k": "0"},
+        {"sparsity.mode": "fixed", "sparsity.k": "5"},
+        {"sparsity.mode": "capability", "sparsity.k_high": "9"},
+        {"sparsity.mode": "warp"},
     ])
     def test_out_of_range_budget_rejected(self, policy):
-        cfg = small_config()
-        clients, _, _, _ = make_world(cfg)
         with pytest.raises(ConfigurationError):
-            assign_sparsity(clients, policy, 4)
+            small_config(**policy)
 
     def test_eval_k_defaults_to_widest_client(self):
         cfg = small_config(**{"sparsity.mode": "capability",
@@ -170,9 +169,9 @@ class TestBroadcastAndSparsity:
 class TestLocalTrain:
     def test_zero_lr_leaves_parameters_unchanged(self):
         cfg = small_config(**{"federation.lr": "0"})
-        clients, _, _, _ = make_world(cfg)
+        clients, backbone, _, _ = make_world(cfg)
         before = clients[0].adapter_params()
-        params, frag = local_train(clients[0], cfg, round_index=0)
+        params, frag = local_train(clients[0], backbone, cfg, round_index=0)
         for got, want in zip(params, before):
             np.testing.assert_array_equal(got, want)
         assert frag.steps == 2  # 48-sample shard, batch 32
@@ -181,8 +180,9 @@ class TestLocalTrain:
         cfg = small_config()
         runs = []
         for _ in range(2):
-            clients, _, _, _ = make_world(cfg)
-            params, frag = local_train(clients[1], cfg, round_index=0)
+            clients, backbone, _, _ = make_world(cfg)
+            params, frag = local_train(clients[1], backbone, cfg,
+                                       round_index=0)
             runs.append((params, frag.task_loss))
         for a, b in zip(runs[0][0], runs[1][0]):
             np.testing.assert_array_equal(a, b)
@@ -192,33 +192,64 @@ class TestLocalTrain:
         cfg = small_config()
         outs = []
         for round_index in (0, 1):
-            clients, _, _, _ = make_world(cfg)
-            params, _ = local_train(clients[1], cfg, round_index)
+            clients, backbone, _, _ = make_world(cfg)
+            params, _ = local_train(clients[1], backbone, cfg, round_index)
             outs.append(params)
         assert any(not np.array_equal(a, b) for a, b in zip(*outs))
 
     def test_frozen_weights_untouched(self):
         cfg = small_config()
-        clients, _, _, _ = make_world(cfg)
-        checksum = clients[0].backbone.frozen_checksum()
-        local_train(clients[0], cfg, round_index=0)
-        assert clients[0].backbone.frozen_checksum() == checksum
+        clients, backbone, _, _ = make_world(cfg)
+        checksum = backbone.frozen_checksum()
+        local_train(clients[0], backbone, cfg, round_index=0)
+        assert backbone.frozen_checksum() == checksum
+
+    def test_result_is_written_back_and_returned_as_copies(self):
+        cfg = small_config()
+        clients, backbone, _, _ = make_world(cfg)
+        before = clients[0].adapter_params()
+        params, _ = local_train(clients[0], backbone, cfg, round_index=0)
+        trained = [p.values for p in backbone.trainable_parameters()]
+        for got, record, live, old in zip(params, clients[0].params, trained,
+                                          before):
+            np.testing.assert_array_equal(got, record)
+            np.testing.assert_array_equal(got, live)
+            assert got is not record and record is not live
+        assert any(not np.array_equal(a, b) for a, b in zip(params, before))
+        params[0][...] = -99.0
+        assert not np.any(clients[0].params[0] == -99.0)
+
+    def test_clients_sharing_a_backbone_do_not_leak_state(self):
+        cfg = small_config()
+        alone, interleaved = [], []
+        for others in (False, True):
+            clients, backbone, _, _ = make_world(cfg)
+            out = alone if not others else interleaved
+            for round_index in (0, 1):
+                out.append(local_train(clients[0], backbone, cfg,
+                                       round_index)[0])
+                if others:  # other clients train on the same tensors between
+                    for client in clients[1:]:
+                        local_train(client, backbone, cfg, round_index)
+        for a, b in zip(alone, interleaved):
+            for x, y in zip(a, b):
+                np.testing.assert_array_equal(x, y)
 
     def test_optimizer_persists_across_rounds_by_default(self):
         cfg = small_config()
-        clients, _, _, _ = make_world(cfg)
-        _, frag0 = local_train(clients[0], cfg, round_index=0)
+        clients, backbone, _, _ = make_world(cfg)
+        _, frag0 = local_train(clients[0], backbone, cfg, round_index=0)
         opt = clients[0].optimizer
-        local_train(clients[0], cfg, round_index=1)
+        local_train(clients[0], backbone, cfg, round_index=1)
         assert clients[0].optimizer is opt
         assert opt.t == 2 * frag0.steps
 
     def test_reset_optimizer_flag_gives_fresh_moments(self):
         cfg = small_config(**{"federation.reset_optimizer": "true"})
-        clients, _, _, _ = make_world(cfg)
-        _, frag0 = local_train(clients[0], cfg, round_index=0)
+        clients, backbone, _, _ = make_world(cfg)
+        _, frag0 = local_train(clients[0], backbone, cfg, round_index=0)
         opt = clients[0].optimizer
-        local_train(clients[0], cfg, round_index=1)
+        local_train(clients[0], backbone, cfg, round_index=1)
         assert clients[0].optimizer is not opt
         assert clients[0].optimizer.t == frag0.steps
 
@@ -226,9 +257,9 @@ class TestLocalTrain:
 class TestRunRound:
     def test_zero_lr_round_is_global_fixed_point(self):
         cfg = small_config(**{"federation.lr": "0"})
-        clients, eval_backbone, server, test = make_world(cfg)
+        clients, backbone, server, test = make_world(cfg)
         before = [v.copy() for v in server.global_params]
-        report = run_round(server, clients, eval_backbone, test, cfg)
+        report = run_round(server, clients, backbone, test, cfg)
         for got, want in zip(server.global_params, before):
             np.testing.assert_array_equal(got, want)
         assert report.round_index == 0 and server.round_index == 1
@@ -236,39 +267,39 @@ class TestRunRound:
     def test_single_client_equals_local_result(self):
         cfg = small_config(**{"federation.clients": "1",
                               "data.partition": "iid"})
-        clients, eval_backbone, server, test = make_world(cfg)
-        twin_clients, _, twin_server, _ = make_world(cfg)
+        clients, backbone, server, test = make_world(cfg)
+        twin_clients, twin_backbone, twin_server, _ = make_world(cfg)
         broadcast(twin_server, twin_clients)
-        expected, _ = local_train(twin_clients[0], cfg, round_index=0)
-        run_round(server, clients, eval_backbone, test, cfg)
+        expected, _ = local_train(twin_clients[0], twin_backbone, cfg,
+                                  round_index=0)
+        run_round(server, clients, backbone, test, cfg)
         for got, want in zip(server.global_params, expected):
             np.testing.assert_array_equal(got, want)
 
     def test_report_fields_are_sane(self):
         cfg = small_config()
-        clients, eval_backbone, server, test = make_world(cfg)
-        report = run_round(server, clients, eval_backbone, test, cfg)
+        clients, backbone, server, test = make_world(cfg)
+        report = run_round(server, clients, backbone, test, cfg)
         assert 0.0 <= report.accuracy <= 1.0
         assert report.utilization.mean_kl >= 0.0
         assert {f.client_id for f in report.clients} == {0, 1, 2, 3}
         assert report.load.counts.sum() == len(test) * cfg.backbone.seq_len \
             * report.eval_k * cfg.backbone.layers
-        assert server.history == [report]
 
     def test_heterogeneous_budgets_aggregate_fine(self):
         cfg = small_config(**{"sparsity.mode": "capability",
                               "sparsity.k_high": "4", "sparsity.k_low": "1"})
-        clients, eval_backbone, server, test = make_world(cfg)
+        clients, backbone, server, test = make_world(cfg)
         assert sorted({c.k_n for c in clients}) == [1, 4]
-        report = run_round(server, clients, eval_backbone, test, cfg)
+        report = run_round(server, clients, backbone, test, cfg)
         assert report.eval_k == 4
 
     def test_replay_reports_are_identical(self):
         cfg = small_config()
         results = []
         for _ in range(2):
-            clients, eval_backbone, server, test = make_world(cfg)
-            report = run_round(server, clients, eval_backbone, test, cfg)
+            clients, backbone, server, test = make_world(cfg)
+            report = run_round(server, clients, backbone, test, cfg)
             results.append(report)
         a, b = results
         assert a.accuracy == b.accuracy
@@ -292,16 +323,18 @@ class TestCheckpoint:
     def test_checkpoint_loads_into_every_client(self, tmp_path):
         cfg = small_config(**{"sparsity.mode": "capability",
                               "sparsity.k_high": "4", "sparsity.k_low": "1"})
-        clients, eval_backbone, server, test = make_world(cfg)
-        run_round(server, clients, eval_backbone, test, cfg)
+        clients, backbone, server, test = make_world(cfg)
+        run_round(server, clients, backbone, test, cfg)
         path = tmp_path / "ck.bin"
-        names = eval_backbone.parameter_names()
+        names = backbone.parameter_names()
         save_checkpoint(names, server.global_params, path)
         loaded = load_checkpoint(path)
         for client in clients:
-            client.backbone.load_trainable(
-                [loaded[n] for n in client.backbone.parameter_names()])
-            got = client.backbone.trainable_parameters()
+            for adapter in backbone.adapters:
+                adapter.k = client.k_n
+            backbone.load_trainable(
+                [loaded[n] for n in backbone.parameter_names()])
+            got = backbone.trainable_parameters()
             for tensor, want in zip(got, server.global_params):
                 np.testing.assert_array_equal(tensor.values, want)
 
@@ -383,6 +416,33 @@ class TestRunExperiment:
         assert sum(int(s) for s in meta["shard_sizes"].split(",")) == \
             int(meta["train_examples"])
 
+    def test_one_backbone_and_each_client_keeps_its_last_upload(
+            self, monkeypatch):
+        built = []
+        original = Backbone.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Backbone, "__init__", counting_init)
+        cfg = small_config(**{"sparsity.mode": "capability",
+                              "sparsity.k_high": "4", "sparsity.k_low": "1"})
+        result = run_experiment(cfg)
+        assert len(built) == 1 and built[0] is result.eval_backbone
+        assert sorted({c.k_n for c in result.clients}) == [1, 4]
+
+        uploads = [c.adapter_params() for c in result.clients]
+        for a, b in itertools.combinations(uploads, 2):
+            assert any(not np.array_equal(x, y) for x, y in zip(a, b))
+        sizes = [len(c.shard) for c in result.clients]
+        direct = [sum(s / sum(sizes) * u[j] for u, s in zip(uploads, sizes))
+                  for j in range(len(uploads[0]))]
+        for got, want, avg in zip(aggregate(list(zip(uploads, sizes))),
+                                  result.server.global_params, direct):
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_allclose(avg, want, rtol=0, atol=1e-12)
+
     def test_single_client_training_reaches_high_accuracy(self):
         cfg = small_config(**{
             "federation.clients": "1", "data.partition": "iid",
@@ -396,8 +456,8 @@ class TestRunExperiment:
 
 def test_metrics_csv_uses_stable_float_format(tmp_path):
     cfg = small_config(**{"federation.rounds": "1"})
-    clients, eval_backbone, server, test = make_world(cfg)
-    report = run_round(server, clients, eval_backbone, test, cfg)
+    clients, backbone, server, test = make_world(cfg)
+    report = run_round(server, clients, backbone, test, cfg)
     path = tmp_path / "m.csv"
     write_metrics_csv([report], path)
     again = tmp_path / "m2.csv"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fedmoe import tensor as tz
 from fedmoe.errors import ConfigurationError, InputError, UsageError
 from fedmoe.losses import (AuxLossConfig, aux_loss_layer, kl_divergence,
-                           total_loss, uniform_target)
+                           reduce_aux, total_loss, uniform_target)
 from fedmoe.tensor import Tape, Tensor, parameter
 
 from oracles import finite_difference_grads, kl_direct
@@ -137,7 +137,7 @@ def test_gated_off_layer_contributes_no_gradient():
 
 def test_total_loss_lam_zero_returns_task_itself():
     task = Tensor(np.array(0.7))
-    out = total_loss(task, [Tensor(np.array(9.9))], AuxLossConfig(lam=0.0))
+    out = total_loss(task, Tensor(np.array(9.9)), AuxLossConfig(lam=0.0))
     assert out is task
 
 
@@ -145,14 +145,15 @@ def test_total_loss_hand_arithmetic():
     cfg = AuxLossConfig(lam=1e-4, layer_reduction="mean")
     task = Tensor(np.array(1.0))
     aux = [Tensor(np.array(0.2)), Tensor(np.array(0.0))]
-    assert abs(total_loss(task, aux, cfg).item() - 1.00001) < 1e-12
+    assert abs(total_loss(task, reduce_aux(aux, cfg), cfg).item() - 1.00001) \
+        < 1e-12
 
 
 def test_total_loss_sum_reduction():
     cfg = AuxLossConfig(lam=0.5, layer_reduction="sum")
     task = Tensor(np.array(2.0))
     aux = [Tensor(np.array(0.2)), Tensor(np.array(0.6))]
-    assert abs(total_loss(task, aux, cfg).item() - 2.4) < 1e-12
+    assert abs(total_loss(task, reduce_aux(aux, cfg), cfg).item() - 2.4) < 1e-12
 
 
 def test_total_loss_backpropagates_to_both_sources():
@@ -161,15 +162,30 @@ def test_total_loss_backpropagates_to_both_sources():
     cfg = AuxLossConfig(lam=0.1, theta_th=0.01)
     with Tape() as tape:
         p = tz.softmax(z)
-        loss = total_loss(task_leaf * 1.0, [aux_loss_layer(p, cfg)], cfg)
+        aux = reduce_aux([aux_loss_layer(p, cfg)], cfg)
+        loss = total_loss(task_leaf * 1.0, aux, cfg)
     tape.backward(loss)
     assert task_leaf.grad is not None and float(task_leaf.grad) == 1.0
     assert z.grad is not None and np.any(z.grad != 0.0)
 
 
 def test_total_loss_requires_terms_when_weighted():
+    cfg = AuxLossConfig(lam=0.1)
     with pytest.raises(UsageError):
-        total_loss(Tensor(np.array(1.0)), [], AuxLossConfig(lam=0.1))
+        total_loss(Tensor(np.array(1.0)), reduce_aux([], cfg), cfg)
+    with pytest.raises(UsageError):
+        total_loss(Tensor(np.array(1.0)), None, cfg)
+
+
+def test_reduce_aux_mean_of_two_layers_is_the_halved_sum_exactly():
+    rng = np.random.default_rng(11)
+    for _ in range(100):
+        a, b = rng.random(2)
+        terms = [Tensor(np.array(a)), Tensor(np.array(b))]
+        mean = reduce_aux(terms, AuxLossConfig(layer_reduction="mean")).item()
+        assert mean == (a + b) / 2
+        assert reduce_aux(terms, AuxLossConfig(layer_reduction="sum")).item() \
+            == a + b
 
 
 # -- config validation ----------------------------------------------------------
