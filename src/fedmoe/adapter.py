@@ -23,6 +23,32 @@ ACTIVATIONS = ("linear", "gelu")
 EXPERT_INIT_STD = 0.02  # down-projections start small; up-projections start at 0
 
 
+@dataclass(frozen=True)
+class AdapterConfig:
+    """The ``adapter.*`` section: M experts sharing one rank r.
+
+    Every client's adapter has this structure, which is what lets their
+    uploads be averaged; clients differ only in their budget K_n.
+    """
+
+    experts: int = 8
+    rank: int = 2               # shared per-expert intermediate rank
+    gating_mode: str = "topk_softmax"
+    activation: str = "gelu"
+
+    def __post_init__(self):
+        if self.experts < 1:
+            raise ConfigurationError("adapter.experts must be >= 1")
+        if self.rank < 1:
+            raise ConfigurationError("adapter.rank must be >= 1")
+        if self.gating_mode not in GATING_MODES:
+            raise ConfigurationError(
+                f"adapter.gating_mode must be one of {GATING_MODES}")
+        if self.activation not in ACTIVATIONS:
+            raise ConfigurationError(
+                f"adapter.activation must be one of {ACTIVATIONS}")
+
+
 def topk_mask(logits: np.ndarray, k: int) -> np.ndarray:
     """Boolean mask of the k largest entries along the last axis.
 
@@ -70,18 +96,9 @@ class ExpertNetwork:
     """Two-layer feed-forward expert mapping R^d -> R^d through rank r_m."""
 
     def __init__(self, e1: Tensor, e2: Tensor, activation: str):
-        if activation not in ACTIVATIONS:
-            raise ConfigurationError(f"unknown expert activation {activation!r}")
-        r1, d1 = e1.shape
-        d2, r2 = e2.shape
-        if d1 != d2 or r1 != r2:
-            raise DimensionError(
-                f"expert projections disagree: E1 {e1.shape}, E2 {e2.shape}")
-        self.E1 = e1
-        self.E2 = e2
+        self.E1 = e1   # [r, d]
+        self.E2 = e2   # [d, r]
         self.activation = activation
-        self.rank = r1
-        self.dim = d1
 
     def forward(self, x: Tensor) -> Tensor:
         """Apply the expert to a [tokens, d] matrix."""
@@ -117,6 +134,8 @@ class MoEAdapter:
                 f"active expert count K={k} outside [1, {n_experts}]")
         if gating_mode not in GATING_MODES:
             raise ConfigurationError(f"unknown gating mode {gating_mode!r}")
+        if activation not in ACTIVATIONS:
+            raise ConfigurationError(f"unknown expert activation {activation!r}")
         rng = rng or np.random.default_rng(0)
         self.dim = dim
         self.n_experts = n_experts

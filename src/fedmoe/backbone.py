@@ -21,44 +21,29 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .adapter import MoEAdapter, RoutingStats
+from .adapter import AdapterConfig, MoEAdapter
 from .errors import AggregationError, ConfigurationError, DimensionError
 from .tensor import Tensor, parameter
 
 
 @dataclass(frozen=True)
-class AdapterConfig:
-    """How to build the adapter injected at every block."""
-
-    ranks: tuple[int, ...]
-    k: int
-    gating_mode: str = "topk_softmax"
-    activation: str = "gelu"
-
-    def build(self, dim: int, rng: np.random.Generator) -> MoEAdapter:
-        return MoEAdapter(dim=dim, ranks=list(self.ranks), k=self.k,
-                          gating_mode=self.gating_mode,
-                          activation=self.activation, rng=rng)
-
-
-@dataclass(frozen=True)
 class BackboneConfig:
+    """The ``backbone.*`` section: the frozen encoder's shape."""
+
     layers: int = 2
     dim: int = 32
     heads: int = 4
     seq_len: int = 8
-    classes: int = 4
-    input_dim: int = 16
-    frozen_seed: int = 0
     trainable_head: bool = False
 
     def __post_init__(self):
-        for name in ("layers", "dim", "heads", "seq_len", "classes", "input_dim"):
+        for name in ("layers", "dim", "heads", "seq_len"):
             if getattr(self, name) < 1:
-                raise ConfigurationError(f"{name} must be positive")
+                raise ConfigurationError(f"backbone.{name} must be >= 1")
         if self.dim % self.heads != 0:
             raise ConfigurationError(
-                f"width {self.dim} not divisible by {self.heads} heads")
+                f"backbone.dim = {self.dim} not divisible by "
+                f"backbone.heads = {self.heads}")
 
 
 class TransformerBlock:
@@ -109,18 +94,30 @@ class TransformerBlock:
 class Backbone:
     """Frozen encoder stack + classification head over mean-pooled states."""
 
-    def __init__(self, cfg: BackboneConfig, adapter_cfg: AdapterConfig):
+    def __init__(self, cfg: BackboneConfig, adapter_cfg: AdapterConfig, *,
+                 k: int, classes: int, input_dim: int, frozen_seed: int):
+        """``k`` is every adapter's starting budget; ``classes``,
+        ``input_dim`` and ``frozen_seed`` come from the data and seeds."""
+        if classes < 1 or input_dim < 1:
+            raise ConfigurationError(
+                f"classes = {classes} and input_dim = {input_dim} must be >= 1")
         self.cfg = cfg
-        rng = np.random.default_rng(cfg.frozen_seed)
-        self.w_in = Tensor(rng.normal(0.0, cfg.input_dim ** -0.5,
-                                      size=(cfg.input_dim, cfg.dim)))
+        self.input_dim = input_dim
+        rng = np.random.default_rng(frozen_seed)
+        self.w_in = Tensor(rng.normal(0.0, input_dim ** -0.5,
+                                      size=(input_dim, cfg.dim)))
         self.pos = Tensor(rng.normal(0.0, 0.02, size=(cfg.seq_len, cfg.dim)))
+        ranks = [adapter_cfg.rank] * adapter_cfg.experts
         self.blocks = [
             TransformerBlock(cfg.dim, cfg.heads,
-                             adapter_cfg.build(cfg.dim, rng), rng)
+                             MoEAdapter(cfg.dim, ranks, k,
+                                        gating_mode=adapter_cfg.gating_mode,
+                                        activation=adapter_cfg.activation,
+                                        rng=rng),
+                             rng)
             for _ in range(cfg.layers)
         ]
-        head = rng.normal(0.0, cfg.dim ** -0.5, size=(cfg.dim, cfg.classes))
+        head = rng.normal(0.0, cfg.dim ** -0.5, size=(cfg.dim, classes))
         self.head = parameter(head) if cfg.trainable_head else Tensor(head)
         # Token-mean routing distributions of the latest forward, per layer.
         self.last_layer_probs: list[Tensor] = []
@@ -129,15 +126,14 @@ class Backbone:
     def adapters(self) -> list[MoEAdapter]:
         return [b.adapter for b in self.blocks]
 
-    def forward(self, batch, collect_stats: bool = False
-                ) -> tuple[Tensor, list[RoutingStats]]:
-        """Logits [batch, C] plus each layer's routing stats."""
+    def forward(self, batch, collect_stats: bool = False) -> Tensor:
+        """Logits [batch, C]; with ``collect_stats`` each adapter's
+        ``stats`` also tallies the batch's routing."""
         x = batch if isinstance(batch, Tensor) else Tensor(batch)
-        cfg = self.cfg
-        if x.ndim != 3 or x.shape[1] != cfg.seq_len or x.shape[2] != cfg.input_dim:
+        seq_len, input_dim = self.cfg.seq_len, self.input_dim
+        if x.ndim != 3 or x.shape[1] != seq_len or x.shape[2] != input_dim:
             raise DimensionError(
-                f"batch shape {x.shape}, expected (*, {cfg.seq_len}, "
-                f"{cfg.input_dim})")
+                f"batch shape {x.shape}, expected (*, {seq_len}, {input_dim})")
         for adapter in self.adapters:
             adapter.collect_stats = collect_stats
         h = x @ self.w_in + self.pos
@@ -145,7 +141,7 @@ class Backbone:
             h = block.forward(h)
         logits = h.mean(axis=1) @ self.head
         self.last_layer_probs = [b.adapter.last_mean_probs for b in self.blocks]
-        return logits, [b.adapter.stats for b in self.blocks]
+        return logits
 
     # -- parameter accounting -----------------------------------------------
 

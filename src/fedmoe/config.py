@@ -11,30 +11,13 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields
 
-from .adapter import GATING_MODES, ACTIVATIONS
-from .backbone import AdapterConfig, BackboneConfig
+from .adapter import AdapterConfig
+from .backbone import BackboneConfig
 from .data import PARTITION_SCHEMES, PartitionSpec
 from .errors import ConfigurationError
 from .losses import AuxLossConfig
 
 ENV_OUTPUT_ROOT = "FEDMOE_RUNS"
-
-
-@dataclass(frozen=True)
-class BackboneSection:
-    layers: int = 2
-    dim: int = 32
-    heads: int = 4
-    seq_len: int = 8
-    trainable_head: bool = False
-
-
-@dataclass(frozen=True)
-class AdapterSection:
-    experts: int = 8
-    rank: int = 2               # shared per-expert intermediate rank
-    gating_mode: str = "topk_softmax"
-    activation: str = "gelu"
 
 
 @dataclass(frozen=True)
@@ -84,8 +67,8 @@ class OutputSection:
 
 
 _SECTIONS = {
-    "backbone": BackboneSection,
-    "adapter": AdapterSection,
+    "backbone": BackboneConfig,
+    "adapter": AdapterConfig,
     "sparsity": SparsitySection,
     "federation": FederationSection,
     "aux": AuxLossConfig,
@@ -177,8 +160,8 @@ def parse_config_file(path) -> dict[str, str]:
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    backbone: BackboneSection
-    adapter: AdapterSection
+    backbone: BackboneConfig
+    adapter: AdapterConfig
     sparsity: SparsitySection
     federation: FederationSection
     aux: AuxLossConfig
@@ -231,18 +214,9 @@ class ExperimentConfig:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> None:
+        """Cross-field checks; each section checked its own fields when it
+        was built."""
         adp, spr, fed, dat = self.adapter, self.sparsity, self.federation, self.data
-        if adp.experts < 1:
-            raise ConfigurationError("adapter.experts must be >= 1")
-        if adp.rank < 1:
-            raise ConfigurationError("adapter.rank must be >= 1")
-        if adp.gating_mode not in GATING_MODES:
-            raise ConfigurationError(
-                f"adapter.gating_mode must be one of {GATING_MODES}")
-        if adp.activation not in ACTIVATIONS:
-            raise ConfigurationError(
-                f"adapter.activation must be one of {ACTIVATIONS}")
-
         if spr.mode not in ("fixed", "capability"):
             raise ConfigurationError("sparsity.mode must be fixed or capability")
         if spr.mode == "fixed":
@@ -292,30 +266,14 @@ class ExperimentConfig:
                 raise ConfigurationError(
                     f"one_label partition needs federation.clients >= "
                     f"{dat.classes}")
+        if dat.input_dim < 1:
+            raise ConfigurationError("data.input_dim must be >= 1")
         if not 0.0 < dat.test_fraction < 1.0:
             raise ConfigurationError("data.test_fraction outside (0, 1)")
-        # delegate the remaining shape/scheme checks to the builders
+        # delegate the remaining scheme checks to the builder
         self.partition_spec()
-        self.backbone_config(self.data.classes if dat.source == "synthetic"
-                             else 2)
-        self.adapter_config()
 
     # -- builders -------------------------------------------------------------
-
-    def backbone_config(self, classes: int) -> BackboneConfig:
-        b = self.backbone
-        return BackboneConfig(layers=b.layers, dim=b.dim, heads=b.heads,
-                              seq_len=b.seq_len, classes=classes,
-                              input_dim=self.data.input_dim,
-                              frozen_seed=self.seeds.frozen,
-                              trainable_head=b.trainable_head)
-
-    def adapter_config(self) -> AdapterConfig:
-        a = self.adapter
-        default_k = (self.sparsity.k if self.sparsity.mode == "fixed"
-                     else self.sparsity.k_high)
-        return AdapterConfig(ranks=(a.rank,) * a.experts, k=default_k,
-                             gating_mode=a.gating_mode, activation=a.activation)
 
     def partition_spec(self) -> PartitionSpec:
         if self.data.partition not in PARTITION_SCHEMES:

@@ -128,8 +128,12 @@ def load_csv(path, seq_len: int, input_dim: int) -> LabeledDataset:
 
 def train_test_split(ds: LabeledDataset, test_fraction: float, seed: int
                      ) -> tuple[LabeledDataset, LabeledDataset]:
-    """Deterministic stratified split; every class keeps at least one
-    example on each side."""
+    """Deterministic stratified split.
+
+    A class with two or more examples keeps at least one on each side.  A
+    class with a single example (possible from CSV input) goes wholly to
+    train, so the test side can lack a class.
+    """
     if not 0.0 < test_fraction < 1.0:
         raise ConfigurationError(
             f"test_fraction must be in (0, 1), got {test_fraction}")

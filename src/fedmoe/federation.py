@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -131,7 +132,7 @@ def local_train(client: ClientState, backbone: Backbone, cfg: ExperimentConfig,
             labels = client.shard.labels[idx]
             opt.zero_grad()
             with tz.Tape() as tape:
-                logits, _ = backbone.forward(client.shard.features[idx])
+                logits = backbone.forward(client.shard.features[idx])
                 task = tz.cross_entropy(logits, labels)
                 aux = None
                 if aux_cfg.lam > 0.0:
@@ -139,10 +140,16 @@ def local_train(client: ClientState, backbone: Backbone, cfg: ExperimentConfig,
                                       for p in backbone.last_layer_probs],
                                      aux_cfg)
                 tape.backward(total_loss(task, aux, aux_cfg))
+            task_value = task.item()
+            aux_value = aux.item() if aux is not None else 0.0
+            if not (math.isfinite(task_value) and math.isfinite(aux_value)):
+                raise AggregationError(
+                    f"client {client.client_id}, round {round_index}, step "
+                    f"{steps}: loss is not finite (task {task_value}, aux "
+                    f"{aux_value})")
             opt.step()
-            task_sum += task.item()
-            if aux is not None:
-                aux_sum += aux.item()
+            task_sum += task_value
+            aux_sum += aux_value
             steps += 1
     client.params = [p.values.copy() for p in trainable]
     metrics = ClientRoundMetrics(client.client_id, task_sum / steps,
@@ -173,6 +180,9 @@ def aggregate(uploads: list[tuple[list[np.ndarray], int]]) -> list[np.ndarray]:
                 raise AggregationError(
                     f"client {n}: parameter {j} shape {p.shape} does not "
                     f"match {r.shape}")
+            if not np.isfinite(p).all():
+                raise AggregationError(
+                    f"client {n}: parameter {j} is not finite")
         total += size
     weights = [size / total for (_, size) in uploads]
     drift = abs(sum(weights) - 1.0)
@@ -249,7 +259,12 @@ def save_checkpoint(names: list[str], arrays: list[np.ndarray], path) -> None:
 
 
 def load_checkpoint(path) -> dict[str, np.ndarray]:
-    """Parse a checkpoint back into an ordered name -> float64 array map."""
+    """Parse a checkpoint back into an ordered name -> float64 array map.
+
+    The tensors must tile the payload exactly, in header order, with nothing
+    left over; any other file fails with an ``InputError`` naming the file
+    and, where there is one, the tensor.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     stream = io.BytesIO(blob)
@@ -258,7 +273,10 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         raw = stream.readline()
         if not raw:
             raise InputError(f"{path}: truncated checkpoint header")
-        return raw.decode("ascii").rstrip("\n")
+        try:
+            return raw.decode("ascii").rstrip("\n")
+        except UnicodeDecodeError:
+            raise InputError(f"{path}: non-ASCII checkpoint header") from None
 
     if line() != CHECKPOINT_MAGIC:
         raise InputError(f"{path}: not a checkpoint file")
@@ -271,17 +289,35 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         if len(parts) != 4:
             raise InputError(f"{path}: malformed tensor record {parts!r}")
         name, shape_text, offset_text, nbytes_text = parts
-        shape = tuple(int(s) for s in shape_text.split(","))
-        entries.append((name, shape, int(offset_text), int(nbytes_text)))
+        dims = shape_text.split(",") if shape_text else []
+        if not all(t.isdigit() for t in (*dims, offset_text, nbytes_text)):
+            raise InputError(f"{path}: tensor {name}: malformed record "
+                             f"{' '.join(parts)!r}")
+        entries.append((name, tuple(int(t) for t in dims), int(offset_text),
+                        int(nbytes_text)))
     if line() != "end":
         raise InputError(f"{path}: missing header terminator")
-    base = stream.tell()
+    payload = blob[stream.tell():]
     out: dict[str, np.ndarray] = {}
+    expected_offset = 0
     for name, shape, offset, nbytes in entries:
-        raw = blob[base + offset:base + offset + nbytes]
+        if name in out:
+            raise InputError(f"{path}: tensor {name} appears twice")
+        if nbytes != 8 * math.prod(shape):
+            raise InputError(f"{path}: tensor {name}: {nbytes} bytes do not "
+                             f"hold float64 shape {shape}")
+        if offset != expected_offset:
+            raise InputError(f"{path}: tensor {name} at offset {offset} "
+                             f"overlaps or leaves a gap (expected "
+                             f"{expected_offset})")
+        raw = payload[offset:offset + nbytes]
         if len(raw) != nbytes:
-            raise InputError(f"{path}: payload truncated for {name}")
+            raise InputError(f"{path}: payload truncated for tensor {name}")
         out[name] = np.frombuffer(raw, dtype="<f8").astype(np.float64).reshape(shape)
+        expected_offset += nbytes
+    if len(payload) != expected_offset:
+        raise InputError(f"{path}: {len(payload) - expected_offset} trailing "
+                         "bytes after the last tensor")
     return out
 
 
@@ -367,8 +403,12 @@ def run_experiment(cfg: ExperimentConfig,
     dataset = _load_dataset(cfg)
     train, test = train_test_split(dataset, cfg.data.test_fraction,
                                    cfg.seeds.data)
-    backbone = Backbone(cfg.backbone_config(train.class_count),
-                        cfg.adapter_config())
+    spr = cfg.sparsity
+    backbone = Backbone(cfg.backbone, cfg.adapter,
+                        k=spr.k if spr.mode == "fixed" else spr.k_high,
+                        classes=train.class_count,
+                        input_dim=cfg.data.input_dim,
+                        frozen_seed=cfg.seeds.frozen)
     clients = build_clients(cfg, train, backbone)
     server = ServerState(
         global_params=[p.values.copy()

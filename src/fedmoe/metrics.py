@@ -139,6 +139,6 @@ def evaluate_accuracy(backbone: Backbone, params: list[np.ndarray] | None,
     for start in range(0, len(test), batch_size):
         batch = test.features[start:start + batch_size]
         labels = test.labels[start:start + batch_size]
-        logits, _ = backbone.forward(batch, collect_stats=True)
+        logits = backbone.forward(batch, collect_stats=True)
         correct += int((logits.values.argmax(axis=1) == labels).sum())
     return correct / len(test)

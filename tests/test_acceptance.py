@@ -15,8 +15,8 @@ import pytest
 
 from fedmoe import cli
 from fedmoe import tensor as tz
-from fedmoe.adapter import MoEAdapter, topk_mask
-from fedmoe.backbone import AdapterConfig, Backbone, BackboneConfig
+from fedmoe.adapter import AdapterConfig, MoEAdapter, topk_mask
+from fedmoe.backbone import Backbone, BackboneConfig
 from fedmoe.config import ExperimentConfig
 from fedmoe.federation import (aggregate, load_checkpoint, run_experiment,
                                save_checkpoint)
@@ -110,10 +110,9 @@ def test_criterion_03_end_to_end_gradients():
     finite differences (step 1e-5) within relative error 1e-4, < 60 s."""
     start = time.monotonic()
     rng = np.random.default_rng(303)
-    backbone = Backbone(
-        BackboneConfig(layers=2, dim=16, heads=4, seq_len=4, classes=4,
-                       input_dim=8, frozen_seed=3),
-        AdapterConfig(ranks=(2, 2, 2, 2), k=2))
+    backbone = Backbone(BackboneConfig(layers=2, dim=16, heads=4, seq_len=4),
+                        AdapterConfig(experts=4, rank=2), k=2, classes=4,
+                        input_dim=8, frozen_seed=3)
     # generic parameter values: live gradients everywhere, no routing ties
     for adapter in backbone.adapters:
         adapter.router.WR.values[...] = rng.normal(0.0, 0.5,
@@ -126,13 +125,13 @@ def test_criterion_03_end_to_end_gradients():
     params = backbone.trainable_parameters()
 
     def loss_value(_perturbed_in_place) -> float:
-        logits, _ = backbone.forward(batch)
+        logits = backbone.forward(batch)
         task = tz.cross_entropy(logits, labels)
         terms = [aux_loss_layer(p, cfg) for p in backbone.last_layer_probs]
         return total_loss(task, reduce_aux(terms, cfg), cfg).item()
 
     with tz.Tape() as tape:
-        logits, _ = backbone.forward(batch)
+        logits = backbone.forward(batch)
         task = tz.cross_entropy(logits, labels)
         terms = [aux_loss_layer(p, cfg) for p in backbone.last_layer_probs]
         tape.backward(total_loss(task, reduce_aux(terms, cfg), cfg))

@@ -3,15 +3,20 @@ import pytest
 from scipy.special import erf
 
 from fedmoe import tensor as tz
-from fedmoe.backbone import AdapterConfig, Backbone, BackboneConfig
+from fedmoe.adapter import AdapterConfig
+from fedmoe.backbone import Backbone, BackboneConfig
 from fedmoe.errors import AggregationError, ConfigurationError, DimensionError
 from fedmoe.tensor import Adam, Tape, Tensor
 
 from oracles import finite_difference_grads
 
-SMALL = BackboneConfig(layers=2, dim=16, heads=2, seq_len=8, classes=4,
-                       input_dim=6, frozen_seed=11)
-SMALL_ADAPTER = AdapterConfig(ranks=(2, 2, 2, 2), k=2)
+SMALL = BackboneConfig(layers=2, dim=16, heads=2, seq_len=8)
+SMALL_ADAPTER = AdapterConfig(experts=4, rank=2)
+SMALL_DATA = dict(k=2, classes=4, input_dim=6, frozen_seed=11)
+
+
+def small_backbone(cfg=SMALL, **overrides):
+    return Backbone(cfg, SMALL_ADAPTER, **{**SMALL_DATA, **overrides})
 
 
 def frozen_forward_oracle(bb, batch):
@@ -51,23 +56,22 @@ def frozen_forward_oracle(bb, batch):
 
 
 def test_same_seed_builds_bit_identical_frozen_weights():
-    a = Backbone(SMALL, SMALL_ADAPTER)
-    b = Backbone(SMALL, SMALL_ADAPTER)
+    a = small_backbone()
+    b = small_backbone()
     for ta, tb in zip(a.frozen_tensors(), b.frozen_tensors()):
         np.testing.assert_array_equal(ta.values, tb.values)
     assert a.frozen_checksum() == b.frozen_checksum()
-    other = Backbone(BackboneConfig(**{**SMALL.__dict__, "frozen_seed": 12}),
-                     SMALL_ADAPTER)
+    other = small_backbone(frozen_seed=12)
     assert other.frozen_checksum() != a.frozen_checksum()
 
 
 def test_smoke_forward_shape_and_finiteness():
-    bb = Backbone(SMALL, SMALL_ADAPTER)
+    bb = small_backbone()
     batch = np.random.default_rng(0).normal(size=(5, 8, 6))
-    logits, stats = bb.forward(batch)
+    logits = bb.forward(batch)
     assert logits.shape == (5, 4)
     assert np.isfinite(logits.values).all()
-    assert len(stats) == 2
+    assert len([a.stats for a in bb.adapters]) == 2
 
 
 def test_indivisible_heads_rejected():
@@ -76,32 +80,32 @@ def test_indivisible_heads_rejected():
 
 
 def test_zero_adapters_match_adapter_free_oracle():
-    bb = Backbone(SMALL, SMALL_ADAPTER)  # E2 = 0 at init
+    bb = small_backbone()  # E2 = 0 at init
     batch = np.random.default_rng(1).normal(size=(4, 8, 6))
-    logits, _ = bb.forward(batch)
+    logits = bb.forward(batch)
     np.testing.assert_allclose(logits.values, frozen_forward_oracle(bb, batch),
                                rtol=0, atol=1e-12)
 
 
 def test_stats_count_conservation():
-    bb = Backbone(SMALL, SMALL_ADAPTER)  # M=4, K=2
+    bb = small_backbone()  # M=4, K=2
     batch = np.random.default_rng(2).normal(size=(1, 8, 6))
-    _, stats = bb.forward(batch, collect_stats=True)
-    for layer_stats in stats:
+    bb.forward(batch, collect_stats=True)
+    for layer_stats in [a.stats for a in bb.adapters]:
         assert layer_stats.tokens_seen == 8
         assert layer_stats.counts.sum() == 16
 
 
 def test_stats_off_by_default():
-    bb = Backbone(SMALL, SMALL_ADAPTER)
+    bb = small_backbone()
     bb.forward(np.zeros((2, 8, 6)))
     assert all(a.stats.tokens_seen == 0 for a in bb.adapters)
 
 
 def test_adapter_gradients_match_fd_through_full_stack():
-    cfg = BackboneConfig(layers=2, dim=8, heads=2, seq_len=4, classes=3,
-                         input_dim=5, frozen_seed=3)
-    bb = Backbone(cfg, AdapterConfig(ranks=(2, 2), k=1))
+    cfg = BackboneConfig(layers=2, dim=8, heads=2, seq_len=4)
+    bb = Backbone(cfg, AdapterConfig(experts=2, rank=2), k=1, classes=3,
+                  input_dim=5, frozen_seed=3)
     rng = np.random.default_rng(4)
     # tie-free routing + live expert outputs
     for adapter in bb.adapters:
@@ -113,12 +117,12 @@ def test_adapter_gradients_match_fd_through_full_stack():
 
     params = bb.trainable_parameters()
     with Tape() as tape:
-        logits, _ = bb.forward(batch)
+        logits = bb.forward(batch)
         loss = tz.cross_entropy(logits, labels)
     tape.backward(loss)
 
     def loss_value(_arrays):
-        logits, _ = bb.forward(batch)
+        logits = bb.forward(batch)
         return tz.cross_entropy(logits, labels).item()
 
     fd = finite_difference_grads(loss_value, [p.values for p in params])
@@ -127,17 +131,17 @@ def test_adapter_gradients_match_fd_through_full_stack():
 
 
 def test_trainable_count_matches_adapter_configuration():
-    cfg = BackboneConfig(layers=3, dim=16, heads=4, seq_len=4, classes=4,
-                         input_dim=4, frozen_seed=5)
-    bb = Backbone(cfg, AdapterConfig(ranks=(2, 3), k=1))
-    per_layer = (2 + 3) * 2 * 16 + 2 * 16  # expert entries + router rows
+    cfg = BackboneConfig(layers=3, dim=16, heads=4, seq_len=4)
+    bb = Backbone(cfg, AdapterConfig(experts=2, rank=3), k=1, classes=4,
+                  input_dim=4, frozen_seed=5)
+    per_layer = (3 + 3) * 2 * 16 + 2 * 16  # expert entries + router rows
     got = sum(p.values.size for p in bb.trainable_parameters())
     assert got == 3 * per_layer
 
 
 def test_trainable_head_is_exposed_and_loadable():
-    cfg = BackboneConfig(**{**SMALL.__dict__, "trainable_head": True})
-    bb = Backbone(cfg, SMALL_ADAPTER)
+    bb = small_backbone(BackboneConfig(**{**SMALL.__dict__,
+                                          "trainable_head": True}))
     assert bb.parameter_names()[-1] == "head"
     assert bb.trainable_parameters()[-1] is bb.head
     values = [p.values.copy() for p in bb.trainable_parameters()]
@@ -147,7 +151,7 @@ def test_trainable_head_is_exposed_and_loadable():
 
 
 def test_frozen_weights_survive_training_steps():
-    bb = Backbone(SMALL, SMALL_ADAPTER)
+    bb = small_backbone()
     before = bb.frozen_checksum()
     rng = np.random.default_rng(6)
     opt = Adam(bb.trainable_parameters(), lr=1e-3, weight_decay=0.01)
@@ -156,7 +160,7 @@ def test_frozen_weights_survive_training_steps():
         labels = rng.integers(0, 4, size=4)
         opt.zero_grad()
         with Tape() as tape:
-            logits, _ = bb.forward(batch)
+            logits = bb.forward(batch)
             loss = tz.cross_entropy(logits, labels)
         tape.backward(loss)
         opt.step()
@@ -164,7 +168,7 @@ def test_frozen_weights_survive_training_steps():
 
 
 def test_load_trainable_round_trip_and_length_check():
-    bb = Backbone(SMALL, SMALL_ADAPTER)
+    bb = small_backbone()
     saved = [p.values.copy() for p in bb.trainable_parameters()]
     bb.load_trainable(saved)
     for p, s in zip(bb.trainable_parameters(), saved):
@@ -174,7 +178,7 @@ def test_load_trainable_round_trip_and_length_check():
 
 
 def test_forward_rejects_wrong_batch_shape():
-    bb = Backbone(SMALL, SMALL_ADAPTER)
+    bb = small_backbone()
     with pytest.raises(DimensionError):
         bb.forward(np.zeros((2, 8, 7)))
     with pytest.raises(DimensionError):
@@ -182,7 +186,7 @@ def test_forward_rejects_wrong_batch_shape():
 
 
 def test_layer_probs_are_per_layer_distributions():
-    bb = Backbone(SMALL, SMALL_ADAPTER)
+    bb = small_backbone()
     bb.forward(np.random.default_rng(7).normal(size=(3, 8, 6)))
     assert len(bb.last_layer_probs) == 2
     for p in bb.last_layer_probs:

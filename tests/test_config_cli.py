@@ -93,6 +93,9 @@ class TestValidation:
         ({"federation.clients": "2"}, "one_label"),  # 4 classes need 4 clients
         ({"sparsity.mode": "capability", "sparsity.k_high": "9"},
          "sparsity.k_high"),
+        ({"backbone.heads": "3"}, "backbone.heads"),
+        ({"data.source": "csv", "data.csv_path": "x.csv",
+          "data.input_dim": "0"}, "data.input_dim"),
     ])
     def test_bad_configs_name_the_problem(self, overrides, needle):
         with pytest.raises(ConfigurationError, match=needle):

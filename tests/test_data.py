@@ -225,6 +225,17 @@ def test_train_test_split_is_stratified_and_disjoint():
     np.testing.assert_array_equal(again[1].features, test.features)
 
 
+def test_train_test_split_sends_a_singleton_class_wholly_to_train():
+    labels = np.array([0, 0, 0, 0, 0, 1, 2, 2])
+    ds = LabeledDataset(np.zeros((8, 2, 2)), labels, class_count=3)
+    train, test = train_test_split(ds, test_fraction=0.2, seed=0)
+    assert np.count_nonzero(train.labels == 1) == 1
+    assert np.count_nonzero(test.labels == 1) == 0
+    for c in (0, 2):  # two or more examples: at least one on each side
+        assert np.count_nonzero(train.labels == c) >= 1
+        assert np.count_nonzero(test.labels == c) >= 1
+
+
 def test_train_test_split_validates_fraction():
     ds = synth_dataset(10, 2, 2, 2, separation=1.0, seed=20)
     with pytest.raises(ConfigurationError):

@@ -38,8 +38,12 @@ def make_world(cfg):
     dataset = _load_dataset(cfg)
     train, test = train_test_split(dataset, cfg.data.test_fraction,
                                    cfg.seeds.data)
-    backbone = Backbone(cfg.backbone_config(train.class_count),
-                        cfg.adapter_config())
+    spr = cfg.sparsity
+    backbone = Backbone(cfg.backbone, cfg.adapter,
+                        k=spr.k if spr.mode == "fixed" else spr.k_high,
+                        classes=train.class_count,
+                        input_dim=cfg.data.input_dim,
+                        frozen_seed=cfg.seeds.frozen)
     clients = build_clients(cfg, train, backbone)
     server = ServerState(global_params=[
         p.values.copy() for p in backbone.trainable_parameters()])
@@ -118,6 +122,11 @@ class TestAggregate:
     def test_empty_uploads_is_usage_error(self):
         with pytest.raises(UsageError):
             aggregate([])
+
+    def test_non_finite_upload_names_client_and_parameter(self):
+        bad = [np.zeros(2), np.array([0.0, np.nan])]
+        with pytest.raises(AggregationError, match="client 1: parameter 1 "):
+            aggregate([([np.zeros(2), np.zeros(2)], 3), (bad, 5)])
 
 
 class TestBroadcastAndSparsity:
@@ -254,6 +263,15 @@ class TestLocalTrain:
         assert clients[0].optimizer.t == frag0.steps
 
 
+    def test_non_finite_loss_names_client_and_round(self):
+        cfg = small_config()
+        clients, backbone, _, _ = make_world(cfg)
+        clients[2].shard.features[0, 0, 0] = np.nan
+        local_train(clients[1], backbone, cfg, round_index=3)
+        with pytest.raises(AggregationError, match="client 2, round 3"):
+            local_train(clients[2], backbone, cfg, round_index=3)
+
+
 class TestRunRound:
     def test_zero_lr_round_is_global_fixed_point(self):
         cfg = small_config(**{"federation.lr": "0"})
@@ -307,6 +325,23 @@ class TestRunRound:
         np.testing.assert_array_equal(a.load.counts, b.load.counts)
 
 
+# each turns the good two-tensor file (a: 2x2 at 0, b: 4 at 32) into a bad one
+CHECKPOINT_MUTATIONS = {
+    "trailing_bytes": (lambda blob: blob + bytes(8), None),
+    "duplicate_name": (lambda blob: blob.replace(b"\nb 4 ", b"\na 4 "), "a"),
+    "shape_disagrees_with_bytes": (
+        lambda blob: blob.replace(b"a 2,2 0", b"a 2,3 0"), "a"),
+    "non_integer_shape": (lambda blob: blob.replace(b"a 2,2 0", b"a 2,x 0"), "a"),
+    "non_integer_offset": (lambda blob: blob.replace(b"b 4 32", b"b 4 3x"), "b"),
+    "overlapping_payloads": (
+        lambda blob: blob.replace(b"b 4 32", b"b 4 24"), "b"),
+    "gap_between_payloads": (
+        lambda blob: (blob.replace(b"b 4 32", b"b 4 40")[:-32] + bytes(8)
+                      + blob[-32:]), "b"),
+    "non_ascii_header": (lambda blob: blob.replace(b"a 2,2", b"\xe4 2,2"), None),
+}
+
+
 class TestCheckpoint:
     def test_roundtrip_preserves_values_and_order(self, tmp_path):
         rng = np.random.default_rng(6)
@@ -350,6 +385,29 @@ class TestCheckpoint:
         bad.write_bytes(clipped)
         with pytest.raises(InputError):
             load_checkpoint(bad)
+
+    @pytest.mark.parametrize("mutation", list(CHECKPOINT_MUTATIONS))
+    def test_malformed_checkpoint_names_file_and_tensor(self, tmp_path,
+                                                        mutation):
+        good = tmp_path / "good.bin"
+        save_checkpoint(["a", "b"], [np.arange(4.0).reshape(2, 2), np.ones(4)],
+                        good)
+        assert b"\na 2,2 0 32\nb 4 32 32\nend\n" in good.read_bytes()
+        mutate, tensor = CHECKPOINT_MUTATIONS[mutation]
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(mutate(good.read_bytes()))
+        with pytest.raises(InputError) as info:
+            load_checkpoint(bad)
+        assert str(bad) in str(info.value)
+        if tensor is not None:
+            assert f"tensor {tensor}" in str(info.value)
+
+    def test_scalar_tensor_round_trips(self, tmp_path):
+        path = tmp_path / "ck.bin"
+        save_checkpoint(["s", "v"], [np.array(2.5), np.ones(3)], path)
+        loaded = load_checkpoint(path)
+        assert loaded["s"].shape == () and loaded["s"] == 2.5
+        np.testing.assert_array_equal(loaded["v"], np.ones(3))
 
 
 class TestRunExperiment:

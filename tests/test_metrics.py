@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from fedmoe.adapter import RoutingStats
-from fedmoe.backbone import AdapterConfig, Backbone, BackboneConfig
+from fedmoe.adapter import AdapterConfig, RoutingStats
+from fedmoe.backbone import Backbone, BackboneConfig
 from fedmoe.data import synth_dataset
 from fedmoe.errors import InputError, UsageError
 from fedmoe.metrics import (LoadMatrix, evaluate_accuracy, export_heatmap_csv,
@@ -135,13 +135,13 @@ def test_heatmap_write_failure_names_path(tmp_path):
 # -- accuracy ---------------------------------------------------------------------
 
 
-BB = BackboneConfig(layers=2, dim=16, heads=2, seq_len=4, classes=4,
-                    input_dim=5, frozen_seed=21)
-AD = AdapterConfig(ranks=(2, 2, 2, 2), k=2)
+BB = BackboneConfig(layers=2, dim=16, heads=2, seq_len=4)
+AD = AdapterConfig(experts=4, rank=2)
+BB_DATA = dict(k=2, classes=4, input_dim=5, frozen_seed=21)
 
 
 def test_accuracy_is_chance_level_on_random_labels():
-    bb = Backbone(BB, AD)
+    bb = Backbone(BB, AD, **BB_DATA)
     ds = synth_dataset(2000, 4, 4, 5, separation=1.0, seed=22)
     shuffled = np.random.default_rng(23).permutation(ds.labels)
     ds.labels = shuffled  # any fixed predictor is at chance now
@@ -150,14 +150,14 @@ def test_accuracy_is_chance_level_on_random_labels():
 
 
 def test_accuracy_on_single_item_is_zero_or_one():
-    bb = Backbone(BB, AD)
+    bb = Backbone(BB, AD, **BB_DATA)
     ds = synth_dataset(4, 4, 4, 5, separation=1.0, seed=24)
     acc = evaluate_accuracy(bb, None, ds.subset([0]))
     assert acc in (0.0, 1.0)
 
 
 def test_accuracy_is_invariant_to_example_order():
-    bb = Backbone(BB, AD)
+    bb = Backbone(BB, AD, **BB_DATA)
     ds = synth_dataset(64, 4, 4, 5, separation=2.0, seed=25)
     acc = evaluate_accuracy(bb, None, ds, batch_size=16)
     perm = np.random.default_rng(26).permutation(len(ds))
@@ -166,7 +166,7 @@ def test_accuracy_is_invariant_to_example_order():
 
 
 def test_accuracy_records_stats_for_the_load_matrix():
-    bb = Backbone(BB, AD)
+    bb = Backbone(BB, AD, **BB_DATA)
     ds = synth_dataset(32, 4, 4, 5, separation=1.0, seed=27)
     evaluate_accuracy(bb, None, ds, batch_size=10)
     load = LoadMatrix.from_stats([a.stats for a in bb.adapters])
@@ -176,7 +176,7 @@ def test_accuracy_records_stats_for_the_load_matrix():
 
 
 def test_accuracy_loads_given_parameters():
-    bb = Backbone(BB, AD)
+    bb = Backbone(BB, AD, **BB_DATA)
     ds = synth_dataset(32, 4, 4, 5, separation=1.0, seed=28)
     params = [p.values.copy() for p in bb.trainable_parameters()]
     params[0] = params[0] + 0.5
