@@ -100,12 +100,20 @@ class ExpertNetwork:
         self.E2 = e2   # [d, r]
         self.activation = activation
 
-    def forward(self, x: Tensor) -> Tensor:
-        """Apply the expert to a [tokens, d] matrix."""
-        h = x @ self.E1.T
+    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None,
+                                              np.ndarray, np.ndarray]:
+        """Apply the expert to a [tokens, d] array, values only.
+
+        Returns the pre-activation ``h = x E1^T``, the GELU factor ``phi``
+        (None for a linear expert), the activation ``a`` and the output
+        ``y = a E2^T``; the mixture op's backward reads the first three.
+        """
+        h = x @ self.E1.values.T
         if self.activation == "gelu":
-            h = tz.gelu(h)
-        return h @ self.E2.T
+            phi, a = tz._gelu_values(h)
+        else:
+            phi, a = None, h
+        return h, phi, a, a @ self.E2.values.T
 
 
 class Router:
@@ -215,10 +223,59 @@ class MoEAdapter:
         if self.collect_stats:
             self.stats.update(selected, dense.values)
 
-        out = backbone_out
-        for m, expert in enumerate(self.experts):
-            out = out + weights[:, m:m + 1] * expert.forward(x)
+        out = self._mix(backbone_out, x, weights)
         return out.reshape(self.dim) if single else out
+
+    def _mix(self, backbone_out: Tensor, x: Tensor, weights: Tensor) -> Tensor:
+        """``backbone_out + sum_m weights[:, m:m+1] * E_m(x)`` as one tape op.
+
+        The forward adds the experts in index order; the backward walks them
+        from M-1 down to 0.  Both do the arithmetic of the equivalent chain
+        of per-expert ops in the same order and with the same operand
+        layouts, so values and gradients are bit-identical to it.
+        """
+        xv, w = x.values, weights.values
+        inputs = [backbone_out, x, weights]
+        for expert in self.experts:
+            inputs += (expert.E1, expert.E2)
+        recording = tz._recording(inputs)
+        parts = []  # per-expert (h, phi, a, y), kept only for the backward
+        out = backbone_out.values.copy()
+        for m, expert in enumerate(self.experts):
+            part = expert.forward(xv)
+            y = part[3]
+            if recording:
+                parts.append(part)
+                out += w[:, m:m + 1] * y
+            else:  # nothing reads y again, so weight it in place
+                out += np.multiply(w[:, m:m + 1], y, out=y)
+        if not recording:
+            return Tensor(out)
+
+        def back(g: np.ndarray) -> None:
+            gw = np.zeros_like(w) if weights.requires_grad else None
+            for m in reversed(range(self.n_experts)):
+                e1, e2 = self.experts[m].E1, self.experts[m].E2
+                h, phi, a, y = parts[m]
+                if gw is not None:
+                    gw[:, m:m + 1] = (g * y).sum(axis=1, keepdims=True)
+                gy = g * w[:, m:m + 1]
+                if x.requires_grad or e1.requires_grad:
+                    gh = gy @ e2.values
+                    if phi is not None:
+                        gh = gh * tz._gelu_slope(h, phi)
+                if e2.requires_grad:
+                    tz._accumulate(e2, (a.T @ gy).T)
+                if x.requires_grad:
+                    tz._accumulate(x, gh @ e1.values)
+                if e1.requires_grad:
+                    tz._accumulate(e1, (xv.T @ gh).T)
+            if gw is not None:
+                tz._accumulate(weights, gw)
+            if backbone_out.requires_grad:
+                tz._accumulate(backbone_out, g)
+
+        return tz._emit(out, inputs, back)
 
     # -- parameter exchange --------------------------------------------------------
 

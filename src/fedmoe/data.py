@@ -8,6 +8,7 @@ per-class Dirichlet split (lower alpha = more skew), the one-label extreme
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,9 @@ class PartitionSpec:
         if self.n_clients < 1:
             raise ConfigurationError("need at least one client")
         if self.scheme == "dirichlet" and self.alpha <= 0.0:
-            raise ConfigurationError(f"dirichlet alpha must be > 0, got {self.alpha}")
+            raise ConfigurationError(
+                f"data.alpha must be > 0 for the dirichlet partition, "
+                f"got {self.alpha}")
 
 
 def synth_dataset(n: int, classes: int, seq_len: int, input_dim: int,
@@ -113,10 +116,18 @@ def load_csv(path, seq_len: int, input_dim: int) -> LabeledDataset:
                 raise InputError(f"{path}:{lineno}: expected {width + 1} "
                                  f"columns, got {len(row)}")
             try:
-                features.append([float(v) for v in row[:-1]])
-                labels.append(int(row[-1]))
+                values = [float(v) for v in row[:-1]]
+                label = int(row[-1])
             except ValueError as exc:
                 raise InputError(f"{path}:{lineno}: {exc}") from None
+            col = next((j for j, v in enumerate(values) if not math.isfinite(v)),
+                       None)
+            if col is not None:
+                name = f" ({header[col]!r})" if col < len(header) else ""
+                raise InputError(f"{path}:{lineno}: column {col + 1}{name} is "
+                                 f"{row[col]!r}, not a finite number")
+            features.append(values)
+            labels.append(label)
     if not features:
         raise InputError(f"{path}: no data rows")
     labels = np.array(labels, dtype=np.int64)

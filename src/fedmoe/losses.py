@@ -31,13 +31,13 @@ class AuxLossConfig:
 
     def __post_init__(self):
         if self.lam < 0.0:
-            raise ConfigurationError(f"aux weight lambda must be >= 0, got {self.lam}")
+            raise ConfigurationError(f"aux.lambda must be >= 0, got {self.lam}")
         if not 0.0 < self.theta_th <= 1.0:
             raise ConfigurationError(
-                f"theta_th must lie in (0, 1], got {self.theta_th}")
+                f"aux.theta_th must lie in (0, 1], got {self.theta_th}")
         if self.layer_reduction not in LAYER_REDUCTIONS:
             raise ConfigurationError(
-                f"layer_reduction must be one of {LAYER_REDUCTIONS}, "
+                f"aux.layer_reduction must be one of {LAYER_REDUCTIONS}, "
                 f"got {self.layer_reduction!r}")
 
 

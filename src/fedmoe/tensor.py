@@ -157,10 +157,16 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad += g
 
 
+def _recording(inputs: Sequence[Tensor]) -> bool:
+    """Whether an op on ``inputs`` is recorded: a tape is active and some
+    input requires grad."""
+    return bool(_TAPES) and any(t.requires_grad for t in inputs)
+
+
 def _emit(values: np.ndarray, inputs: Sequence[Tensor],
           back: Callable[[np.ndarray], None]) -> Tensor:
     """Wrap ``values`` in a Tensor, recording ``back`` if a tape is active."""
-    if _TAPES and any(t.requires_grad for t in inputs):
+    if _recording(inputs):
         out = Tensor(values, requires_grad=True)
         out.tape = _TAPES[-1]
         out.tape._record(out, back)
@@ -333,15 +339,24 @@ def tmean(a: Tensor, axis: int | None = None) -> Tensor:
 # -- nonlinearities ----------------------------------------------------------
 
 
+def _gelu_values(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact (erf-based) GELU of an array: its factor ``phi`` and ``x * phi``."""
+    phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
+    return phi, x * phi
+
+
+def _gelu_slope(x: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Derivative of GELU at ``x``, given the factor ``phi`` of its forward."""
+    return phi + x * _INV_SQRT2PI * np.exp(-0.5 * x * x)
+
+
 def gelu(a: Tensor) -> Tensor:
     """Exact (erf-based) GELU."""
     x = a.values
-    phi = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    values = x * phi
+    phi, values = _gelu_values(x)
 
     def back(g: np.ndarray) -> None:
-        local = phi + x * _INV_SQRT2PI * np.exp(-0.5 * x * x)
-        _accumulate(a, g * local)
+        _accumulate(a, g * _gelu_slope(x, phi))
 
     return _emit(values, (a,), back)
 

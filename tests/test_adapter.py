@@ -122,7 +122,7 @@ def test_equal_logits_full_activation_averages_experts():
         e.E2.values[...] = rng.normal(size=e.E2.shape)
     x = rng.normal(size=(3, 5))
     out = adapter.forward(Tensor(np.zeros((3, 5))), Tensor(x))
-    want = np.mean([e.forward(Tensor(x)).values for e in adapter.experts], axis=0)
+    want = np.mean([e.forward(x)[3] for e in adapter.experts], axis=0)
     np.testing.assert_allclose(out.values, want, atol=1e-12)
 
 
@@ -238,6 +238,97 @@ def test_adapter_gradients_match_finite_differences():
     fd = finite_difference_grads(loss_value, [p.values for p in params])
     for p, want in zip(params, fd):
         np.testing.assert_allclose(p.grad, want, rtol=1e-4, atol=1e-8)
+
+
+def per_op_mix(adapter, backbone_out, x, weights):
+    """The expert mixture as the chain of per-expert tape ops (transpose,
+    matmul, gelu, transpose, matmul, take, mul, add) that the one-op
+    mixture replaced; values and gradients must match it bit for bit."""
+    out = backbone_out
+    for m, expert in enumerate(adapter.experts):
+        h = x @ expert.E1.T
+        if expert.activation == "gelu":
+            h = tz.gelu(h)
+        out = out + weights[:, m:m + 1] * (h @ expert.E2.T)
+    return out
+
+
+def mixture_case(activation, gating_mode, k, seed=24):
+    """A random 4-expert adapter with mixed ranks, inputs and a loss weight."""
+    rng = np.random.default_rng(seed)
+    adapter = MoEAdapter(dim=6, ranks=[2, 1, 3, 2], k=k, gating_mode=gating_mode,
+                         activation=activation, rng=rng)
+    adapter.router.WR.values[...] = rng.normal(size=(4, 6))
+    for e in adapter.experts:
+        e.E1.values[...] = rng.normal(size=e.E1.shape)
+        e.E2.values[...] = rng.normal(size=e.E2.shape)
+    arrays = dict(x=rng.normal(size=(5, 6)), base=rng.normal(size=(5, 6)),
+                  logits=rng.normal(size=(5, 4)), w=rng.normal(size=(5, 6)))
+    return adapter, arrays
+
+
+def run_mix(adapter, arrays, inputs_grad, mix):
+    """Loss ``sum(w * mix(...))`` under a tape; returns the output and the
+    gradients of x, backbone_out, router logits and every expert tensor."""
+    x = Tensor(arrays["x"], requires_grad=inputs_grad)
+    base = Tensor(arrays["base"], requires_grad=inputs_grad)
+    logits = Tensor(arrays["logits"], requires_grad=True)
+    params = adapter.parameters()[:-1]
+    for p in params:
+        p.grad = None
+    with Tape() as tape:
+        weights, _ = adapter._gate(logits)
+        out = mix(adapter, base, x, weights)
+        loss = tz.mul(out, Tensor(arrays["w"])).sum()
+    tape.backward(loss)
+    grads = [x.grad, base.grad, logits.grad] + [p.grad.copy() for p in params]
+    return out.values, grads
+
+
+@pytest.mark.parametrize("inputs_grad", [True, False])
+@pytest.mark.parametrize("gating_mode,k", [("topk_softmax", 1), ("topk_softmax", 2),
+                                           ("topk_softmax", 4), ("uniform_one", 4)])
+@pytest.mark.parametrize("activation", ["gelu", "linear"])
+def test_one_op_mixture_is_bit_identical_to_per_op_chain(activation, gating_mode,
+                                                         k, inputs_grad):
+    adapter, arrays = mixture_case(activation, gating_mode, k)
+    out, grads = run_mix(adapter, arrays, inputs_grad, MoEAdapter._mix)
+    want_out, want_grads = run_mix(adapter, arrays, inputs_grad, per_op_mix)
+    np.testing.assert_array_equal(out, want_out)
+    assert len(grads) == len(want_grads) == 3 + 2 * adapter.n_experts
+    for got, want in zip(grads, want_grads):
+        assert (got is None) == (want is None)
+        if want is not None:
+            np.testing.assert_array_equal(got, want)
+    assert (grads[0] is None) == (not inputs_grad)
+    assert (grads[2] is None) == (gating_mode == "uniform_one")
+
+
+def test_mixture_records_one_tape_op_and_matches_evaluation():
+    adapter, arrays = mixture_case("gelu", "topk_softmax", 2)
+    x, base = Tensor(arrays["x"], requires_grad=True), Tensor(arrays["base"])
+    weights = Tensor(arrays["logits"])
+    with Tape() as tape:
+        out = adapter._mix(base, x, weights)
+    assert len(tape._ops) == 1 and out.requires_grad
+    evaluated = adapter._mix(base, x, weights)
+    assert not evaluated.requires_grad
+    np.testing.assert_array_equal(evaluated.values, out.values)
+
+
+def test_mixture_input_gradients_match_finite_differences():
+    adapter, arrays = mixture_case("gelu", "topk_softmax", 2)
+    keys = ["x", "base", "logits"]
+
+    def loss_value(_arrays):
+        weights, _ = adapter._gate(Tensor(arrays["logits"]))
+        out = adapter._mix(Tensor(arrays["base"]), Tensor(arrays["x"]), weights)
+        return float((out.values * arrays["w"]).sum())
+
+    _, grads = run_mix(adapter, arrays, True, MoEAdapter._mix)
+    fd = finite_difference_grads(loss_value, [arrays[k] for k in keys])
+    for got, want in zip(grads, fd):
+        np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-7)
 
 
 def test_never_routed_expert_gets_exactly_zero_grad():

@@ -96,6 +96,9 @@ class TestValidation:
         ({"backbone.heads": "3"}, "backbone.heads"),
         ({"data.source": "csv", "data.csv_path": "x.csv",
           "data.input_dim": "0"}, "data.input_dim"),
+        ({"aux.lambda": "-1"}, "aux.lambda"),
+        ({"aux.theta_th": "1.5"}, "aux.theta_th"),
+        ({"data.partition": "dirichlet", "data.alpha": "0"}, "data.alpha"),
     ])
     def test_bad_configs_name_the_problem(self, overrides, needle):
         with pytest.raises(ConfigurationError, match=needle):

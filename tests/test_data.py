@@ -198,6 +198,14 @@ def test_load_csv_rejects_malformed_input(tmp_path):
         load_csv(path, seq_len=1, input_dim=2)
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "NaN", "Infinity"])
+def test_load_csv_rejects_non_finite_cells(tmp_path, cell):
+    path = tmp_path / "bad.csv"
+    write_csv(path, [[0.0, 0.5, 0], [1.0, cell, 1]], header=["a", "b", "label"])
+    with pytest.raises(InputError, match=r"bad\.csv:3: column 2 \('b'\)"):
+        load_csv(path, seq_len=1, input_dim=2)
+
+
 def test_export_partition_csv_is_sorted_and_deterministic(tmp_path):
     shards = [np.array([3, 0]), np.array([2, 1])]
     path = tmp_path / "assignment.csv"

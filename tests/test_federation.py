@@ -4,6 +4,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from fedmoe.backbone import Backbone
 from fedmoe.config import ExperimentConfig
@@ -408,6 +410,31 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert loaded["s"].shape == () and loaded["s"] == 2.5
         np.testing.assert_array_equal(loaded["v"], np.ones(3))
+
+    @settings(max_examples=300, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_fuzzed_checkpoint_loads_or_raises_input_error(self, tmp_path, data):
+        """A good file truncated at any offset, or with any one byte
+        overwritten, either loads or fails with an InputError."""
+        good = tmp_path / "good.bin"
+        save_checkpoint(["a", "s", "b"],
+                        [np.arange(4.0).reshape(2, 2), np.array(2.5), np.ones(3)],
+                        good)
+        blob = good.read_bytes()
+        offset = data.draw(st.integers(0, len(blob) - 1), label="offset")
+        if data.draw(st.booleans(), label="truncate"):
+            blob = blob[:offset]
+        else:
+            byte = data.draw(st.integers(0, 255), label="byte")
+            blob = blob[:offset] + bytes([byte]) + blob[offset + 1:]
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(blob)
+        try:
+            loaded = load_checkpoint(bad)
+        except InputError:
+            return
+        assert isinstance(loaded, dict)
 
 
 class TestRunExperiment:
