@@ -1,10 +1,14 @@
-"""Sparse mixture-of-experts adapter: experts, router, top-K gating.
+"""Sparse mixture-of-experts adapter: stacked experts, router, top-K gating.
 
 The adapter computes a residual correction to a frozen layer's output:
 ``out = backbone_out + sum_m w_m(x) * E_m(x)``.  In ``topk_softmax`` mode the
 weights are a softmax over the K largest routing logits (others exactly
 zero); in ``uniform_one`` mode every expert contributes with weight exactly 1,
 which makes a linear adapter equal to a dense low-rank update ``B @ A``.
+
+The M experts live in two stacked tensors, ``E1 [M, r, d]`` and
+``E2 [M, d, r]``, beside the router's ``WR [M, d]``: three parameters per
+adapter, with the same shapes on every client.
 """
 
 from __future__ import annotations
@@ -93,73 +97,53 @@ class RoutingStats:
 
 
 class ExpertNetwork:
-    """Two-layer feed-forward expert mapping R^d -> R^d through rank r_m."""
+    """The M two-layer experts R^d -> R^d of one adapter, as a stacked bank.
+
+    Expert m maps through rank r with ``E1[m]`` and ``E2[m]``; a LoRA split
+    with ragged ranks zero-pads each expert to the largest one.
+    """
 
     def __init__(self, e1: Tensor, e2: Tensor, activation: str):
-        self.E1 = e1   # [r, d]
-        self.E2 = e2   # [d, r]
+        self.E1 = e1   # [M, r, d]
+        self.E2 = e2   # [M, d, r]
         self.activation = activation
 
-    def forward(self, x: np.ndarray) -> tuple[np.ndarray, np.ndarray | None,
-                                              np.ndarray, np.ndarray]:
-        """Apply the expert to a [tokens, d] array, values only.
+    def forward(self, x: np.ndarray, m: int) -> tuple[
+            np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
+        """Apply expert m to a [tokens, d] array, values only.
 
-        Returns the pre-activation ``h = x E1^T``, the GELU factor ``phi``
+        Returns the pre-activation ``h = x E1[m]^T``, the GELU factor ``phi``
         (None for a linear expert), the activation ``a`` and the output
-        ``y = a E2^T``; the mixture op's backward reads the first three.
+        ``y = a E2[m]^T``; the mixture op's backward reads the first three.
         """
-        h = x @ self.E1.values.T
+        h = x @ self.E1.values[m].T
         if self.activation == "gelu":
             phi, a = tz._gelu_values(h)
         else:
             phi, a = None, h
-        return h, phi, a, a @ self.E2.values.T
-
-
-class Router:
-    """Learnable routing matrix; one logit row per expert."""
-
-    def __init__(self, wr: Tensor):
-        self.WR = wr
-
-    def logits(self, x: Tensor) -> Tensor:
-        return x @ self.WR.T
+        return h, phi, a, a @ self.E2.values[m].T
 
 
 class MoEAdapter:
-    """M experts plus a router, gated by top-K softmax or uniform weights."""
+    """M stacked experts plus a router ``WR [M, d]``, gated by top-K softmax
+    or uniform weights."""
 
-    def __init__(self, dim: int, ranks: list[int], k: int,
-                 gating_mode: str = "topk_softmax", activation: str = "gelu",
+    def __init__(self, dim: int, cfg: AdapterConfig, k: int,
                  rng: np.random.Generator | None = None):
-        n_experts = len(ranks)
-        if n_experts < 1:
-            raise ConfigurationError("adapter needs at least one expert")
-        if any(r < 1 for r in ranks):
-            raise ConfigurationError(f"expert ranks must be positive, got {ranks}")
-        if not 1 <= k <= n_experts:
+        if not 1 <= k <= cfg.experts:
             raise ConfigurationError(
-                f"active expert count K={k} outside [1, {n_experts}]")
-        if gating_mode not in GATING_MODES:
-            raise ConfigurationError(f"unknown gating mode {gating_mode!r}")
-        if activation not in ACTIVATIONS:
-            raise ConfigurationError(f"unknown expert activation {activation!r}")
+                f"active expert count K={k} outside [1, {cfg.experts}]")
         rng = rng or np.random.default_rng(0)
         self.dim = dim
-        self.n_experts = n_experts
-        self.ranks = list(ranks)
+        self.n_experts = cfg.experts
         self.k = k
-        self.gating_mode = gating_mode
-        self.experts = [
-            ExpertNetwork(
-                parameter(rng.normal(0.0, EXPERT_INIT_STD, size=(r, dim))),
-                parameter(np.zeros((dim, r))),
-                activation,
-            )
-            for r in ranks
-        ]
-        self.router = Router(parameter(np.zeros((n_experts, dim))))
-        self.stats = RoutingStats.empty(n_experts)
+        self.gating_mode = cfg.gating_mode
+        m, r = cfg.experts, cfg.rank
+        self.E1 = parameter(rng.normal(0.0, EXPERT_INIT_STD, size=(m, r, dim)))
+        self.E2 = parameter(np.zeros((m, dim, r)))
+        self.WR = parameter(np.zeros((m, dim)))
+        self.experts = ExpertNetwork(self.E1, self.E2, cfg.activation)
+        self.stats = RoutingStats.empty(cfg.experts)
         self.collect_stats = False
         # Differentiable token-mean dense routing distribution of the most
         # recent forward; the auxiliary loss reads it inside the same tape.
@@ -171,24 +155,29 @@ class MoEAdapter:
     def from_lora(cls, a: Tensor, b: Tensor, ranks: list[int]) -> "MoEAdapter":
         """Split a LoRA pair (A [r, d], B [d, r]) into linear experts.
 
-        Expert m takes the m-th row block of A and column block of B; with
-        uniform unit gating the adapter's correction equals ``B @ A @ x``.
+        Expert m takes the m-th row block of A and column block of B, in the
+        leading ``ranks[m]`` rows of ``E1[m]`` and columns of ``E2[m]``; the
+        rest is zero.  With uniform unit gating the adapter's correction
+        equals ``B @ A @ x``.
         """
         a = a if isinstance(a, Tensor) else Tensor(a)
         b = b if isinstance(b, Tensor) else Tensor(b)
         r, d = a.shape
         if b.shape != (d, r):
             raise DimensionError(f"B shape {b.shape} does not pair with A {a.shape}")
-        if sum(ranks) != r:
-            raise ConfigurationError(f"ranks {ranks} do not sum to LoRA rank {r}")
+        if not ranks or min(ranks) < 1 or sum(ranks) != r:
+            raise ConfigurationError(
+                f"ranks {ranks} are not a positive split of LoRA rank {r}")
         if r > d:
             raise ConfigurationError(f"LoRA rank {r} exceeds width {d}")
-        adapter = cls(dim=d, ranks=ranks, k=len(ranks), gating_mode="uniform_one",
-                      activation="linear")
+        cfg = AdapterConfig(experts=len(ranks), rank=max(ranks),
+                            gating_mode="uniform_one", activation="linear")
+        adapter = cls(d, cfg, k=len(ranks))
+        adapter.E1.values[...] = 0.0
         offset = 0
-        for expert, rm in zip(adapter.experts, ranks):
-            expert.E1.values[...] = a.values[offset:offset + rm, :]
-            expert.E2.values[...] = b.values[:, offset:offset + rm]
+        for m, rm in enumerate(ranks):
+            adapter.E1.values[m, :rm] = a.values[offset:offset + rm, :]
+            adapter.E2.values[m, :, :rm] = b.values[:, offset:offset + rm]
             offset += rm
         return adapter
 
@@ -216,7 +205,7 @@ class MoEAdapter:
             raise DimensionError(
                 f"backbone output {backbone_out.shape} != input {x.shape}")
 
-        logits = self.router.logits(x)
+        logits = x @ self.WR.T
         weights, selected = self._gate(logits)
         dense = tz.softmax(logits)
         self.last_mean_probs = dense.mean(axis=0)
@@ -230,19 +219,19 @@ class MoEAdapter:
         """``backbone_out + sum_m weights[:, m:m+1] * E_m(x)`` as one tape op.
 
         The forward adds the experts in index order; the backward walks them
-        from M-1 down to 0.  Both do the arithmetic of the equivalent chain
-        of per-expert ops in the same order and with the same operand
-        layouts, so values and gradients are bit-identical to it.
+        from M-1 down to 0, writing expert m's gradients into slice m of one
+        zeroed buffer per stacked tensor.  Both do the arithmetic of the
+        equivalent chain of per-expert ops in the same order and with the
+        same operand layouts, so values and gradients are bit-identical to it.
         """
         xv, w = x.values, weights.values
-        inputs = [backbone_out, x, weights]
-        for expert in self.experts:
-            inputs += (expert.E1, expert.E2)
+        e1, e2 = self.E1, self.E2
+        inputs = [backbone_out, x, weights, e1, e2]
         recording = tz._recording(inputs)
         parts = []  # per-expert (h, phi, a, y), kept only for the backward
         out = backbone_out.values.copy()
-        for m, expert in enumerate(self.experts):
-            part = expert.forward(xv)
+        for m in range(self.n_experts):
+            part = self.experts.forward(xv, m)
             y = part[3]
             if recording:
                 parts.append(part)
@@ -254,24 +243,26 @@ class MoEAdapter:
 
         def back(g: np.ndarray) -> None:
             gw = np.zeros_like(w) if weights.requires_grad else None
+            g1 = np.zeros_like(e1.values) if e1.requires_grad else None
+            g2 = np.zeros_like(e2.values) if e2.requires_grad else None
             for m in reversed(range(self.n_experts)):
-                e1, e2 = self.experts[m].E1, self.experts[m].E2
                 h, phi, a, y = parts[m]
                 if gw is not None:
                     gw[:, m:m + 1] = (g * y).sum(axis=1, keepdims=True)
                 gy = g * w[:, m:m + 1]
-                if x.requires_grad or e1.requires_grad:
-                    gh = gy @ e2.values
+                if x.requires_grad or g1 is not None:
+                    gh = gy @ e2.values[m]
                     if phi is not None:
                         gh = gh * tz._gelu_slope(h, phi)
-                if e2.requires_grad:
-                    tz._accumulate(e2, (a.T @ gy).T)
+                if g2 is not None:
+                    g2[m] = (a.T @ gy).T
                 if x.requires_grad:
-                    tz._accumulate(x, gh @ e1.values)
-                if e1.requires_grad:
-                    tz._accumulate(e1, (xv.T @ gh).T)
-            if gw is not None:
-                tz._accumulate(weights, gw)
+                    tz._accumulate(x, gh @ e1.values[m])
+                if g1 is not None:
+                    g1[m] = (xv.T @ gh).T
+            for t, gt in ((weights, gw), (e1, g1), (e2, g2)):
+                if gt is not None:
+                    tz._accumulate(t, gt)
             if backbone_out.requires_grad:
                 tz._accumulate(backbone_out, g)
 
@@ -280,21 +271,11 @@ class MoEAdapter:
     # -- parameter exchange --------------------------------------------------------
 
     def parameters(self) -> list[Tensor]:
-        """Experts by index (E1 then E2), router last."""
-        out: list[Tensor] = []
-        for expert in self.experts:
-            out.append(expert.E1)
-            out.append(expert.E2)
-        out.append(self.router.WR)
-        return out
+        """The stacked experts (E1 then E2), router last."""
+        return [self.E1, self.E2, self.WR]
 
     def parameter_names(self) -> list[str]:
-        names = []
-        for m in range(self.n_experts):
-            names.append(f"expert{m}.E1")
-            names.append(f"expert{m}.E2")
-        names.append("router.WR")
-        return names
+        return ["experts.E1", "experts.E2", "router.WR"]
 
     def load_parameters(self, values: list[np.ndarray]) -> None:
         """Copy a flat parameter list into place (optimizer bindings survive)."""
@@ -310,10 +291,3 @@ class MoEAdapter:
                     f"parameter {i} ({name}): shape {v.shape} does not match "
                     f"{p.values.shape}")
             p.values[...] = v
-
-    def expert_parameter_count(self) -> int:
-        """Trainable entries in the experts alone (excludes the router)."""
-        return sum(e.E1.values.size + e.E2.values.size for e in self.experts)
-
-    def parameter_count(self) -> int:
-        return sum(p.values.size for p in self.parameters())

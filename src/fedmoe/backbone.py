@@ -107,14 +107,9 @@ class Backbone:
         self.w_in = Tensor(rng.normal(0.0, input_dim ** -0.5,
                                       size=(input_dim, cfg.dim)))
         self.pos = Tensor(rng.normal(0.0, 0.02, size=(cfg.seq_len, cfg.dim)))
-        ranks = [adapter_cfg.rank] * adapter_cfg.experts
         self.blocks = [
             TransformerBlock(cfg.dim, cfg.heads,
-                             MoEAdapter(cfg.dim, ranks, k,
-                                        gating_mode=adapter_cfg.gating_mode,
-                                        activation=adapter_cfg.activation,
-                                        rng=rng),
-                             rng)
+                             MoEAdapter(cfg.dim, adapter_cfg, k=k, rng=rng), rng)
             for _ in range(cfg.layers)
         ]
         head = rng.normal(0.0, cfg.dim ** -0.5, size=(cfg.dim, classes))
@@ -146,7 +141,7 @@ class Backbone:
     # -- parameter accounting -----------------------------------------------
 
     def trainable_parameters(self) -> list[Tensor]:
-        """Adapters in layer order (head last when trainable)."""
+        """Each adapter's E1, E2, WR in layer order (head last when trainable)."""
         params: list[Tensor] = []
         for block in self.blocks:
             params.extend(block.adapter.parameters())

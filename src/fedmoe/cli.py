@@ -26,8 +26,8 @@ import time
 from pathlib import Path
 
 from .config import ENV_OUTPUT_ROOT, PRESETS, ExperimentConfig, parse_config_file
-from .errors import ConfigurationError
-from .federation import run_experiment
+from .errors import ConfigurationError, InputError
+from .federation import METRICS_COLUMNS, run_experiment
 
 SUMMARY_FIXED_COLUMNS = ("final_accuracy", "final_mean_util_kl", "status")
 
@@ -169,6 +169,26 @@ def cmd_sweep(args, overrides: dict[str, str]) -> int:
     return 0
 
 
+def read_global_rows(path: Path) -> dict[int, dict[str, str]]:
+    """The ``global`` rows of a metrics.csv, by round; a malformed file
+    raises an InputError naming the path and line."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        missing = [c for c in METRICS_COLUMNS if c not in (reader.fieldnames or [])]
+        if missing:
+            raise InputError(f"{path}:1: header lacks {', '.join(missing)}")
+        rows = {}
+        for row in reader:
+            if row["client_id"] != "global":
+                continue
+            try:
+                rows[int(row["round"])] = row
+            except (TypeError, ValueError):
+                raise InputError(f"{path}:{reader.line_num}: round "
+                                 f"{row['round']!r} is not an integer") from None
+        return rows
+
+
 def cmd_compare(args) -> int:
     runs = []
     rounds_seen: list[set[int]] = []
@@ -177,10 +197,7 @@ def cmd_compare(args) -> int:
         metrics = run_dir / "metrics.csv"
         if not metrics.is_file():
             raise FileNotFoundError(f"no metrics.csv under {run_dir}")
-        with open(metrics, newline="") as fh:
-            reader = csv.DictReader(fh)
-            global_rows = {int(r["round"]): r for r in reader
-                           if r["client_id"] == "global"}
+        global_rows = read_global_rows(metrics)
         runs.append((run_dir.name, global_rows))
         rounds_seen.append(set(global_rows))
 

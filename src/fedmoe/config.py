@@ -9,6 +9,7 @@ dataclasses, and validates every cross-field constraint before any compute.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields
 
 from .adapter import AdapterConfig
@@ -122,7 +123,10 @@ def _coerce(key: str, raw: str, ftype) -> object:
         if ftype is int:
             return int(text)
         if ftype is float:
-            return float(text)
+            value = float(text)
+            if not math.isfinite(value):
+                raise ValueError(f"not a finite number: {text!r}")
+            return value
         return text
     except ValueError as exc:
         raise ConfigurationError(f"{key}: {exc}") from None

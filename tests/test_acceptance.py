@@ -90,8 +90,8 @@ def test_criterion_02_routing_contract():
                                       kind="stable")[:, :k], axis=1)
         np.testing.assert_array_equal(selected, brute)
         # spot-check a plain per-token routing oracle against the same math
-        adapter = MoEAdapter(d, [1] * m, k)
-        adapter.router.WR.values[...] = wr
+        adapter = MoEAdapter(d, AdapterConfig(experts=m, rank=1), k=k)
+        adapter.WR.values[...] = wr
         for t in rng.choice(tokens, size=50, replace=False):
             token_weights, chosen = route(adapter, x[t])
             np.testing.assert_allclose(token_weights, weights[t],
@@ -115,10 +115,8 @@ def test_criterion_03_end_to_end_gradients():
                         input_dim=8, frozen_seed=3)
     # generic parameter values: live gradients everywhere, no routing ties
     for adapter in backbone.adapters:
-        adapter.router.WR.values[...] = rng.normal(0.0, 0.5,
-                                                   adapter.router.WR.shape)
-        for expert in adapter.experts:
-            expert.E2.values[...] = rng.normal(0.0, 0.1, expert.E2.shape)
+        adapter.WR.values[...] = rng.normal(0.0, 0.5, adapter.WR.shape)
+        adapter.E2.values[...] = rng.normal(0.0, 0.1, adapter.E2.shape)
     batch = rng.normal(size=(8, 4, 8))
     labels = rng.integers(0, 4, size=8)
     cfg = AuxLossConfig(lam=1e-4, theta_th=0.3)
@@ -366,8 +364,9 @@ def test_criterion_09_budget_matched_sweep(tmp_path):
     budgets = []
     for row in rows:
         rank, experts = int(row["adapter.rank"]), int(row["adapter.experts"])
-        adapter = MoEAdapter(32, [rank] * experts, k=min(2, experts))
-        budgets.append(adapter.expert_parameter_count())
+        adapter = MoEAdapter(32, AdapterConfig(experts=experts, rank=rank),
+                             k=min(2, experts))
+        budgets.append(adapter.E1.values.size + adapter.E2.values.size)
     assert budgets[0] == budgets[1] == budgets[2]
 
 

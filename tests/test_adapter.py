@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from fedmoe import tensor as tz
-from fedmoe.adapter import MoEAdapter, RoutingStats, topk_mask
+from fedmoe.adapter import AdapterConfig, MoEAdapter, RoutingStats, topk_mask
 from fedmoe.errors import (AggregationError, ConfigurationError, DimensionError,
                            UsageError)
-from fedmoe.tensor import Tape, Tensor
+from fedmoe.tensor import Adam, Tape, Tensor, parameter
 
 from oracles import finite_difference_grads, route, softmax_direct
 
@@ -16,10 +16,16 @@ def brute_force_topk(logits, k):
     return sorted(order[:k])
 
 
+def make_adapter(dim, experts, rank, k, rng=None, **kwargs):
+    """An adapter of M = experts stacked experts of one rank."""
+    return MoEAdapter(dim, AdapterConfig(experts=experts, rank=rank, **kwargs),
+                      k=k, rng=rng)
+
+
 def identity_router_adapter(m, k, **kwargs):
     """Adapter whose routing logits equal the input token (d = M)."""
-    adapter = MoEAdapter(dim=m, ranks=[2] * m, k=k, **kwargs)
-    adapter.router.WR.values[...] = np.eye(m)
+    adapter = make_adapter(m, m, 2, k, **kwargs)
+    adapter.WR.values[...] = np.eye(m)
     return adapter
 
 
@@ -27,7 +33,7 @@ def identity_router_adapter(m, k, **kwargs):
 
 
 def test_route_uniform_logits_full_activation():
-    adapter = MoEAdapter(dim=4, ranks=[1, 1, 1, 1], k=4)
+    adapter = make_adapter(4, 4, 1, k=4)
     weights, selected = route(adapter, np.array([0.3, -0.1, 0.8, 0.0]))
     np.testing.assert_allclose(weights, 0.25, atol=1e-15)  # router starts at 0
     assert selected == [0, 1, 2, 3]
@@ -57,21 +63,21 @@ def test_route_breaks_ties_toward_lowest_index():
 
 def test_route_contract_on_random_tokens():
     rng = np.random.default_rng(7)
-    adapter = MoEAdapter(dim=12, ranks=[1] * 8, k=3)
-    adapter.router.WR.values[...] = rng.normal(size=(8, 12))
+    adapter = make_adapter(12, 8, 1, k=3)
+    adapter.WR.values[...] = rng.normal(size=(8, 12))
     for _ in range(200):
         x = rng.normal(size=12)
         weights, selected = route(adapter, x)
         nonzero = np.flatnonzero(weights)
         assert len(nonzero) == 3
         assert abs(weights.sum() - 1.0) <= 1e-12
-        logits = adapter.router.WR.values @ x
+        logits = adapter.WR.values @ x
         assert selected == brute_force_topk(logits, 3)
         assert sorted(nonzero.tolist()) == selected
 
 
 def test_route_rejects_uniform_mode():
-    adapter = MoEAdapter(dim=4, ranks=[2, 2], k=2, gating_mode="uniform_one")
+    adapter = make_adapter(4, 2, 2, k=2, gating_mode="uniform_one")
     with pytest.raises(UsageError):
         route(adapter, np.zeros(4))
 
@@ -87,7 +93,7 @@ def test_topk_mask_selects_per_row():
 
 def test_zero_initialized_adapter_is_exact_identity():
     rng = np.random.default_rng(8)
-    adapter = MoEAdapter(dim=6, ranks=[3, 3], k=1, rng=rng)
+    adapter = make_adapter(6, 2, 3, k=1, rng=rng)
     backbone_out = rng.normal(size=(5, 6))
     x = rng.normal(size=(5, 6))
     out = adapter.forward(Tensor(backbone_out), Tensor(x))
@@ -95,19 +101,19 @@ def test_zero_initialized_adapter_is_exact_identity():
 
 
 def test_single_token_forward_keeps_shape():
-    adapter = MoEAdapter(dim=4, ranks=[2, 2], k=2)
+    adapter = make_adapter(4, 2, 2, k=2)
     out = adapter.forward(Tensor(np.ones(4)), Tensor(np.zeros(4)))
     assert out.shape == (4,)
 
 
 def test_hand_evaluated_two_expert_case():
     # d=2, M=2, K=1; router makes expert 0 win for x = [1, 0]
-    adapter = MoEAdapter(dim=2, ranks=[1, 1], k=1, activation="linear")
-    adapter.router.WR.values[...] = [[5.0, 0.0], [0.0, 5.0]]
-    adapter.experts[0].E1.values[...] = [[1.0, 2.0]]
-    adapter.experts[0].E2.values[...] = [[3.0], [4.0]]
-    adapter.experts[1].E1.values[...] = [[100.0, 100.0]]
-    adapter.experts[1].E2.values[...] = [[100.0], [100.0]]
+    adapter = make_adapter(2, 2, 1, k=1, activation="linear")
+    adapter.WR.values[...] = [[5.0, 0.0], [0.0, 5.0]]
+    adapter.E1.values[0] = [[1.0, 2.0]]
+    adapter.E2.values[0] = [[3.0], [4.0]]
+    adapter.E1.values[1] = [[100.0, 100.0]]
+    adapter.E2.values[1] = [[100.0], [100.0]]
     backbone_out = np.array([0.5, -0.5])
     x = np.array([1.0, 0.0])
     out = adapter.forward(Tensor(backbone_out), Tensor(x))
@@ -117,28 +123,25 @@ def test_hand_evaluated_two_expert_case():
 
 def test_equal_logits_full_activation_averages_experts():
     rng = np.random.default_rng(9)
-    adapter = MoEAdapter(dim=5, ranks=[2, 2, 2, 2], k=4, rng=rng)
-    for e in adapter.experts:
-        e.E2.values[...] = rng.normal(size=e.E2.shape)
+    adapter = make_adapter(5, 4, 2, k=4, rng=rng)
+    adapter.E2.values[...] = rng.normal(size=adapter.E2.shape)
     x = rng.normal(size=(3, 5))
     out = adapter.forward(Tensor(np.zeros((3, 5))), Tensor(x))
-    want = np.mean([e.forward(x)[3] for e in adapter.experts], axis=0)
+    want = np.mean([adapter.experts.forward(x, m)[3] for m in range(4)], axis=0)
     np.testing.assert_allclose(out.values, want, atol=1e-12)
 
 
 def test_permuting_experts_and_router_rows_changes_nothing():
     rng = np.random.default_rng(10)
-    adapter = MoEAdapter(dim=6, ranks=[2, 2, 2], k=2, rng=rng)
-    adapter.router.WR.values[...] = rng.normal(size=(3, 6))
-    for e in adapter.experts:
-        e.E2.values[...] = rng.normal(size=e.E2.shape)
+    adapter = make_adapter(6, 3, 2, k=2, rng=rng)
+    adapter.WR.values[...] = rng.normal(size=(3, 6))
+    adapter.E2.values[...] = rng.normal(size=adapter.E2.shape)
 
     perm = [2, 0, 1]
-    twin = MoEAdapter(dim=6, ranks=[2, 2, 2], k=2)
-    twin.router.WR.values[...] = adapter.router.WR.values[perm]
-    for dst, src in enumerate(perm):
-        twin.experts[dst].E1.values[...] = adapter.experts[src].E1.values
-        twin.experts[dst].E2.values[...] = adapter.experts[src].E2.values
+    twin = make_adapter(6, 3, 2, k=2)
+    twin.WR.values[...] = adapter.WR.values[perm]
+    twin.E1.values[...] = adapter.E1.values[perm]
+    twin.E2.values[...] = adapter.E2.values[perm]
 
     x = rng.normal(size=(4, 6))
     base = rng.normal(size=(4, 6))
@@ -153,7 +156,7 @@ def test_permuting_experts_and_router_rows_changes_nothing():
 
 
 def test_forward_rejects_mismatched_shapes():
-    adapter = MoEAdapter(dim=4, ranks=[2], k=1)
+    adapter = make_adapter(4, 1, 2, k=1)
     with pytest.raises(DimensionError):
         adapter.forward(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4))))
     with pytest.raises(DimensionError):
@@ -168,8 +171,8 @@ def test_from_lora_single_expert_keeps_factors():
     a = rng.normal(size=(4, 10))
     b = rng.normal(size=(10, 4))
     adapter = MoEAdapter.from_lora(Tensor(a), Tensor(b), ranks=[4])
-    np.testing.assert_array_equal(adapter.experts[0].E1.values, a)
-    np.testing.assert_array_equal(adapter.experts[0].E2.values, b)
+    np.testing.assert_array_equal(adapter.E1.values[0], a)
+    np.testing.assert_array_equal(adapter.E2.values[0], b)
 
 
 def test_from_lora_block_sum_reconstructs_dense_product():
@@ -177,7 +180,7 @@ def test_from_lora_block_sum_reconstructs_dense_product():
     a = rng.normal(size=(4, 9))
     b = rng.normal(size=(9, 4))
     adapter = MoEAdapter.from_lora(Tensor(a), Tensor(b), ranks=[2, 2])
-    total = sum(e.E2.values @ e.E1.values for e in adapter.experts)
+    total = sum(adapter.E2.values[m] @ adapter.E1.values[m] for m in range(2))
     np.testing.assert_allclose(total, b @ a, atol=1e-12)
 
 
@@ -213,15 +216,57 @@ def test_from_lora_validates_ranks_and_shapes():
                              ranks=[9])
 
 
+def test_ragged_lora_split_pads_with_exact_zeros_that_never_train():
+    """Ranks [1, 3, 2, 2] pad every expert to rank 3: the padding gets
+    exactly zero gradient and stays exactly 0 under Adam with weight decay,
+    and the forward is base + B A x before and after training."""
+    rng = np.random.default_rng(26)
+    ranks = [1, 3, 2, 2]
+    a, b = rng.normal(size=(8, 10)), rng.normal(size=(10, 8))
+    adapter = MoEAdapter.from_lora(Tensor(a), Tensor(b), ranks)
+    assert adapter.E1.shape == (4, 3, 10) and adapter.E2.shape == (4, 10, 3)
+    pad1 = np.zeros(adapter.E1.shape, dtype=bool)
+    pad2 = np.zeros(adapter.E2.shape, dtype=bool)
+    for m, r in enumerate(ranks):
+        pad1[m, r:] = True
+        pad2[m, :, r:] = True
+    x, base, w = (rng.normal(size=(6, 10)) for _ in range(3))
+
+    def lora_factors():
+        a_now = np.concatenate([adapter.E1.values[m, :r]
+                                for m, r in enumerate(ranks)])
+        b_now = np.concatenate([adapter.E2.values[m, :, :r]
+                                for m, r in enumerate(ranks)], axis=1)
+        return a_now, b_now
+
+    np.testing.assert_array_equal(lora_factors()[0], a)
+    opt = Adam([adapter.E1, adapter.E2], lr=0.05, weight_decay=0.1)
+    for _ in range(5):
+        opt.zero_grad()
+        with Tape() as tape:
+            out = adapter.forward(Tensor(base), Tensor(x))
+            loss = tz.mul(out, Tensor(w)).sum()
+        a_now, b_now = lora_factors()
+        np.testing.assert_allclose(out.values, base + x @ a_now.T @ b_now.T,
+                                   atol=1e-9)
+        tape.backward(loss)
+        assert np.all(adapter.E1.grad[pad1] == 0.0)
+        assert np.all(adapter.E2.grad[pad2] == 0.0)
+        assert np.any(adapter.E1.grad[~pad1] != 0.0)
+        opt.step()
+        assert np.all(adapter.E1.values[pad1] == 0.0)
+        assert np.all(adapter.E2.values[pad2] == 0.0)
+    assert not np.array_equal(lora_factors()[0], a)  # the blocks did train
+
+
 # -- gradients ---------------------------------------------------------------------
 
 
 def test_adapter_gradients_match_finite_differences():
     rng = np.random.default_rng(15)
-    adapter = MoEAdapter(dim=6, ranks=[2, 2, 2], k=2, rng=rng)
-    adapter.router.WR.values[...] = rng.normal(size=(3, 6))
-    for e in adapter.experts:
-        e.E2.values[...] = rng.normal(size=e.E2.shape) * 0.1
+    adapter = make_adapter(6, 3, 2, k=2, rng=rng)
+    adapter.WR.values[...] = rng.normal(size=(3, 6))
+    adapter.E2.values[...] = rng.normal(size=adapter.E2.shape) * 0.1
     x = rng.normal(size=(4, 6))
     base = rng.normal(size=(4, 6))
     w = rng.normal(size=(4, 6))
@@ -243,46 +288,63 @@ def test_adapter_gradients_match_finite_differences():
 def per_op_mix(adapter, backbone_out, x, weights):
     """The expert mixture as the chain of per-expert tape ops (transpose,
     matmul, gelu, transpose, matmul, take, mul, add) that the one-op
-    mixture replaced; values and gradients must match it bit for bit."""
+    mixture replaced, on per-expert leaf tensors copied from the slices of
+    the stacked E1 and E2; values and gradients must match it bit for bit.
+    Returns the output and the (E1_m, E2_m) leaves."""
+    leaves = [(parameter(adapter.E1.values[m].copy()),
+               parameter(adapter.E2.values[m].copy()))
+              for m in range(adapter.n_experts)]
     out = backbone_out
-    for m, expert in enumerate(adapter.experts):
-        h = x @ expert.E1.T
-        if expert.activation == "gelu":
+    for m, (e1, e2) in enumerate(leaves):
+        h = x @ e1.T
+        if adapter.experts.activation == "gelu":
             h = tz.gelu(h)
-        out = out + weights[:, m:m + 1] * (h @ expert.E2.T)
-    return out
+        out = out + weights[:, m:m + 1] * (h @ e2.T)
+    return out, leaves
+
+
+MIXED_RANKS = (2, 1, 3, 2)
 
 
 def mixture_case(activation, gating_mode, k, seed=24):
-    """A random 4-expert adapter with mixed ranks, inputs and a loss weight."""
+    """A random 4-expert adapter with mixed ranks 2, 1, 3, 2 (zero-padded to
+    3), inputs and a loss weight."""
     rng = np.random.default_rng(seed)
-    adapter = MoEAdapter(dim=6, ranks=[2, 1, 3, 2], k=k, gating_mode=gating_mode,
-                         activation=activation, rng=rng)
-    adapter.router.WR.values[...] = rng.normal(size=(4, 6))
-    for e in adapter.experts:
-        e.E1.values[...] = rng.normal(size=e.E1.shape)
-        e.E2.values[...] = rng.normal(size=e.E2.shape)
+    adapter = make_adapter(6, 4, 3, k=k, rng=rng, gating_mode=gating_mode,
+                           activation=activation)
+    adapter.WR.values[...] = rng.normal(size=(4, 6))
+    adapter.E1.values[...] = rng.normal(size=adapter.E1.shape)
+    adapter.E2.values[...] = rng.normal(size=adapter.E2.shape)
+    for m, r in enumerate(MIXED_RANKS):
+        adapter.E1.values[m, r:] = 0.0
+        adapter.E2.values[m, :, r:] = 0.0
     arrays = dict(x=rng.normal(size=(5, 6)), base=rng.normal(size=(5, 6)),
                   logits=rng.normal(size=(5, 4)), w=rng.normal(size=(5, 6)))
     return adapter, arrays
 
 
-def run_mix(adapter, arrays, inputs_grad, mix):
-    """Loss ``sum(w * mix(...))`` under a tape; returns the output and the
-    gradients of x, backbone_out, router logits and every expert tensor."""
+def run_mix(adapter, arrays, inputs_grad, per_op=False):
+    """Loss ``sum(w * mix(...))`` under a tape, mixing with the one-op
+    ``_mix`` or with ``per_op_mix``; returns the output and the gradients of
+    x, backbone_out, router logits, E1 and E2 (the per-expert leaves'
+    gradients stacked in expert order)."""
     x = Tensor(arrays["x"], requires_grad=inputs_grad)
     base = Tensor(arrays["base"], requires_grad=inputs_grad)
     logits = Tensor(arrays["logits"], requires_grad=True)
-    params = adapter.parameters()[:-1]
-    for p in params:
-        p.grad = None
+    adapter.E1.grad = adapter.E2.grad = None
     with Tape() as tape:
         weights, _ = adapter._gate(logits)
-        out = mix(adapter, base, x, weights)
+        if per_op:
+            out, leaves = per_op_mix(adapter, base, x, weights)
+        else:
+            out = adapter._mix(base, x, weights)
         loss = tz.mul(out, Tensor(arrays["w"])).sum()
     tape.backward(loss)
-    grads = [x.grad, base.grad, logits.grad] + [p.grad.copy() for p in params]
-    return out.values, grads
+    if per_op:
+        experts = [np.stack([leaf[i].grad for leaf in leaves]) for i in (0, 1)]
+    else:
+        experts = [adapter.E1.grad.copy(), adapter.E2.grad.copy()]
+    return out.values, [x.grad, base.grad, logits.grad] + experts
 
 
 @pytest.mark.parametrize("inputs_grad", [True, False])
@@ -292,10 +354,10 @@ def run_mix(adapter, arrays, inputs_grad, mix):
 def test_one_op_mixture_is_bit_identical_to_per_op_chain(activation, gating_mode,
                                                          k, inputs_grad):
     adapter, arrays = mixture_case(activation, gating_mode, k)
-    out, grads = run_mix(adapter, arrays, inputs_grad, MoEAdapter._mix)
-    want_out, want_grads = run_mix(adapter, arrays, inputs_grad, per_op_mix)
+    out, grads = run_mix(adapter, arrays, inputs_grad)
+    want_out, want_grads = run_mix(adapter, arrays, inputs_grad, per_op=True)
     np.testing.assert_array_equal(out, want_out)
-    assert len(grads) == len(want_grads) == 3 + 2 * adapter.n_experts
+    assert len(grads) == len(want_grads) == 5
     for got, want in zip(grads, want_grads):
         assert (got is None) == (want is None)
         if want is not None:
@@ -325,37 +387,36 @@ def test_mixture_input_gradients_match_finite_differences():
         out = adapter._mix(Tensor(arrays["base"]), Tensor(arrays["x"]), weights)
         return float((out.values * arrays["w"]).sum())
 
-    _, grads = run_mix(adapter, arrays, True, MoEAdapter._mix)
+    _, grads = run_mix(adapter, arrays, True)
     fd = finite_difference_grads(loss_value, [arrays[k] for k in keys])
     for got, want in zip(grads, fd):
         np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-7)
 
 
 def test_never_routed_expert_gets_exactly_zero_grad():
-    adapter = MoEAdapter(dim=4, ranks=[1, 1, 1, 1], k=2,
-                         rng=np.random.default_rng(16))
+    adapter = make_adapter(4, 4, 1, k=2, rng=np.random.default_rng(16))
     # experts 0 and 1 always win; experts 2 and 3 never enter the top-2
-    adapter.router.WR.values[...] = 0.0
-    adapter.router.WR.values[0] = [3.0, 3.0, 3.0, 3.0]
-    adapter.router.WR.values[1] = [2.0, 2.0, 2.0, 2.0]
+    adapter.WR.values[...] = 0.0
+    adapter.WR.values[0] = [3.0, 3.0, 3.0, 3.0]
+    adapter.WR.values[1] = [2.0, 2.0, 2.0, 2.0]
     x = np.abs(np.random.default_rng(17).normal(size=(6, 4))) + 0.1
     with Tape() as tape:
         out = adapter.forward(Tensor(np.zeros((6, 4))), Tensor(x))
         loss = out.sum()
     tape.backward(loss)
     for m in (2, 3):
-        np.testing.assert_array_equal(adapter.experts[m].E1.grad, 0.0)
-        np.testing.assert_array_equal(adapter.experts[m].E2.grad, 0.0)
-    assert np.any(adapter.experts[0].E2.grad != 0.0)
+        np.testing.assert_array_equal(adapter.E1.grad[m], 0.0)
+        np.testing.assert_array_equal(adapter.E2.grad[m], 0.0)
+    assert np.any(adapter.E2.grad[0] != 0.0)
 
 
 def test_last_mean_probs_is_batch_mean_dense_softmax():
     rng = np.random.default_rng(18)
-    adapter = MoEAdapter(dim=5, ranks=[1, 1, 1], k=1, rng=rng)
-    adapter.router.WR.values[...] = rng.normal(size=(3, 5))
+    adapter = make_adapter(5, 3, 1, k=1, rng=rng)
+    adapter.WR.values[...] = rng.normal(size=(3, 5))
     x = rng.normal(size=(7, 5))
     adapter.forward(Tensor(np.zeros((7, 5))), Tensor(x))
-    logits = x @ adapter.router.WR.values.T
+    logits = x @ adapter.WR.values.T
     want = np.mean([softmax_direct(row) for row in logits], axis=0)
     np.testing.assert_allclose(adapter.last_mean_probs.values, want, atol=1e-12)
 
@@ -365,7 +426,7 @@ def test_last_mean_probs_is_batch_mean_dense_softmax():
 
 def test_parameter_round_trip_is_bit_identical():
     rng = np.random.default_rng(19)
-    adapter = MoEAdapter(dim=6, ranks=[2, 3], k=1, rng=rng)
+    adapter = make_adapter(6, 2, 3, k=1, rng=rng)
     saved = [p.values.copy() for p in adapter.parameters()]
     adapter.load_parameters(saved)
     for p, s in zip(adapter.parameters(), saved):
@@ -373,26 +434,25 @@ def test_parameter_round_trip_is_bit_identical():
 
 
 def test_parameter_order_is_experts_then_router():
-    adapter = MoEAdapter(dim=4, ranks=[1, 2], k=1)
+    adapter = make_adapter(4, 2, 3, k=1)
     shapes = [p.shape for p in adapter.parameters()]
-    assert shapes == [(1, 4), (4, 1), (2, 4), (4, 2), (2, 4)]
-    assert adapter.parameter_names() == [
-        "expert0.E1", "expert0.E2", "expert1.E1", "expert1.E2", "router.WR"]
+    assert shapes == [(2, 3, 4), (2, 4, 3), (2, 4)]
+    assert adapter.parameter_names() == ["experts.E1", "experts.E2", "router.WR"]
 
 
 def test_load_transposed_tensor_names_position():
-    adapter = MoEAdapter(dim=6, ranks=[2, 3], k=1)
+    adapter = make_adapter(6, 2, 3, k=1)
     bad = [p.values.copy() for p in adapter.parameters()]
     bad[2] = bad[2].T
-    with pytest.raises(AggregationError, match="parameter 2"):
+    with pytest.raises(AggregationError, match=r"parameter 2 \(router.WR\)"):
         adapter.load_parameters(bad)
-    with pytest.raises(AggregationError, match="5 tensors"):
+    with pytest.raises(AggregationError, match="3 tensors"):
         adapter.load_parameters(bad[:-1])
 
 
 def test_adapters_with_different_k_interoperate():
-    first = MoEAdapter(dim=5, ranks=[2, 2], k=1, rng=np.random.default_rng(20))
-    second = MoEAdapter(dim=5, ranks=[2, 2], k=2, rng=np.random.default_rng(21))
+    first = make_adapter(5, 2, 2, k=1, rng=np.random.default_rng(20))
+    second = make_adapter(5, 2, 2, k=2, rng=np.random.default_rng(21))
     second.load_parameters([p.values.copy() for p in first.parameters()])
     x = np.random.default_rng(22).normal(size=(3, 5))
     first.forward(Tensor(np.zeros((3, 5))), Tensor(x))
@@ -400,7 +460,7 @@ def test_adapters_with_different_k_interoperate():
 
 
 def test_load_keeps_tensor_identity_for_optimizer_state():
-    adapter = MoEAdapter(dim=4, ranks=[2], k=1)
+    adapter = make_adapter(4, 1, 2, k=1)
     before = adapter.parameters()
     adapter.load_parameters([np.ones_like(p.values) for p in before])
     assert all(a is b for a, b in zip(before, adapter.parameters()))
@@ -411,8 +471,8 @@ def test_load_keeps_tensor_identity_for_optimizer_state():
 
 def test_routing_stats_accumulate_and_reset():
     rng = np.random.default_rng(23)
-    adapter = MoEAdapter(dim=6, ranks=[1, 1, 1, 1], k=2, rng=rng)
-    adapter.router.WR.values[...] = rng.normal(size=(4, 6))
+    adapter = make_adapter(6, 4, 1, k=2, rng=rng)
+    adapter.WR.values[...] = rng.normal(size=(4, 6))
     adapter.collect_stats = True
     adapter.forward(Tensor(np.zeros((10, 6))), Tensor(rng.normal(size=(10, 6))))
     adapter.forward(Tensor(np.zeros((5, 6))), Tensor(rng.normal(size=(5, 6))))
@@ -425,7 +485,7 @@ def test_routing_stats_accumulate_and_reset():
 
 
 def test_stats_not_collected_by_default():
-    adapter = MoEAdapter(dim=4, ranks=[2, 2], k=1)
+    adapter = make_adapter(4, 2, 2, k=1)
     adapter.forward(Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 4))))
     assert adapter.stats.tokens_seen == 0
 
@@ -436,13 +496,13 @@ def test_empty_stats_mean_probs_raises():
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(dim=4, ranks=[2, 2], k=3),
-    dict(dim=4, ranks=[2, 2], k=0),
-    dict(dim=4, ranks=[], k=1),
-    dict(dim=4, ranks=[2, 0], k=1),
-    dict(dim=4, ranks=[2, 2], k=1, gating_mode="dense"),
-    dict(dim=4, ranks=[2, 2], k=1, activation="relu"),
+    dict(experts=2, rank=2, k=3),
+    dict(experts=2, rank=2, k=0),
+    dict(experts=0, rank=2, k=1),
+    dict(experts=2, rank=0, k=1),
+    dict(experts=2, rank=2, k=1, gating_mode="dense"),
+    dict(experts=2, rank=2, k=1, activation="relu"),
 ])
 def test_construction_rejects_bad_config(kwargs):
     with pytest.raises(ConfigurationError):
-        MoEAdapter(**kwargs)
+        make_adapter(4, **kwargs)

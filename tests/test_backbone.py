@@ -109,9 +109,8 @@ def test_adapter_gradients_match_fd_through_full_stack():
     rng = np.random.default_rng(4)
     # tie-free routing + live expert outputs
     for adapter in bb.adapters:
-        adapter.router.WR.values[...] = rng.normal(size=(2, 8))
-        for e in adapter.experts:
-            e.E2.values[...] = rng.normal(size=e.E2.shape) * 0.1
+        adapter.WR.values[...] = rng.normal(size=(2, 8))
+        adapter.E2.values[...] = rng.normal(size=adapter.E2.shape) * 0.1
     batch = rng.normal(size=(3, 4, 5))
     labels = rng.integers(0, 3, size=3)
 
@@ -137,6 +136,22 @@ def test_trainable_count_matches_adapter_configuration():
     per_layer = (3 + 3) * 2 * 16 + 2 * 16  # expert entries + router rows
     got = sum(p.values.size for p in bb.trainable_parameters())
     assert got == 3 * per_layer
+
+
+@pytest.mark.parametrize("trainable_head", [False, True])
+def test_trainable_parameters_are_three_stacked_tensors_per_layer(trainable_head):
+    cfg = BackboneConfig(layers=3, dim=16, heads=4, seq_len=4,
+                         trainable_head=trainable_head)
+    bb = Backbone(cfg, AdapterConfig(experts=5, rank=3), k=2, classes=4,
+                  input_dim=4, frozen_seed=5)
+    shapes = [(5, 3, 16), (5, 16, 3), (5, 16)] * 3
+    names = [f"layer{i}.{n}" for i in range(3)
+             for n in ("experts.E1", "experts.E2", "router.WR")]
+    if trainable_head:
+        shapes.append((16, 4))
+        names.append("head")
+    assert [p.shape for p in bb.trainable_parameters()] == shapes
+    assert bb.parameter_names() == names
 
 
 def test_trainable_head_is_exposed_and_loadable():

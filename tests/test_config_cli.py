@@ -99,6 +99,11 @@ class TestValidation:
         ({"aux.lambda": "-1"}, "aux.lambda"),
         ({"aux.theta_th": "1.5"}, "aux.theta_th"),
         ({"data.partition": "dirichlet", "data.alpha": "0"}, "data.alpha"),
+        ({"aux.lambda": "nan"}, "aux.lambda"),
+        ({"federation.lr": "inf"}, "federation.lr"),
+        ({"federation.weight_decay": "-inf"}, "federation.weight_decay"),
+        ({"data.separation": "NaN"}, "data.separation"),
+        ({"data.partition": "dirichlet", "data.alpha": "inf"}, "data.alpha"),
     ])
     def test_bad_configs_name_the_problem(self, overrides, needle):
         with pytest.raises(ConfigurationError, match=needle):
@@ -338,6 +343,26 @@ class TestCompareCommand:
     def test_missing_dir_exits_two(self, tmp_path, capsys):
         code = cli.main(["compare", str(tmp_path / "nope")])
         assert code == 2
+
+    def compare_bad_metrics(self, tmp_path, capsys, text):
+        run = tmp_path / "run"
+        run.mkdir()
+        (run / "metrics.csv").write_text(text)
+        assert cli.main(["compare", str(run)]) == 2
+        return str(run / "metrics.csv"), capsys.readouterr().err
+
+    def test_compare_names_a_missing_column(self, tmp_path, capsys):
+        path, err = self.compare_bad_metrics(
+            tmp_path, capsys, "round,task_loss,aux_loss,accuracy,mean_util_kl\n"
+                              "0,1.0,0.0,0.5,0.0\n")
+        assert f"{path}:1: header lacks client_id" in err
+
+    def test_compare_names_the_line_of_a_bad_round(self, tmp_path, capsys):
+        path, err = self.compare_bad_metrics(
+            tmp_path, capsys, "round,client_id,task_loss,aux_loss,accuracy,"
+                              "mean_util_kl\n0,global,1.0,0.0,0.5,0.0\n"
+                              "x,global,0.9,0.0,0.6,0.0\n")
+        assert f"{path}:3: round 'x' is not an integer" in err
 
     def test_compare_rejects_overrides(self, tmp_path, capsys):
         code = cli.main(["compare", str(tmp_path), "--aux.lambda", "1"])
