@@ -9,6 +9,10 @@ which makes a linear adapter equal to a dense low-rank update ``B @ A``.
 The M experts live in two stacked tensors, ``E1 [M, r, d]`` and
 ``E2 [M, d, r]``, beside the router's ``WR [M, d]``: three parameters per
 adapter, with the same shapes on every client.
+
+``forward`` returns its routing with its output: the dense softmax the
+auxiliary loss reads and the top-K mask the expert-load counts read.  The
+adapter stores neither; the backbone keeps the books, and loads parameters.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as tz
-from .errors import AggregationError, ConfigurationError, DimensionError, UsageError
+from .errors import ConfigurationError, DimensionError
 from .tensor import Tensor, parameter
 
 GATING_MODES = ("topk_softmax", "uniform_one")
@@ -63,37 +67,6 @@ def topk_mask(logits: np.ndarray, k: int) -> np.ndarray:
     mask = np.zeros(logits.shape, dtype=bool)
     np.put_along_axis(mask, order[..., :k], True, axis=-1)
     return mask
-
-
-@dataclass
-class RoutingStats:
-    """Running per-expert activation tallies for a stretch of batches."""
-
-    counts: np.ndarray
-    prob_sums: np.ndarray
-    tokens_seen: int = 0
-
-    @classmethod
-    def empty(cls, n_experts: int) -> "RoutingStats":
-        return cls(counts=np.zeros(n_experts, dtype=np.int64),
-                   prob_sums=np.zeros(n_experts, dtype=np.float64))
-
-    def update(self, selected: np.ndarray, dense_probs: np.ndarray) -> None:
-        self.counts += selected.sum(axis=0)
-        self.prob_sums += dense_probs.sum(axis=0)
-        self.tokens_seen += selected.shape[0]
-
-    @property
-    def mean_probs(self) -> np.ndarray:
-        """Token-averaged dense routing distribution (the layer's P)."""
-        if self.tokens_seen == 0:
-            raise UsageError("no tokens recorded yet")
-        return self.prob_sums / self.tokens_seen
-
-    def reset(self) -> None:
-        self.counts[:] = 0
-        self.prob_sums[:] = 0.0
-        self.tokens_seen = 0
 
 
 class ExpertNetwork:
@@ -143,11 +116,6 @@ class MoEAdapter:
         self.E2 = parameter(np.zeros((m, dim, r)))
         self.WR = parameter(np.zeros((m, dim)))
         self.experts = ExpertNetwork(self.E1, self.E2, cfg.activation)
-        self.stats = RoutingStats.empty(cfg.experts)
-        self.collect_stats = False
-        # Differentiable token-mean dense routing distribution of the most
-        # recent forward; the auxiliary loss reads it inside the same tape.
-        self.last_mean_probs: Tensor | None = None
 
     # -- construction --------------------------------------------------------
 
@@ -193,8 +161,15 @@ class MoEAdapter:
 
     # -- forward ----------------------------------------------------------------
 
-    def forward(self, backbone_out: Tensor, x: Tensor) -> Tensor:
-        """``backbone_out + sum_m w_m(x) * E_m(x)`` for [tokens, d] inputs."""
+    def forward(self, backbone_out: Tensor, x: Tensor) -> tuple[
+            Tensor, Tensor, np.ndarray]:
+        """``backbone_out + sum_m w_m(x) * E_m(x)`` for [tokens, d] inputs.
+
+        Returns ``(out, dense, selected)``: the output, the differentiable
+        [tokens, M] dense softmax of the routing logits, and the boolean
+        [tokens, M] mask of the experts the gate selected.  The adapter keeps
+        no record of the call; the caller keeps the books.
+        """
         single = x.ndim == 1
         if single:
             x = x.reshape(1, self.dim)
@@ -208,12 +183,8 @@ class MoEAdapter:
         logits = x @ self.WR.T
         weights, selected = self._gate(logits)
         dense = tz.softmax(logits)
-        self.last_mean_probs = dense.mean(axis=0)
-        if self.collect_stats:
-            self.stats.update(selected, dense.values)
-
         out = self._mix(backbone_out, x, weights)
-        return out.reshape(self.dim) if single else out
+        return (out.reshape(self.dim) if single else out), dense, selected
 
     def _mix(self, backbone_out: Tensor, x: Tensor, weights: Tensor) -> Tensor:
         """``backbone_out + sum_m weights[:, m:m+1] * E_m(x)`` as one tape op.
@@ -276,18 +247,3 @@ class MoEAdapter:
 
     def parameter_names(self) -> list[str]:
         return ["experts.E1", "experts.E2", "router.WR"]
-
-    def load_parameters(self, values: list[np.ndarray]) -> None:
-        """Copy a flat parameter list into place (optimizer bindings survive)."""
-        params = self.parameters()
-        names = self.parameter_names()
-        if len(values) != len(params):
-            raise AggregationError(
-                f"expected {len(params)} tensors, got {len(values)}")
-        for i, (p, v, name) in enumerate(zip(params, values, names)):
-            v = np.asarray(v, dtype=np.float64)
-            if v.shape != p.values.shape:
-                raise AggregationError(
-                    f"parameter {i} ({name}): shape {v.shape} does not match "
-                    f"{p.values.shape}")
-            p.values[...] = v

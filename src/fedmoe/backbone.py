@@ -11,12 +11,19 @@ its output before the residual add:
 
     h   = LN1(h + Attention(h))
     out = LN2(h + FFN(h) + sum_m w_m(h) * E_m(h))
+
+The backbone keeps the routing books.  Each forward stores every layer's
+token-mean dense routing distribution in ``last_layer_probs`` (the auxiliary
+loss reads it inside the same tape) and, given a ``LoadMatrix``, tallies the
+layer's selections and probabilities into its row.  ``load_trainable`` is the
+one place a flat parameter list is copied into the model.
 """
 
 from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,6 +31,9 @@ from . import tensor as tz
 from .adapter import AdapterConfig, MoEAdapter
 from .errors import AggregationError, ConfigurationError, DimensionError
 from .tensor import Tensor, parameter
+
+if TYPE_CHECKING:
+    from .metrics import LoadMatrix
 
 
 @dataclass(frozen=True)
@@ -82,13 +92,17 @@ class TransformerBlock:
         ctx = ctx.transpose((0, 2, 1, 3)).reshape(b, s, d)
         return ctx @ self.wo
 
-    def forward(self, h: Tensor) -> Tensor:
+    def forward(self, h: Tensor) -> tuple[Tensor, Tensor, np.ndarray]:
+        """The block's output plus its adapter's routing: the dense
+        [tokens, M] softmax and the boolean top-K mask."""
         b, s, d = h.shape
         h = tz.layer_norm(h + self._attention(h), self.ln1_gain, self.ln1_bias)
         ffn = tz.gelu(h @ self.w1) @ self.w2
-        aug = self.adapter.forward(ffn.reshape(b * s, d), h.reshape(b * s, d))
-        return tz.layer_norm(h + aug.reshape(b, s, d),
-                             self.ln2_gain, self.ln2_bias)
+        aug, dense, selected = self.adapter.forward(ffn.reshape(b * s, d),
+                                                    h.reshape(b * s, d))
+        h = tz.layer_norm(h + aug.reshape(b, s, d),
+                          self.ln2_gain, self.ln2_bias)
+        return h, dense, selected
 
 
 class Backbone:
@@ -121,22 +135,22 @@ class Backbone:
     def adapters(self) -> list[MoEAdapter]:
         return [b.adapter for b in self.blocks]
 
-    def forward(self, batch, collect_stats: bool = False) -> Tensor:
-        """Logits [batch, C]; with ``collect_stats`` each adapter's
-        ``stats`` also tallies the batch's routing."""
+    def forward(self, batch, load: LoadMatrix | None = None) -> Tensor:
+        """Logits [batch, C].  Each layer's token-mean dense routing goes to
+        ``last_layer_probs``; a given ``load`` also tallies the routing."""
         x = batch if isinstance(batch, Tensor) else Tensor(batch)
         seq_len, input_dim = self.cfg.seq_len, self.input_dim
         if x.ndim != 3 or x.shape[1] != seq_len or x.shape[2] != input_dim:
             raise DimensionError(
                 f"batch shape {x.shape}, expected (*, {seq_len}, {input_dim})")
-        for adapter in self.adapters:
-            adapter.collect_stats = collect_stats
         h = x @ self.w_in + self.pos
-        for block in self.blocks:
-            h = block.forward(h)
-        logits = h.mean(axis=1) @ self.head
-        self.last_layer_probs = [b.adapter.last_mean_probs for b in self.blocks]
-        return logits
+        self.last_layer_probs = []
+        for layer, block in enumerate(self.blocks):
+            h, dense, selected = block.forward(h)
+            self.last_layer_probs.append(dense.mean(axis=0))
+            if load is not None:
+                load.record(layer, selected, dense.values)
+        return h.mean(axis=1) @ self.head
 
     # -- parameter accounting -----------------------------------------------
 
@@ -158,21 +172,19 @@ class Backbone:
         return names
 
     def load_trainable(self, values: list[np.ndarray]) -> None:
-        """Copy a flat list (same order as trainable_parameters) into place."""
-        per_adapter = len(self.blocks[0].adapter.parameters())
-        expected = per_adapter * len(self.blocks) + int(self.cfg.trainable_head)
-        if len(values) != expected:
+        """Copy a flat list (same order as trainable_parameters) into place;
+        the tensors stay the same objects, so optimizer bindings survive."""
+        params = self.trainable_parameters()
+        if len(values) != len(params):
             raise AggregationError(
-                f"expected {expected} tensors, got {len(values)}")
-        for i, block in enumerate(self.blocks):
-            block.adapter.load_parameters(values[i * per_adapter:
-                                                 (i + 1) * per_adapter])
-        if self.cfg.trainable_head:
-            v = np.asarray(values[-1], dtype=np.float64)
-            if v.shape != self.head.values.shape:
+                f"expected {len(params)} tensors, got {len(values)}")
+        for i, (p, v) in enumerate(zip(params, values)):
+            v = np.asarray(v, dtype=np.float64)
+            if v.shape != p.values.shape:
                 raise AggregationError(
-                    f"head: shape {v.shape} does not match {self.head.shape}")
-            self.head.values[...] = v
+                    f"parameter {i} ({self.parameter_names()[i]}): shape "
+                    f"{v.shape} does not match {p.values.shape}")
+            p.values[...] = v
 
     def frozen_tensors(self) -> list[Tensor]:
         out = [self.w_in, self.pos]
@@ -188,7 +200,3 @@ class Backbone:
         for t in self.frozen_tensors():
             digest.update(np.ascontiguousarray(t.values).tobytes())
         return digest.hexdigest()
-
-    def reset_stats(self) -> None:
-        for adapter in self.adapters:
-            adapter.stats.reset()

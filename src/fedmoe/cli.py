@@ -129,8 +129,11 @@ def cmd_sweep(args, overrides: dict[str, str]) -> int:
         for key in axis[0]:
             if key not in swept_keys:
                 swept_keys.append(key)
-    sweep_dir = _claim_dir(_output_root(args.out), f"sweep-{_stamp()}")
     base_items = dict(base_cfg.to_items())
+    for key in swept_keys:
+        if key not in base_items:
+            raise ConfigurationError(f"unknown grid key {key!r}")
+    sweep_dir = _claim_dir(_output_root(args.out), f"sweep-{_stamp()}")
 
     rows = []
     # product() of zero axes yields one empty cell; an empty grid runs none

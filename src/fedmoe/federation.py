@@ -226,8 +226,9 @@ def run_round(server: ServerState, clients: list[ClientState],
     eval_k = resolve_eval_k(cfg, clients)
     for adapter in backbone.adapters:
         adapter.k = eval_k
-    accuracy = evaluate_accuracy(backbone, server.global_params, test)
-    load = LoadMatrix.from_stats([a.stats for a in backbone.adapters])
+    load = LoadMatrix.zeros(cfg.backbone.layers, cfg.adapter.experts)
+    accuracy = evaluate_accuracy(backbone, server.global_params, test,
+                                 load=load)
     util = utilization_kl(load)
 
     return RoundReport(round_index=round_index, clients=fragments,

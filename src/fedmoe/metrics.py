@@ -1,5 +1,10 @@
 """Expert-load accounting and evaluation: who handled the traffic, and how
-far each layer's utilization sits from uniform."""
+far each layer's utilization sits from uniform.
+
+A :class:`LoadMatrix` holds one row per layer.  ``Backbone.forward`` tallies
+each layer's routing into its row when given one, so an evaluation pass (or
+any other stretch of batches) fills one matrix.
+"""
 
 from __future__ import annotations
 
@@ -9,28 +14,33 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .adapter import RoutingStats
 from .backbone import Backbone
 from .data import LabeledDataset
-from .errors import InputError, UsageError
+from .errors import InputError
 from .losses import kl_divergence, uniform_target
 
 
 @dataclass
 class LoadMatrix:
-    """Per-layer, per-expert activation counts from an evaluation pass."""
+    """Per-layer, per-expert activation counts over a stretch of batches."""
 
     counts: np.ndarray      # [layers, experts], selection counts
     prob_sums: np.ndarray   # [layers, experts], summed dense routing probs
     tokens: np.ndarray      # [layers], tokens seen per layer
 
     @classmethod
-    def from_stats(cls, stats: list[RoutingStats]) -> "LoadMatrix":
-        if not stats:
-            raise UsageError("no layer stats given")
-        return cls(counts=np.stack([s.counts for s in stats]),
-                   prob_sums=np.stack([s.prob_sums for s in stats]),
-                   tokens=np.array([s.tokens_seen for s in stats]))
+    def zeros(cls, layers: int, experts: int) -> "LoadMatrix":
+        return cls(counts=np.zeros((layers, experts), dtype=np.int64),
+                   prob_sums=np.zeros((layers, experts), dtype=np.float64),
+                   tokens=np.zeros(layers, dtype=np.int64))
+
+    def record(self, layer: int, selected: np.ndarray,
+               dense_probs: np.ndarray) -> None:
+        """Add one batch's [tokens, experts] selection mask and dense routing
+        probabilities to row ``layer``."""
+        self.counts[layer] += selected.sum(axis=0)
+        self.prob_sums[layer] += dense_probs.sum(axis=0)
+        self.tokens[layer] += selected.shape[0]
 
     @property
     def layers(self) -> int:
@@ -51,14 +61,6 @@ class LoadMatrix:
         tokens = self.tokens[:, None]
         return np.divide(self.prob_sums, tokens, where=tokens > 0,
                          out=np.zeros_like(self.prob_sums))
-
-    def __add__(self, other: "LoadMatrix") -> "LoadMatrix":
-        if self.counts.shape != other.counts.shape:
-            raise InputError(f"load shapes differ: {self.counts.shape} "
-                             f"vs {other.counts.shape}")
-        return LoadMatrix(self.counts + other.counts,
-                          self.prob_sums + other.prob_sums,
-                          self.tokens + other.tokens)
 
 
 @dataclass
@@ -122,23 +124,22 @@ def export_mean_probs_csv(load: LoadMatrix, path) -> None:
 
 
 def evaluate_accuracy(backbone: Backbone, params: list[np.ndarray] | None,
-                      test: LabeledDataset, batch_size: int = 512) -> float:
+                      test: LabeledDataset, batch_size: int = 512,
+                      load: LoadMatrix | None = None) -> float:
     """Fraction of argmax-correct predictions; ties go to the lowest class.
 
     ``params`` (when given) are loaded into the backbone first — pass the
     aggregated global parameters to score the shared model.  Runs without a
-    tape and leaves each adapter's routing stats populated for the
-    evaluation pass, ready for a LoadMatrix.
+    tape; a given ``load`` tallies the pass's routing, one row per layer.
     """
     if len(test) < 1:
         raise InputError("test set is empty")
     if params is not None:
         backbone.load_trainable(params)
-    backbone.reset_stats()
     correct = 0
     for start in range(0, len(test), batch_size):
         batch = test.features[start:start + batch_size]
         labels = test.labels[start:start + batch_size]
-        logits = backbone.forward(batch, collect_stats=True)
+        logits = backbone.forward(batch, load)
         correct += int((logits.values.argmax(axis=1) == labels).sum())
     return correct / len(test)

@@ -1,8 +1,8 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
 Every forward pass runs inside an active :class:`Tape`, which records one
-backward closure per produced tensor.  ``backward(loss)`` replays the tape in
-reverse and accumulates gradients into every reachable tensor whose
+backward closure per produced tensor.  ``tape.backward(loss)`` replays the
+tape in reverse and accumulates gradients into every reachable tensor whose
 ``requires_grad`` flag is set.  Values are always ``numpy`` arrays of dtype
 float64; there is no other precision in the package.
 """
@@ -142,13 +142,6 @@ class Tape:
         for out, back in reversed(self._ops):
             if out.grad is not None:
                 back(out.grad)
-
-
-def backward(loss: Tensor) -> None:
-    """Run reverse-mode accumulation from ``loss`` over its producing tape."""
-    if loss.tape is None:
-        raise UsageError("loss was not produced under an active tape")
-    loss.tape.backward(loss)
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:

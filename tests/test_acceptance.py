@@ -57,7 +57,7 @@ def test_criterion_01_lora_split_equivalence():
         want = base + x @ a.T @ b.T
         for ranks in splits:
             adapter = MoEAdapter.from_lora(a, b, list(ranks))
-            got = adapter.forward(Tensor(base), Tensor(x)).values
+            got = adapter.forward(Tensor(base), Tensor(x))[0].values
             worst = max(worst, float(np.max(np.abs(got - want))))
     elapsed = time.monotonic() - start
     assert worst <= 1e-9, f"max abs deviation {worst:.3g}"

@@ -2,9 +2,11 @@ import numpy as np
 import pytest
 
 from fedmoe import tensor as tz
-from fedmoe.adapter import AdapterConfig, MoEAdapter, RoutingStats, topk_mask
+from fedmoe.adapter import AdapterConfig, MoEAdapter, topk_mask
+from fedmoe.backbone import Backbone, BackboneConfig
 from fedmoe.errors import (AggregationError, ConfigurationError, DimensionError,
                            UsageError)
+from fedmoe.metrics import LoadMatrix
 from fedmoe.tensor import Adam, Tape, Tensor, parameter
 
 from oracles import finite_difference_grads, route, softmax_direct
@@ -96,13 +98,13 @@ def test_zero_initialized_adapter_is_exact_identity():
     adapter = make_adapter(6, 2, 3, k=1, rng=rng)
     backbone_out = rng.normal(size=(5, 6))
     x = rng.normal(size=(5, 6))
-    out = adapter.forward(Tensor(backbone_out), Tensor(x))
+    out = adapter.forward(Tensor(backbone_out), Tensor(x))[0]
     np.testing.assert_array_equal(out.values, backbone_out)
 
 
 def test_single_token_forward_keeps_shape():
     adapter = make_adapter(4, 2, 2, k=2)
-    out = adapter.forward(Tensor(np.ones(4)), Tensor(np.zeros(4)))
+    out = adapter.forward(Tensor(np.ones(4)), Tensor(np.zeros(4)))[0]
     assert out.shape == (4,)
 
 
@@ -116,7 +118,7 @@ def test_hand_evaluated_two_expert_case():
     adapter.E2.values[1] = [[100.0], [100.0]]
     backbone_out = np.array([0.5, -0.5])
     x = np.array([1.0, 0.0])
-    out = adapter.forward(Tensor(backbone_out), Tensor(x))
+    out = adapter.forward(Tensor(backbone_out), Tensor(x))[0]
     # E1 @ x = 1.0; E2 * 1.0 = [3, 4]; plus the backbone output
     np.testing.assert_allclose(out.values, [3.5, 3.5], atol=1e-12)
 
@@ -126,7 +128,7 @@ def test_equal_logits_full_activation_averages_experts():
     adapter = make_adapter(5, 4, 2, k=4, rng=rng)
     adapter.E2.values[...] = rng.normal(size=adapter.E2.shape)
     x = rng.normal(size=(3, 5))
-    out = adapter.forward(Tensor(np.zeros((3, 5))), Tensor(x))
+    out = adapter.forward(Tensor(np.zeros((3, 5))), Tensor(x))[0]
     want = np.mean([adapter.experts.forward(x, m)[3] for m in range(4)], axis=0)
     np.testing.assert_allclose(out.values, want, atol=1e-12)
 
@@ -145,8 +147,8 @@ def test_permuting_experts_and_router_rows_changes_nothing():
 
     x = rng.normal(size=(4, 6))
     base = rng.normal(size=(4, 6))
-    out = adapter.forward(Tensor(base), Tensor(x))
-    out_perm = twin.forward(Tensor(base), Tensor(x))
+    out = adapter.forward(Tensor(base), Tensor(x))[0]
+    out_perm = twin.forward(Tensor(base), Tensor(x))[0]
     np.testing.assert_allclose(out_perm.values, out.values, atol=1e-12)
 
     w, sel = route(adapter, x[0])
@@ -193,7 +195,7 @@ def test_from_lora_forward_equals_lora_update(ranks):
     for _ in range(10):
         x = rng.normal(size=8)
         base = rng.normal(size=8)
-        out = adapter.forward(Tensor(base), Tensor(x))
+        out = adapter.forward(Tensor(base), Tensor(x))[0]
         np.testing.assert_allclose(out.values, base + b @ (a @ x), atol=1e-9)
 
 
@@ -201,7 +203,7 @@ def test_from_lora_zero_factor_is_zero_map():
     b = np.random.default_rng(14).normal(size=(6, 3))
     adapter = MoEAdapter.from_lora(Tensor(np.zeros((3, 6))), Tensor(b), [1, 2])
     x = np.ones(6)
-    out = adapter.forward(Tensor(np.zeros(6)), Tensor(x))
+    out = adapter.forward(Tensor(np.zeros(6)), Tensor(x))[0]
     np.testing.assert_array_equal(out.values, np.zeros(6))
 
 
@@ -244,7 +246,7 @@ def test_ragged_lora_split_pads_with_exact_zeros_that_never_train():
     for _ in range(5):
         opt.zero_grad()
         with Tape() as tape:
-            out = adapter.forward(Tensor(base), Tensor(x))
+            out = adapter.forward(Tensor(base), Tensor(x))[0]
             loss = tz.mul(out, Tensor(w)).sum()
         a_now, b_now = lora_factors()
         np.testing.assert_allclose(out.values, base + x @ a_now.T @ b_now.T,
@@ -272,12 +274,12 @@ def test_adapter_gradients_match_finite_differences():
     w = rng.normal(size=(4, 6))
 
     def loss_value(_arrays):
-        out = adapter.forward(Tensor(base), Tensor(x))
+        out = adapter.forward(Tensor(base), Tensor(x))[0]
         return tz.mul(out, Tensor(w)).sum().item()
 
     params = adapter.parameters()
     with Tape() as tape:
-        out = adapter.forward(Tensor(base), Tensor(x))
+        out = adapter.forward(Tensor(base), Tensor(x))[0]
         loss = tz.mul(out, Tensor(w)).sum()
     tape.backward(loss)
     fd = finite_difference_grads(loss_value, [p.values for p in params])
@@ -401,7 +403,7 @@ def test_never_routed_expert_gets_exactly_zero_grad():
     adapter.WR.values[1] = [2.0, 2.0, 2.0, 2.0]
     x = np.abs(np.random.default_rng(17).normal(size=(6, 4))) + 0.1
     with Tape() as tape:
-        out = adapter.forward(Tensor(np.zeros((6, 4))), Tensor(x))
+        out = adapter.forward(Tensor(np.zeros((6, 4))), Tensor(x))[0]
         loss = out.sum()
     tape.backward(loss)
     for m in (2, 3):
@@ -415,21 +417,32 @@ def test_last_mean_probs_is_batch_mean_dense_softmax():
     adapter = make_adapter(5, 3, 1, k=1, rng=rng)
     adapter.WR.values[...] = rng.normal(size=(3, 5))
     x = rng.normal(size=(7, 5))
-    adapter.forward(Tensor(np.zeros((7, 5))), Tensor(x))
+    _, dense, selected = adapter.forward(Tensor(np.zeros((7, 5))), Tensor(x))
     logits = x @ adapter.WR.values.T
     want = np.mean([softmax_direct(row) for row in logits], axis=0)
-    np.testing.assert_allclose(adapter.last_mean_probs.values, want, atol=1e-12)
+    np.testing.assert_allclose(dense.mean(axis=0).values, want, atol=1e-12)
+    for row, mask in zip(logits, selected):
+        assert list(np.flatnonzero(mask)) == brute_force_topk(row, 1)
 
 
-# -- parameter exchange ---------------------------------------------------------------
+# -- parameter exchange (the backbone loads every adapter's parameters) ----------
+
+
+def small_backbone(k=1, seed=3):
+    cfg = BackboneConfig(layers=2, dim=6, heads=2, seq_len=4)
+    bb = Backbone(cfg, AdapterConfig(experts=2, rank=3), k=k, classes=3,
+                  input_dim=5, frozen_seed=3)
+    rng = np.random.default_rng(seed)
+    for p in bb.trainable_parameters():
+        p.values[...] = rng.normal(size=p.shape)
+    return bb
 
 
 def test_parameter_round_trip_is_bit_identical():
-    rng = np.random.default_rng(19)
-    adapter = make_adapter(6, 2, 3, k=1, rng=rng)
-    saved = [p.values.copy() for p in adapter.parameters()]
-    adapter.load_parameters(saved)
-    for p, s in zip(adapter.parameters(), saved):
+    saved = [p.values.copy() for p in small_backbone(seed=19).trainable_parameters()]
+    bb = small_backbone(seed=20)
+    bb.load_trainable(saved)
+    for p, s in zip(bb.trainable_parameters(), saved):
         np.testing.assert_array_equal(p.values, s)
 
 
@@ -441,58 +454,72 @@ def test_parameter_order_is_experts_then_router():
 
 
 def test_load_transposed_tensor_names_position():
-    adapter = make_adapter(6, 2, 3, k=1)
-    bad = [p.values.copy() for p in adapter.parameters()]
+    bb = small_backbone()
+    bad = [p.values.copy() for p in bb.trainable_parameters()]
     bad[2] = bad[2].T
-    with pytest.raises(AggregationError, match=r"parameter 2 \(router.WR\)"):
-        adapter.load_parameters(bad)
-    with pytest.raises(AggregationError, match="3 tensors"):
-        adapter.load_parameters(bad[:-1])
+    with pytest.raises(AggregationError,
+                       match=r"parameter 2 \(layer0\.router\.WR\)"):
+        bb.load_trainable(bad)
+    with pytest.raises(AggregationError, match="6 tensors"):
+        bb.load_trainable(bad[:-1])
 
 
 def test_adapters_with_different_k_interoperate():
-    first = make_adapter(5, 2, 2, k=1, rng=np.random.default_rng(20))
-    second = make_adapter(5, 2, 2, k=2, rng=np.random.default_rng(21))
-    second.load_parameters([p.values.copy() for p in first.parameters()])
-    x = np.random.default_rng(22).normal(size=(3, 5))
-    first.forward(Tensor(np.zeros((3, 5))), Tensor(x))
-    second.forward(Tensor(np.zeros((3, 5))), Tensor(x))
+    first = small_backbone(k=1, seed=20)
+    second = small_backbone(k=2, seed=21)
+    second.load_trainable([p.values.copy() for p in first.trainable_parameters()])
+    x = np.random.default_rng(22).normal(size=(3, 4, 5))
+    first.forward(x)
+    second.forward(x)
+    for adapter in second.adapters:
+        adapter.k = 1
+    np.testing.assert_array_equal(second.forward(x).values,
+                                  first.forward(x).values)
 
 
 def test_load_keeps_tensor_identity_for_optimizer_state():
-    adapter = make_adapter(4, 1, 2, k=1)
-    before = adapter.parameters()
-    adapter.load_parameters([np.ones_like(p.values) for p in before])
-    assert all(a is b for a, b in zip(before, adapter.parameters()))
+    bb = small_backbone()
+    before = bb.trainable_parameters()
+    opt = Adam(before, lr=1e-3)
+    bb.load_trainable([np.ones_like(p.values) for p in before])
+    assert all(a is b for a, b in zip(before, bb.trainable_parameters()))
+    assert all(a is b for a, b in zip(before, opt.params))
+    assert all((p.values == 1.0).all() for p in before)
 
 
-# -- stats and construction -------------------------------------------------------------
+# -- routing records and construction ------------------------------------------------
 
 
-def test_routing_stats_accumulate_and_reset():
+def test_routing_accumulates_into_load_matrix_over_two_batches():
     rng = np.random.default_rng(23)
     adapter = make_adapter(6, 4, 1, k=2, rng=rng)
     adapter.WR.values[...] = rng.normal(size=(4, 6))
-    adapter.collect_stats = True
-    adapter.forward(Tensor(np.zeros((10, 6))), Tensor(rng.normal(size=(10, 6))))
-    adapter.forward(Tensor(np.zeros((5, 6))), Tensor(rng.normal(size=(5, 6))))
-    stats = adapter.stats
-    assert stats.tokens_seen == 15
-    assert stats.counts.sum() == 15 * 2
-    assert abs(stats.mean_probs.sum() - 1.0) <= 1e-9
-    stats.reset()
-    assert stats.tokens_seen == 0 and stats.counts.sum() == 0
+    load = LoadMatrix.zeros(1, 4)
+    want = np.zeros(4, dtype=np.int64)
+    for tokens in (10, 5):
+        x = rng.normal(size=(tokens, 6))
+        _, dense, selected = adapter.forward(Tensor(np.zeros((tokens, 6))),
+                                             Tensor(x))
+        load.record(0, selected, dense.values)
+        for row in x @ adapter.WR.values.T:
+            want[brute_force_topk(row, 2)] += 1
+    assert load.tokens[0] == 15
+    assert load.counts.sum() == 15 * 2
+    np.testing.assert_array_equal(load.counts[0], want)
+    assert abs(load.mean_probs()[0].sum() - 1.0) <= 1e-9
 
 
 def test_stats_not_collected_by_default():
+    """The adapter keeps no record of a forward: its attributes are the
+    same objects before and after."""
     adapter = make_adapter(4, 2, 2, k=1)
+    before = dict(vars(adapter))
     adapter.forward(Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 4))))
-    assert adapter.stats.tokens_seen == 0
-
-
-def test_empty_stats_mean_probs_raises():
-    with pytest.raises(UsageError):
-        RoutingStats.empty(4).mean_probs
+    with Tape():
+        adapter.forward(Tensor(np.zeros((3, 4))), Tensor(np.ones((3, 4))))
+    after = vars(adapter)
+    assert after.keys() == before.keys()
+    assert all(after[key] is value for key, value in before.items())
 
 
 @pytest.mark.parametrize("kwargs", [

@@ -6,6 +6,7 @@ from fedmoe import tensor as tz
 from fedmoe.adapter import AdapterConfig
 from fedmoe.backbone import Backbone, BackboneConfig
 from fedmoe.errors import AggregationError, ConfigurationError, DimensionError
+from fedmoe.metrics import LoadMatrix
 from fedmoe.tensor import Adam, Tape, Tensor
 
 from oracles import finite_difference_grads
@@ -71,7 +72,7 @@ def test_smoke_forward_shape_and_finiteness():
     logits = bb.forward(batch)
     assert logits.shape == (5, 4)
     assert np.isfinite(logits.values).all()
-    assert len([a.stats for a in bb.adapters]) == 2
+    assert len(bb.last_layer_probs) == 2
 
 
 def test_indivisible_heads_rejected():
@@ -90,16 +91,11 @@ def test_zero_adapters_match_adapter_free_oracle():
 def test_stats_count_conservation():
     bb = small_backbone()  # M=4, K=2
     batch = np.random.default_rng(2).normal(size=(1, 8, 6))
-    bb.forward(batch, collect_stats=True)
-    for layer_stats in [a.stats for a in bb.adapters]:
-        assert layer_stats.tokens_seen == 8
-        assert layer_stats.counts.sum() == 16
-
-
-def test_stats_off_by_default():
-    bb = small_backbone()
-    bb.forward(np.zeros((2, 8, 6)))
-    assert all(a.stats.tokens_seen == 0 for a in bb.adapters)
+    load = LoadMatrix.zeros(2, 4)
+    bb.forward(batch, load)
+    for layer in range(2):
+        assert load.tokens[layer] == 8
+        assert load.counts[layer].sum() == 16
 
 
 def test_adapter_gradients_match_fd_through_full_stack():
@@ -190,6 +186,16 @@ def test_load_trainable_round_trip_and_length_check():
         np.testing.assert_array_equal(p.values, s)
     with pytest.raises(AggregationError):
         bb.load_trainable(saved[:-1])
+
+
+def test_load_trainable_names_a_bad_head_by_global_index():
+    bb = small_backbone(BackboneConfig(**{**SMALL.__dict__,
+                                          "trainable_head": True}))
+    values = [p.values.copy() for p in bb.trainable_parameters()]
+    assert len(values) == 7
+    values[6] = values[6].T
+    with pytest.raises(AggregationError, match=r"parameter 6 \(head\)"):
+        bb.load_trainable(values)
 
 
 def test_forward_rejects_wrong_batch_shape():

@@ -270,6 +270,14 @@ class TestSweepCommand:
         assert [r["status"] for r in rows] == ["ok", "error"]
         assert rows[1]["final_accuracy"] == ""
 
+    def test_unknown_grid_key_fails_before_any_cell(self, tmp_path, capsys):
+        code = cli.main(["sweep", "--out", str(tmp_path),
+                         "--grid", "federation.lr=0.001",
+                         "--grid", "federation.lrr=1e-4,3e-4", *tiny_flags()])
+        assert code == 1
+        assert "federation.lrr" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_empty_grid_writes_header_only(self, tmp_path, capsys):
         code = cli.main(["sweep", "--out", str(tmp_path), *tiny_flags()])
         assert code == 0

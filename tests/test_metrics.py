@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from fedmoe.adapter import AdapterConfig, RoutingStats
+from fedmoe.adapter import AdapterConfig
 from fedmoe.backbone import Backbone, BackboneConfig
 from fedmoe.data import synth_dataset
-from fedmoe.errors import InputError, UsageError
+from fedmoe.errors import InputError
 from fedmoe.metrics import (LoadMatrix, evaluate_accuracy, export_heatmap_csv,
                             export_mean_probs_csv, utilization_kl)
 
@@ -65,15 +65,22 @@ def test_kl_zero_iff_rows_uniform():
 # -- load matrix ------------------------------------------------------------------
 
 
-def test_from_stats_and_merge():
-    a = RoutingStats(np.array([3, 1]), np.array([0.6, 0.4]), tokens_seen=4)
-    b = RoutingStats(np.array([0, 4]), np.array([0.2, 0.8]), tokens_seen=4)
-    load = LoadMatrix.from_stats([a, b])
+def test_record_tallies_one_row_per_layer():
+    load = LoadMatrix.zeros(2, 2)
     assert load.layers == 2 and load.experts == 2
+    assert (load.counts.dtype, load.prob_sums.dtype, load.tokens.dtype) == (
+        np.int64, np.float64, np.int64)
+    first = np.array([[1, 0]] * 3 + [[0, 1]], dtype=bool)
+    second = np.array([[0, 1]] * 4, dtype=bool)
+    load.record(0, first, np.array([[0.2, 0.1]] * 3 + [[0.0, 0.4]]))
+    load.record(1, second, np.full((4, 2), 0.5))
     np.testing.assert_array_equal(load.counts, [[3, 1], [0, 4]])
-    merged = load + load
-    np.testing.assert_array_equal(merged.counts, [[6, 2], [0, 8]])
-    np.testing.assert_array_equal(merged.tokens, [8, 8])
+    np.testing.assert_allclose(load.prob_sums, [[0.6, 0.7], [2.0, 2.0]],
+                               atol=1e-15)
+    load.record(0, first, np.zeros((4, 2)))
+    load.record(1, second, np.zeros((4, 2)))
+    np.testing.assert_array_equal(load.counts, [[6, 2], [0, 8]])
+    np.testing.assert_array_equal(load.tokens, [8, 8])
 
 
 def test_frequencies_normalize_live_rows_only():
@@ -81,11 +88,6 @@ def test_frequencies_normalize_live_rows_only():
     freq = load.frequencies()
     np.testing.assert_allclose(freq[0], [0.25, 0.75])
     np.testing.assert_array_equal(freq[1], [0.0, 0.0])
-
-
-def test_from_stats_requires_layers():
-    with pytest.raises(UsageError):
-        LoadMatrix.from_stats([])
 
 
 # -- csv export -------------------------------------------------------------------
@@ -168,11 +170,29 @@ def test_accuracy_is_invariant_to_example_order():
 def test_accuracy_records_stats_for_the_load_matrix():
     bb = Backbone(BB, AD, **BB_DATA)
     ds = synth_dataset(32, 4, 4, 5, separation=1.0, seed=27)
-    evaluate_accuracy(bb, None, ds, batch_size=10)
-    load = LoadMatrix.from_stats([a.stats for a in bb.adapters])
+    load = LoadMatrix.zeros(2, 4)
+    evaluate_accuracy(bb, None, ds, batch_size=10, load=load)
     # count conservation: tokens * K selections per layer
     np.testing.assert_array_equal(load.tokens, [32 * 4, 32 * 4])
     assert (load.counts.sum(axis=1) == 32 * 4 * 2).all()
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_load_tally_conserves_tokens_and_leaves_accuracy_unchanged(k):
+    bb = Backbone(BackboneConfig(layers=3, dim=16, heads=2, seq_len=6), AD,
+                  **{**BB_DATA, "k": k})
+    rng = np.random.default_rng(30)
+    for adapter in bb.adapters:
+        adapter.WR.values[...] = rng.normal(size=adapter.WR.shape)
+        adapter.E2.values[...] = rng.normal(size=adapter.E2.shape)
+    ds = synth_dataset(45, 4, 6, 5, separation=1.0, seed=31)
+    plain = evaluate_accuracy(bb, None, ds, batch_size=16)
+    load = LoadMatrix.zeros(3, 4)
+    assert evaluate_accuracy(bb, None, ds, batch_size=16, load=load) == plain
+    np.testing.assert_array_equal(load.tokens, [45 * 6] * 3)
+    np.testing.assert_array_equal(load.counts.sum(axis=1), [45 * 6 * k] * 3)
+    np.testing.assert_allclose(load.prob_sums.sum(axis=1), load.tokens,
+                               rtol=1e-12)
 
 
 def test_accuracy_loads_given_parameters():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from fedmoe import tensor as tz
 from fedmoe.errors import DimensionError, InputError, UsageError
-from fedmoe.tensor import Adam, Tape, Tensor, backward, parameter
+from fedmoe.tensor import Adam, Tape, Tensor, parameter
 
 from oracles import (adam_single_step, cross_entropy_direct,
                      finite_difference_grads, kl_direct, softmax_direct)
@@ -207,17 +207,17 @@ def test_rel_entropy_rejects_zero_target():
 
 def test_backward_of_sum_is_all_ones():
     x = parameter(np.arange(12.0).reshape(3, 4))
-    with Tape():
+    with Tape() as tape:
         loss = x.sum()
-    backward(loss)
+    tape.backward(loss)
     np.testing.assert_array_equal(x.grad, np.ones((3, 4)))
 
 
 def test_backward_quadratic():
     x = parameter(np.array(3.0))
-    with Tape():
+    with Tape() as tape:
         loss = x * x
-    backward(loss)
+    tape.backward(loss)
     assert abs(float(x.grad) - 6.0) < 1e-12
 
 
@@ -233,15 +233,17 @@ def test_backward_twice_accumulates_into_leaves():
 
 def test_backward_rejects_non_scalar():
     x = parameter(np.ones(3))
-    with Tape():
+    with Tape() as tape:
         y = x * 2.0
     with pytest.raises(UsageError):
-        backward(y)
+        tape.backward(y)
 
 
 def test_backward_requires_a_tape():
-    with pytest.raises(UsageError):
-        backward(Tensor(np.array(1.0)) * 1.0)
+    with Tape() as tape:
+        pass
+    with pytest.raises(UsageError, match="not produced under this tape"):
+        tape.backward(Tensor(np.array(1.0)) * 1.0)
 
 
 def test_shared_parameter_accumulates_both_uses():
