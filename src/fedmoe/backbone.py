@@ -12,6 +12,11 @@ its output before the residual add:
     h   = LN1(h + Attention(h))
     out = LN2(h + FFN(h) + sum_m w_m(h) * E_m(h))
 
+Each frozen sublayer, ``LN1(h + Attention(h))``, ``FFN(h)`` and ``LN2(h +
+aug)``, is one tape op whose hand-written backward reaches only its inputs,
+since the weights never train.  It is bit-identical to the chain of per-op
+tape ops it replaced.
+
 The backbone keeps the routing books.  Each forward stores every layer's
 token-mean dense routing distribution in ``last_layer_probs`` (the auxiliary
 loss reads it inside the same tape) and, given a ``LoadMatrix``, tallies the
@@ -81,28 +86,111 @@ class TransformerBlock:
         return [self.wq, self.wk, self.wv, self.wo, self.w1, self.w2,
                 self.ln1_gain, self.ln1_bias, self.ln2_gain, self.ln2_bias]
 
-    def _attention(self, h: Tensor) -> Tensor:
+    def _attend(self, h: Tensor) -> Tensor:
+        """``LN1(h + Attention(h))`` as one tape op.
+
+        The backward reaches ``h`` only: the residual first, then the v, k
+        and q branches, the order in which the chain of per-op tape ops it
+        replaced added into ``h``.  Each intermediate gradient is rebuilt in a
+        zeroed buffer shaped like its forward value, as the tape built it, so
+        every matmul sees the same operand layouts and the result is bit for
+        bit the chain's.  Off the tape nothing is kept for a backward.
+        """
         b, s, d = h.shape
         nh, hd = self.heads, self.head_dim
-        q = (h @ self.wq).reshape(b, s, nh, hd).transpose((0, 2, 1, 3))
-        k = (h @ self.wk).reshape(b, s, nh, hd).transpose((0, 2, 1, 3))
-        v = (h @ self.wv).reshape(b, s, nh, hd).transpose((0, 2, 1, 3))
-        scores = (q @ k.transpose((0, 1, 3, 2))) * (hd ** -0.5)
-        ctx = tz.softmax(scores) @ v
-        ctx = ctx.transpose((0, 2, 1, 3)).reshape(b, s, d)
-        return ctx @ self.wo
+        scale = hd ** -0.5
+        hv = h.values
+        q = (hv @ self.wq.values).reshape(b, s, nh, hd).transpose((0, 2, 1, 3))
+        k = (hv @ self.wk.values).reshape(b, s, nh, hd).transpose((0, 2, 1, 3))
+        v = (hv @ self.wv.values).reshape(b, s, nh, hd).transpose((0, 2, 1, 3))
+        kt = k.transpose((0, 1, 3, 2))
+        scores = (q @ kt) * scale
+        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
+        p = e / e.sum(axis=-1, keepdims=True)
+        ctx = p @ v
+        r = hv + ctx.transpose((0, 2, 1, 3)).reshape(b, s, d) @ self.wo.values
+        out, xhat, inv = tz._layer_norm_values(r, self.ln1_gain.values,
+                                               self.ln1_bias.values)
+        if not tz._recording((h,)):
+            return Tensor(out)
+
+        def merge_heads(g: np.ndarray) -> np.ndarray:
+            """A [b, heads, s, hd] gradient as the C-ordered [b, s, d] one
+            the tape's transpose and reshape ops left before each matmul."""
+            buf = np.zeros((b, s, nh, hd))
+            buf += g.transpose((0, 2, 1, 3))
+            return buf.reshape(b, s, d)
+
+        def back(g: np.ndarray) -> None:
+            gr = np.zeros_like(r)
+            gr += tz._layer_norm_back(g, self.ln1_gain.values, xhat, inv)
+            tz._accumulate(h, gr)
+            gctx = np.zeros_like(ctx)
+            gctx += (gr @ np.swapaxes(self.wo.values, -1, -2)).reshape(
+                b, s, nh, hd).transpose((0, 2, 1, 3))
+            gp = np.zeros_like(p)
+            gp += gctx @ np.swapaxes(v, -1, -2)
+            gv = merge_heads(np.swapaxes(p, -1, -2) @ gctx)
+            gscores = np.zeros_like(scores)
+            gscores += p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+            gqk = np.zeros_like(scores)
+            gqk += gscores * scale
+            gq = np.zeros_like(q)
+            gq += gqk @ np.swapaxes(kt, -1, -2)
+            gkt = np.zeros_like(kt)
+            gkt += np.swapaxes(q, -1, -2) @ gqk
+            gk = merge_heads(gkt.transpose((0, 1, 3, 2)))
+            for gm, w in ((gv, self.wv), (gk, self.wk),
+                          (merge_heads(gq), self.wq)):
+                tz._accumulate(h, gm @ np.swapaxes(w.values, -1, -2))
+
+        return tz._emit(out, (h,), back)
+
+    def _ffn(self, h: Tensor) -> Tensor:
+        """``gelu(h @ w1) @ w2`` as one tape op whose backward reaches ``h``
+        only, bit-identical to the three per-op tape ops it replaced."""
+        pre = h.values @ self.w1.values
+        phi, act = tz._gelu_values(pre)
+        out = act @ self.w2.values
+        if not tz._recording((h,)):
+            return Tensor(out)
+
+        def back(g: np.ndarray) -> None:
+            gact = np.zeros_like(act)
+            gact += g @ np.swapaxes(self.w2.values, -1, -2)
+            gpre = np.zeros_like(pre)
+            gpre += gact * tz._gelu_slope(pre, phi)
+            tz._accumulate(h, gpre @ np.swapaxes(self.w1.values, -1, -2))
+
+        return tz._emit(out, (h,), back)
+
+    def _norm2(self, h: Tensor, aug: Tensor) -> Tensor:
+        """``LN2(h + aug)`` as one tape op whose backward adds into ``h``,
+        then ``aug``, as the residual add it replaced did."""
+        r = h.values + aug.values
+        out, xhat, inv = tz._layer_norm_values(r, self.ln2_gain.values,
+                                               self.ln2_bias.values)
+        if not tz._recording((h, aug)):
+            return Tensor(out)
+
+        def back(g: np.ndarray) -> None:
+            gr = np.zeros_like(r)
+            gr += tz._layer_norm_back(g, self.ln2_gain.values, xhat, inv)
+            for t in (h, aug):
+                if t.requires_grad:
+                    tz._accumulate(t, gr)
+
+        return tz._emit(out, (h, aug), back)
 
     def forward(self, h: Tensor) -> tuple[Tensor, Tensor, np.ndarray]:
         """The block's output plus its adapter's routing: the dense
         [tokens, M] softmax and the boolean top-K mask."""
         b, s, d = h.shape
-        h = tz.layer_norm(h + self._attention(h), self.ln1_gain, self.ln1_bias)
-        ffn = tz.gelu(h @ self.w1) @ self.w2
+        h = self._attend(h)
+        ffn = self._ffn(h)
         aug, dense, selected = self.adapter.forward(ffn.reshape(b * s, d),
                                                     h.reshape(b * s, d))
-        h = tz.layer_norm(h + aug.reshape(b, s, d),
-                          self.ln2_gain, self.ln2_bias)
-        return h, dense, selected
+        return self._norm2(h, aug.reshape(b, s, d)), dense, selected
 
 
 class Backbone:

@@ -134,6 +134,8 @@ def evaluate_accuracy(backbone: Backbone, params: list[np.ndarray] | None,
     """
     if len(test) < 1:
         raise InputError("test set is empty")
+    if batch_size < 1:
+        raise InputError(f"evaluation batch_size = {batch_size} must be >= 1")
     if params is not None:
         backbone.load_trainable(params)
     correct = 0

@@ -109,9 +109,9 @@ class Tape:
     """Ordered record of one forward pass.
 
     Use as a context manager around the forward computation, then call
-    :func:`backward` on the scalar loss it produced.  A tape may be replayed
-    backward more than once; produced-tensor gradients are reset at the start
-    of every replay while leaf gradients accumulate across replays.
+    ``tape.backward(loss)`` on the scalar loss it produced.  A tape may be
+    replayed backward more than once; produced-tensor gradients are reset at
+    the start of every replay while leaf gradients accumulate across replays.
     """
 
     __slots__ = ("_ops",)
@@ -393,6 +393,29 @@ def masked_softmax(a: Tensor, mask: np.ndarray) -> Tensor:
     return _emit(y, (a,), back)
 
 
+def _layer_norm_values(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
+                       eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray,
+                                                   np.ndarray]:
+    """Layer norm of an array over its last axis: the output, the normalized
+    input ``xhat`` and the inverse deviation ``inv`` its backward reads."""
+    mu = x.mean(axis=-1, keepdims=True)
+    xc = x - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + eps)
+    xhat = xc * inv
+    return xhat * gain + bias, xhat, inv
+
+
+def _layer_norm_back(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
+                     inv: np.ndarray) -> np.ndarray:
+    """Gradient of layer norm with respect to its input, given the output
+    gradient ``g`` and the ``xhat`` and ``inv`` of its forward."""
+    gx = g * gain
+    term = gx - gx.mean(axis=-1, keepdims=True) \
+        - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+    return term * inv
+
+
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Layer normalization over the last axis with learnable gain and bias."""
     d = a.shape[-1]
@@ -400,13 +423,8 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise DimensionError(
             f"layer_norm: gain/bias shapes {gain.shape}/{bias.shape} "
             f"do not match feature dim {d}")
-    x = a.values
-    mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    values = xhat * gain.values + bias.values
+    values, xhat, inv = _layer_norm_values(a.values, gain.values, bias.values,
+                                           eps)
 
     def back(g: np.ndarray) -> None:
         if gain.requires_grad:
@@ -414,10 +432,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         if bias.requires_grad:
             _accumulate(bias, g.reshape(-1, d).sum(axis=0))
         if a.requires_grad:
-            gx = g * gain.values
-            term = gx - gx.mean(axis=-1, keepdims=True) \
-                - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
-            _accumulate(a, term * inv)
+            _accumulate(a, _layer_norm_back(g, gain.values, xhat, inv))
 
     return _emit(values, (a, gain, bias), back)
 
@@ -528,8 +543,22 @@ class Adam:
         }
 
     def load_state_dict(self, state: dict) -> None:
-        if len(state["m"]) != len(self.params):
-            raise UsageError("optimizer state does not match parameter list")
+        """Adopt ``state``; each moment must match its parameter's shape and
+        be finite, or the error names the parameter index and the moment."""
+        moments = {}
+        for key in ("m", "v"):
+            if len(state[key]) != len(self.params):
+                raise UsageError(
+                    f"optimizer state has {len(state[key])} {key} moments for "
+                    f"{len(self.params)} parameters")
+            moments[key] = [np.array(x, dtype=np.float64) for x in state[key]]
+            for i, (p, x) in enumerate(zip(self.params, moments[key])):
+                if x.shape != p.shape:
+                    raise UsageError(
+                        f"optimizer state: parameter {i}: {key} has shape "
+                        f"{x.shape}, expected {p.shape}")
+                if not np.isfinite(x).all():
+                    raise UsageError(
+                        f"optimizer state: parameter {i}: {key} is not finite")
         self.t = int(state["t"])
-        self.m = [np.array(m, dtype=np.float64) for m in state["m"]]
-        self.v = [np.array(v, dtype=np.float64) for v in state["v"]]
+        self.m, self.v = moments["m"], moments["v"]

@@ -3,8 +3,8 @@ import pytest
 from scipy.special import erf
 
 from fedmoe import tensor as tz
-from fedmoe.adapter import AdapterConfig
-from fedmoe.backbone import Backbone, BackboneConfig
+from fedmoe.adapter import AdapterConfig, MoEAdapter
+from fedmoe.backbone import Backbone, BackboneConfig, TransformerBlock
 from fedmoe.errors import AggregationError, ConfigurationError, DimensionError
 from fedmoe.metrics import LoadMatrix
 from fedmoe.tensor import Adam, Tape, Tensor
@@ -213,3 +213,100 @@ def test_layer_probs_are_per_layer_distributions():
     for p in bb.last_layer_probs:
         assert p.shape == (4,)
         assert abs(p.values.sum() - 1.0) < 1e-9
+
+
+def per_op_block(block, h):
+    """``TransformerBlock.forward`` as the chain of per-op tape ops that its
+    three one-op sublayers replaced: 19 for attention and LN1, 3 for the FFN
+    and 2 for the residual and LN2.  Values and the gradients of ``h`` and of
+    the adapter's output must match it bit for bit.  Returns (out, aug)."""
+    b, s, d = h.shape
+    nh, hd = block.heads, block.head_dim
+
+    def heads(x):
+        return x.reshape(b, s, nh, hd).transpose((0, 2, 1, 3))
+
+    q, k, v = (heads(h @ w) for w in (block.wq, block.wk, block.wv))
+    scores = (q @ k.transpose((0, 1, 3, 2))) * (hd ** -0.5)
+    ctx = (tz.softmax(scores) @ v).transpose((0, 2, 1, 3)).reshape(b, s, d)
+    h = tz.layer_norm(h + ctx @ block.wo, block.ln1_gain, block.ln1_bias)
+    ffn = tz.gelu(h @ block.w1) @ block.w2
+    aug, _, _ = block.adapter.forward(ffn.reshape(b * s, d), h.reshape(b * s, d))
+    aug = aug.reshape(b, s, d)
+    return tz.layer_norm(h + aug, block.ln2_gain, block.ln2_bias), aug
+
+
+def one_op_block(block, h):
+    """``TransformerBlock.forward`` step by step, keeping the adapter's
+    output so its gradient can be compared.  Returns (out, aug)."""
+    b, s, d = h.shape
+    h = block._attend(h)
+    ffn = block._ffn(h)
+    aug, _, _ = block.adapter.forward(ffn.reshape(b * s, d), h.reshape(b * s, d))
+    aug = aug.reshape(b, s, d)
+    return block._norm2(h, aug), aug
+
+
+# (batch, seq_len, dim) and adapter of the grid and wide benchmark workloads
+BLOCK_CASES = {
+    "grid": ((32, 2, 32), AdapterConfig(experts=8, rank=2), 2),
+    "wide": ((128, 8, 32), AdapterConfig(experts=2, rank=8), 2),
+}
+
+
+def block_case(name, seed=40):
+    """A 4-head block with live random adapter weights, an input and a loss
+    weight, at one workload's shapes."""
+    shape, adapter_cfg, k = BLOCK_CASES[name]
+    rng = np.random.default_rng(seed)
+    dim = shape[-1]
+    block = TransformerBlock(dim, 4, MoEAdapter(dim, adapter_cfg, k=k, rng=rng),
+                             rng)
+    for t in block.adapter.parameters():
+        t.values[...] = rng.normal(0.0, 0.5, size=t.shape)
+    return block, rng.normal(size=shape), rng.normal(size=shape)
+
+
+def run_block(block, h_values, w, chain, h_grad):
+    """Loss ``sum(w * out)`` under a tape, replayed twice; returns the output
+    and, after each replay, the gradients of h, aug, E1, E2 and WR."""
+    h = Tensor(h_values, requires_grad=h_grad)
+    for t in block.adapter.parameters():
+        t.grad = None
+    with Tape() as tape:
+        out, aug = chain(block, h)
+        loss = tz.mul(out, Tensor(w)).sum()
+    replays = []
+    for _ in range(2):
+        tape.backward(loss)
+        replays.append([None if t.grad is None else t.grad.copy()
+                        for t in [h, aug] + block.adapter.parameters()])
+    return out.values, replays
+
+
+@pytest.mark.parametrize("h_grad", [True, False])
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_one_op_sublayers_are_bit_identical_to_per_op_chain(case, h_grad):
+    block, h, w = block_case(case)
+    out, replays = run_block(block, h, w, one_op_block, h_grad)
+    want_out, want_replays = run_block(block, h, w, per_op_block, h_grad)
+    assert np.array_equal(out, want_out)
+    for grads, want_grads in zip(replays, want_replays):
+        assert (grads[0] is None) == (not h_grad)
+        for got, want in zip(grads, want_grads):
+            assert (got is None) == (want is None)
+            assert got is None or np.array_equal(got, want)
+    # the untaped path computes the same values
+    assert np.array_equal(one_op_block(block, Tensor(h))[0].values, out)
+    assert np.array_equal(per_op_block(block, Tensor(h))[0].values, out)
+    assert np.array_equal(block.forward(Tensor(h))[0].values, out)
+
+
+def test_block_records_one_op_per_frozen_sublayer():
+    block, h, _ = block_case("grid")
+    with Tape() as tape:
+        attended = block._attend(Tensor(h, requires_grad=True))
+        out = block._norm2(attended, block._ffn(attended))
+        const = block._attend(Tensor(h))
+    assert len(tape._ops) == 3 and tape._ops[-1][0] is out
+    assert not const.requires_grad

@@ -32,7 +32,8 @@ def test_artifacts_match_golden_hashes(run, tmp_path):
         return
     here = environment()
     recorded = {key: GOLDEN[key] for key in here}
-    detail = (f"{run}: {', '.join(moved)} differ from tests/golden/table.json; "
+    detail = (f"{run}: the sha256 of {', '.join(moved)} does not match "
+              f"tests/golden/table.json; "
               f"table taken on numpy {recorded['numpy']} with BLAS "
               f"{recorded['blas']!r}, this run on numpy {here['numpy']} with "
               f"BLAS {here['blas']!r}")

@@ -204,6 +204,14 @@ def test_accuracy_loads_given_parameters():
     np.testing.assert_array_equal(bb.trainable_parameters()[0].values, params[0])
 
 
+@pytest.mark.parametrize("batch_size", [0, -4])
+def test_accuracy_rejects_a_batch_size_below_one(batch_size):
+    bb = Backbone(BB, AD, **BB_DATA)
+    ds = synth_dataset(8, 4, 4, 5, separation=1.0, seed=29)
+    with pytest.raises(InputError, match=f"batch_size = {batch_size}"):
+        evaluate_accuracy(bb, None, ds, batch_size=batch_size)
+
+
 def test_empty_test_sets_are_unconstructible():
     ds = synth_dataset(8, 4, 4, 5, separation=1.0, seed=29)
     with pytest.raises(InputError):
