@@ -94,7 +94,9 @@ class TransformerBlock:
         replaced added into ``h``.  Each intermediate gradient is rebuilt in a
         zeroed buffer shaped like its forward value, as the tape built it, so
         every matmul sees the same operand layouts and the result is bit for
-        bit the chain's.  Off the tape nothing is kept for a backward.
+        bit the chain's.  The backward keeps only the q, k, v and softmax
+        arrays and the layer norm's ``xhat`` and ``inv``; off the tape
+        nothing is kept.
         """
         b, s, d = h.shape
         nh, hd = self.heads, self.head_dim
@@ -122,18 +124,18 @@ class TransformerBlock:
             return buf.reshape(b, s, d)
 
         def back(g: np.ndarray) -> None:
-            gr = np.zeros_like(r)
+            gr = np.zeros_like(xhat)
             gr += tz._layer_norm_back(g, self.ln1_gain.values, xhat, inv)
             tz._accumulate(h, gr)
-            gctx = np.zeros_like(ctx)
+            gctx = np.zeros((b, nh, s, hd))
             gctx += (gr @ np.swapaxes(self.wo.values, -1, -2)).reshape(
                 b, s, nh, hd).transpose((0, 2, 1, 3))
             gp = np.zeros_like(p)
             gp += gctx @ np.swapaxes(v, -1, -2)
             gv = merge_heads(np.swapaxes(p, -1, -2) @ gctx)
-            gscores = np.zeros_like(scores)
+            gscores = np.zeros_like(p)
             gscores += p * (gp - (gp * p).sum(axis=-1, keepdims=True))
-            gqk = np.zeros_like(scores)
+            gqk = np.zeros_like(p)
             gqk += gscores * scale
             gq = np.zeros_like(q)
             gq += gqk @ np.swapaxes(kt, -1, -2)
@@ -156,7 +158,7 @@ class TransformerBlock:
             return Tensor(out)
 
         def back(g: np.ndarray) -> None:
-            gact = np.zeros_like(act)
+            gact = np.zeros_like(pre)
             gact += g @ np.swapaxes(self.w2.values, -1, -2)
             gpre = np.zeros_like(pre)
             gpre += gact * tz._gelu_slope(pre, phi)
@@ -174,7 +176,7 @@ class TransformerBlock:
             return Tensor(out)
 
         def back(g: np.ndarray) -> None:
-            gr = np.zeros_like(r)
+            gr = np.zeros_like(xhat)
             gr += tz._layer_norm_back(g, self.ln2_gain.values, xhat, inv)
             for t in (h, aug):
                 if t.requires_grad:

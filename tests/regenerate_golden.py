@@ -56,7 +56,7 @@ def blas_config() -> str:
                      "openblas_get_config"):
             fn = getattr(ctypes.CDLL(str(lib)), name, None)
             if fn is not None:
-                fn.restype = ctypes.c_char_p
+                fn.argtypes, fn.restype = [], ctypes.c_char_p
                 return " ".join(fn().decode().split())
     blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
     detail = blas.get("openblas configuration") or blas.get("version", "")
