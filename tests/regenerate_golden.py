@@ -2,7 +2,7 @@
 
 Each directory ``tests/golden/<workload>-<seed>/`` holds one canonical
 ``config.txt``.  ``table.json`` records the sha256 of the five artifacts
-every config's run writes, next to the numpy version and the BLAS build the
+every config's run writes, next to the numpy version and the BLAS configuration the
 hashes were taken with: the bits depend on the BLAS kernel, so a table is
 only binding on the environment it names.  ``tests/test_golden.py`` re-runs
 every config and compares.
@@ -21,9 +21,10 @@ from __future__ import annotations
 
 import os
 
-# One BLAS thread, as the benchmark runs; set before numpy is imported.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
+if __name__ == "__main__":
+    # One BLAS thread, as the benchmark runs; set before numpy is imported.
+    for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+        os.environ.setdefault(_var, "1")
 
 import argparse
 import ctypes
