@@ -2,9 +2,9 @@
 
 Each directory ``tests/golden/<workload>-<seed>/`` holds one canonical
 ``config.txt``.  ``table.json`` records the sha256 of the five artifacts
-every config's run writes, next to the numpy version and the BLAS configuration the
-hashes were taken with: the bits depend on the BLAS kernel, so a table is
-only binding on the environment it names.  ``tests/test_golden.py`` re-runs
+every config's run writes, next to the numpy version and the BLAS
+configuration the hashes were taken with: the bits depend on the BLAS
+kernel, so a table is only binding on the environment it names.  ``tests/test_golden.py`` re-runs
 every config and compares.
 
 Usage, from the root of a checkout::
