@@ -1,17 +1,16 @@
 """Regenerate the byte-identity table in ``tests/golden/``.
 
 Each directory ``tests/golden/<workload>-<seed>/`` holds one canonical
-``config.txt``.  ``table.json`` records the sha256 of the five artifacts
-every config's run writes, next to the numpy version and the BLAS
-configuration the hashes were taken with: the bits depend on the BLAS
-kernel, so a table is only binding on the environment it names.  ``tests/test_golden.py`` re-runs
-every config and compares.
+``config.txt``, written once from the benchmark's
+``WORKLOADS[workload].config_items(seed)``.  ``table.json`` records the
+sha256 of the five artifacts every config's run writes, next to the numpy
+version and the BLAS configuration the hashes were taken with: the bits
+depend on the BLAS kernel, so a table is only binding on the environment it
+names.  ``tests/test_golden.py`` re-runs every config and compares.
 
-Usage, from the root of a checkout::
+Usage, from the root of a checkout, to rewrite ``table.json``::
 
-    PYTHONPATH=src python3 tests/regenerate_golden.py            # rewrite table.json
-    PYTHONPATH=src python3 tests/regenerate_golden.py --configs  # also rewrite the
-                                                                 # configs from perfbench
+    PYTHONPATH=src python3 tests/regenerate_golden.py
 
 A change that means to move numerics regenerates the table and says so,
 with the acceptance criteria 6 and 7 margins.
@@ -26,7 +25,6 @@ if __name__ == "__main__":
     for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
         os.environ.setdefault(_var, "1")
 
-import argparse
 import ctypes
 import hashlib
 import json
@@ -80,24 +78,7 @@ def run_hashes(run: str, out_dir: Path) -> dict[str, str]:
     return {name: digest(out_dir / name) for name in ARTIFACTS}
 
 
-def write_configs() -> None:
-    """Write each run's config from the benchmark's pinned workloads."""
-    sys.path.insert(0, str(GOLDEN.parent.parent / "perfbench"))
-    from workloads import WORKLOADS
-    for run in RUNS:
-        workload, seed = run.rsplit("-", 1)
-        cfg = ExperimentConfig.resolve(WORKLOADS[workload].config_items(int(seed)))
-        (GOLDEN / run).mkdir(parents=True, exist_ok=True)
-        cfg.write(GOLDEN / run / "config.txt")
-
-
-def main(argv: list[str] | None = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--configs", action="store_true",
-                        help="rewrite the configs from perfbench/workloads.py first")
-    args = parser.parse_args(argv)
-    if args.configs:
-        write_configs()
+def main() -> int:
     runs = {}
     with tempfile.TemporaryDirectory() as tmp:
         for run in RUNS:
