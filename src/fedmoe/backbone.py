@@ -106,9 +106,7 @@ class TransformerBlock:
         k = (hv @ self.wk.values).reshape(b, s, nh, hd).transpose((0, 2, 1, 3))
         v = (hv @ self.wv.values).reshape(b, s, nh, hd).transpose((0, 2, 1, 3))
         kt = k.transpose((0, 1, 3, 2))
-        scores = (q @ kt) * scale
-        e = np.exp(scores - scores.max(axis=-1, keepdims=True))
-        p = e / e.sum(axis=-1, keepdims=True)
+        p = tz._softmax_values((q @ kt) * scale)
         ctx = p @ v
         r = hv + ctx.transpose((0, 2, 1, 3)).reshape(b, s, d) @ self.wo.values
         out, xhat, inv = tz._layer_norm_values(r, self.ln1_gain.values,
@@ -134,7 +132,7 @@ class TransformerBlock:
             gp += gctx @ np.swapaxes(v, -1, -2)
             gv = merge_heads(np.swapaxes(p, -1, -2) @ gctx)
             gscores = np.zeros_like(p)
-            gscores += p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+            gscores += tz._softmax_back(gp, p)
             gqk = np.zeros_like(p)
             gqk += gscores * scale
             gq = np.zeros_like(q)

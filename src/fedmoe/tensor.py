@@ -354,16 +354,24 @@ def gelu(a: Tensor) -> Tensor:
     return _emit(values, (a,), back)
 
 
+def _softmax_values(z: np.ndarray) -> np.ndarray:
+    """Numerically stable softmax of an array over its last axis."""
+    e = np.exp(z - z.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _softmax_back(g: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Gradient of softmax with respect to its logits, given the output
+    gradient ``g`` and the output ``y`` of its forward."""
+    return y * (g - (g * y).sum(axis=-1, keepdims=True))
+
+
 def softmax(a: Tensor) -> Tensor:
     """Numerically stable softmax over the last axis."""
-    z = a.values
-    m = z.max(axis=-1, keepdims=True)
-    e = np.exp(z - m)
-    y = e / e.sum(axis=-1, keepdims=True)
+    y = _softmax_values(a.values)
 
     def back(g: np.ndarray) -> None:
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        _accumulate(a, y * (g - dot))
+        _accumulate(a, _softmax_back(g, y))
 
     return _emit(y, (a,), back)
 
@@ -387,8 +395,7 @@ def masked_softmax(a: Tensor, mask: np.ndarray) -> Tensor:
     y = e / e.sum(axis=-1, keepdims=True)
 
     def back(g: np.ndarray) -> None:
-        dot = (g * y).sum(axis=-1, keepdims=True)
-        _accumulate(a, y * (g - dot))
+        _accumulate(a, _softmax_back(g, y))
 
     return _emit(y, (a,), back)
 
