@@ -17,6 +17,12 @@ aug)``, is one tape op whose hand-written backward reaches only its inputs,
 since the weights never train.  It is bit-identical to the chain of per-op
 tape ops it replaced.
 
+Nothing upstream of block 0's adapter trains, so ``forward(features,
+rows=...)`` computes block 0's prefix, ``h1 = LN1(x @ w_in + pos +
+Attention(.))`` and ``f1 = FFN(h1)``, once per features array and caches it:
+n * S * d * 2 float64 values for the backbone's life.  The frozen weights must
+never change, nor a dataset's features once the backbone has read them.
+
 The backbone keeps the routing books.  Each forward stores every layer's
 token-mean dense routing distribution in ``last_layer_probs`` (the auxiliary
 loss reads it inside the same tape) and, given a ``LoadMatrix``, tallies the
@@ -182,12 +188,19 @@ class TransformerBlock:
 
         return tz._emit(out, (h, aug), back)
 
-    def forward(self, h: Tensor) -> tuple[Tensor, Tensor, np.ndarray]:
-        """The block's output plus its adapter's routing: the dense
-        [tokens, M] softmax and the boolean top-K mask."""
-        b, s, d = h.shape
+    def prefix(self, h: Tensor) -> tuple[Tensor, Tensor]:
+        """The block up to its adapter: ``LN1(h + Attention(h))``, its FFN."""
         h = self._attend(h)
-        ffn = self._ffn(h)
+        return h, self._ffn(h)
+
+    def forward(self, h: Tensor, ffn: Tensor | None = None
+                ) -> tuple[Tensor, Tensor, np.ndarray]:
+        """The block's output plus its adapter's routing: the dense
+        [tokens, M] softmax and the boolean top-K mask.  Given ``ffn``, ``h``
+        and ``ffn`` are the block's :meth:`prefix`, computed ahead."""
+        if ffn is None:
+            h, ffn = self.prefix(h)
+        b, s, d = h.shape
         aug, dense, selected = self.adapter.forward(ffn.reshape(b * s, d),
                                                     h.reshape(b * s, d))
         return self._norm2(h, aug.reshape(b, s, d)), dense, selected
@@ -218,27 +231,61 @@ class Backbone:
         self.head = parameter(head) if cfg.trainable_head else Tensor(head)
         # Token-mean routing distributions of the latest forward, per layer.
         self.last_layer_probs: list[Tensor] = []
+        # id(features) -> (features, h1, f1): block 0's prefix per dataset.
+        self._prefixes: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
     @property
     def adapters(self) -> list[MoEAdapter]:
         return [b.adapter for b in self.blocks]
 
-    def forward(self, batch, load: LoadMatrix | None = None) -> Tensor:
+    def forward(self, batch, load: LoadMatrix | None = None,
+                rows: np.ndarray | slice | None = None) -> Tensor:
         """Logits [batch, C].  Each layer's token-mean dense routing goes to
-        ``last_layer_probs``; a given ``load`` also tallies the routing."""
-        x = batch if isinstance(batch, Tensor) else Tensor(batch)
-        seq_len, input_dim = self.cfg.seq_len, self.input_dim
-        if x.ndim != 3 or x.shape[1] != seq_len or x.shape[2] != input_dim:
-            raise DimensionError(
-                f"batch shape {x.shape}, expected (*, {seq_len}, {input_dim})")
-        h = x @ self.w_in + self.pos
+        ``last_layer_probs``; a given ``load`` also tallies the routing.
+        Given ``rows`` (indices or a slice), ``batch`` is a whole features
+        array and block 0's prefix of ``batch[rows]`` comes from the cache."""
+        if rows is None:
+            x = batch if isinstance(batch, Tensor) else Tensor(batch)
+            self._check_shape("batch", x.shape)
+            h, ffn = self._prefix(x)
+        else:
+            h1, f1 = self._cached_prefix(batch)
+            h, ffn = Tensor(h1[rows]), Tensor(f1[rows])
         self.last_layer_probs = []
         for layer, block in enumerate(self.blocks):
-            h, dense, selected = block.forward(h)
+            h, dense, selected = block.forward(h, ffn if layer == 0 else None)
             self.last_layer_probs.append(dense.mean(axis=0))
             if load is not None:
                 load.record(layer, selected, dense.values)
         return h.mean(axis=1) @ self.head
+
+    def _check_shape(self, what: str, shape: tuple[int, ...]) -> None:
+        seq_len, input_dim = self.cfg.seq_len, self.input_dim
+        if len(shape) != 3 or shape[1] != seq_len or shape[2] != input_dim:
+            raise DimensionError(
+                f"{what} shape {shape}, expected (*, {seq_len}, {input_dim})")
+
+    def _prefix(self, x: Tensor) -> tuple[Tensor, Tensor]:
+        """Block 0's frozen prefix of ``x`` [b, S, in]: ``h1`` and ``f1``."""
+        return self.blocks[0].prefix(x @ self.w_in + self.pos)
+
+    def _cached_prefix(self, features: np.ndarray
+                       ) -> tuple[np.ndarray, np.ndarray]:
+        """``h1`` and ``f1`` [n, S, d] for every row of ``features``, read-only,
+        built in chunks of 512 rows on first use.  The entry holds the array
+        itself, so its id cannot be reused while the entry lives."""
+        entry = self._prefixes.get(id(features))
+        if entry is None:
+            self._check_shape("features", features.shape)
+            n, s = features.shape[:2]
+            h1, f1 = (np.empty((n, s, self.cfg.dim)) for _ in range(2))
+            for start in range(0, n, 512):
+                chunk = slice(start, start + 512)
+                h, ffn = self._prefix(Tensor(features[chunk]))
+                h1[chunk], f1[chunk] = h.values, ffn.values
+            h1.flags.writeable = f1.flags.writeable = False
+            entry = self._prefixes[id(features)] = (features, h1, f1)
+        return entry[1], entry[2]
 
     # -- parameter accounting -----------------------------------------------
 

@@ -132,7 +132,7 @@ def local_train(client: ClientState, backbone: Backbone, cfg: ExperimentConfig,
             labels = client.shard.labels[idx]
             opt.zero_grad()
             with tz.Tape() as tape:
-                logits = backbone.forward(client.shard.features[idx])
+                logits = backbone.forward(client.shard.features, rows=idx)
                 task = tz.cross_entropy(logits, labels)
                 aux = None
                 if aux_cfg.lam > 0.0:

@@ -140,8 +140,8 @@ def evaluate_accuracy(backbone: Backbone, params: list[np.ndarray] | None,
         backbone.load_trainable(params)
     correct = 0
     for start in range(0, len(test), batch_size):
-        batch = test.features[start:start + batch_size]
-        labels = test.labels[start:start + batch_size]
-        logits = backbone.forward(batch, load)
+        rows = slice(start, start + batch_size)
+        logits = backbone.forward(test.features, load, rows=rows)
+        labels = test.labels[rows]
         correct += int((logits.values.argmax(axis=1) == labels).sum())
     return correct / len(test)

@@ -5,10 +5,14 @@ backward closure per produced tensor.  ``tape.backward(loss)`` replays the
 tape in reverse and accumulates gradients into every reachable tensor whose
 ``requires_grad`` flag is set.  Values are always ``numpy`` arrays of dtype
 float64; there is no other precision in the package.
+
+A tensor refers to its tape only weakly, so a step's tape, activations and
+backward closures form no cycle and are freed with the last name for the tape.
 """
 
 from __future__ import annotations
 
+import weakref
 from typing import Callable, Sequence
 
 import numpy as np
@@ -27,13 +31,18 @@ _TAPES: list["Tape"] = []
 class Tensor:
     """A numpy float64 array plus an accumulated gradient."""
 
-    __slots__ = ("values", "grad", "requires_grad", "tape")
+    __slots__ = ("values", "grad", "requires_grad", "_tape")
 
     def __init__(self, values, requires_grad: bool = False):
         self.values = np.asarray(values, dtype=np.float64)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self.tape: Tape | None = None
+        self._tape: weakref.ref[Tape] | None = None
+
+    @property
+    def tape(self) -> Tape | None:
+        """The live tape that recorded this tensor, or None."""
+        return None if self._tape is None else self._tape()
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -114,7 +123,7 @@ class Tape:
     the start of every replay while leaf gradients accumulate across replays.
     """
 
-    __slots__ = ("_ops",)
+    __slots__ = ("_ops", "__weakref__")
 
     def __init__(self):
         self._ops: list[tuple[Tensor, Callable[[np.ndarray], None]]] = []
@@ -161,8 +170,9 @@ def _emit(values: np.ndarray, inputs: Sequence[Tensor],
     """Wrap ``values`` in a Tensor, recording ``back`` if a tape is active."""
     if _recording(inputs):
         out = Tensor(values, requires_grad=True)
-        out.tape = _TAPES[-1]
-        out.tape._record(out, back)
+        tape = _TAPES[-1]
+        out._tape = weakref.ref(tape)
+        tape._record(out, back)
         return out
     return Tensor(values)
 

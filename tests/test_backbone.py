@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 from scipy.special import erf
@@ -5,7 +8,9 @@ from scipy.special import erf
 from fedmoe import tensor as tz
 from fedmoe.adapter import AdapterConfig, MoEAdapter
 from fedmoe.backbone import Backbone, BackboneConfig, TransformerBlock
+from fedmoe.config import ExperimentConfig
 from fedmoe.errors import AggregationError, ConfigurationError, DimensionError
+from fedmoe.federation import run_experiment
 from fedmoe.metrics import LoadMatrix
 from fedmoe.tensor import Adam, Tape, Tensor
 
@@ -310,3 +315,101 @@ def test_block_records_one_op_per_frozen_sublayer():
         const = block._attend(Tensor(h))
     assert len(tape._ops) == 3 and tape._ops[-1][0] is out
     assert not const.requires_grad
+
+
+def prefix_case(name, n=700, seed=41):
+    """A 2-layer, 4-head backbone with live random adapter weights at one
+    workload's shapes, a features array of ``n`` rows (more than one
+    512-row prefix chunk), labels, and one batch of fancy-index rows."""
+    (batch, seq_len, dim), adapter_cfg, k = BLOCK_CASES[name]
+    bb = Backbone(BackboneConfig(layers=2, dim=dim, heads=4, seq_len=seq_len),
+                  adapter_cfg, k=k, classes=4, input_dim=6, frozen_seed=seed)
+    rng = np.random.default_rng(seed)
+    for t in bb.trainable_parameters():
+        t.values[...] = rng.normal(0.0, 0.5, size=t.shape)
+    features = rng.normal(size=(n, seq_len, 6))
+    labels = rng.integers(0, 4, size=n)
+    return bb, features, labels, rng.permutation(n)[:batch]
+
+
+def taped_step(bb, features, labels, rows, cached):
+    """One taped forward and backward of the task loss plus a weighted sum
+    of ``last_layer_probs``; returns everything the two paths must share."""
+    for t in bb.trainable_parameters():
+        t.grad = None
+    experts = bb.trainable_parameters()[0].shape[0]  # E1 is [M, r, d]
+    load = LoadMatrix.zeros(len(bb.blocks), experts)
+    with Tape() as tape:
+        logits = (bb.forward(features, load, rows=rows) if cached
+                  else bb.forward(features[rows], load))
+        loss = tz.cross_entropy(logits, labels[rows])
+        for i, p in enumerate(bb.last_layer_probs):
+            loss = loss + (p * float(i + 1)).sum()
+        tape.backward(loss)
+    return ([logits.values] + [p.values for p in bb.last_layer_probs]
+            + [load.counts, load.prob_sums, load.tokens]
+            + [t.grad for t in bb.trainable_parameters()])
+
+
+@pytest.mark.parametrize("kind", ["fancy", "slice"])
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_cached_prefix_forward_is_bit_identical_to_uncached(case, kind):
+    bb, features, labels, idx = prefix_case(case)
+    rows = idx if kind == "fancy" else slice(500, 500 + len(idx))
+    want = taped_step(bb, features, labels, rows, cached=False)
+    assert not bb._prefixes
+    for _ in range(2):  # the miss that fills the cache, then a hit
+        got = taped_step(bb, features, labels, rows, cached=True)
+        assert len(got) == len(want) == 12
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+    assert np.array_equal(bb.forward(features, rows=rows).values, want[0])
+
+
+def test_prefix_cache_is_read_only_with_one_entry_per_features_array():
+    bb, features, _, idx = prefix_case("grid")
+    other = features[:100].copy()
+    bb.forward(features, rows=idx)
+    bb.forward(features, rows=slice(0, 64))
+    bb.forward(other, rows=slice(0, 64))
+    assert [id(e[0]) for e in bb._prefixes.values()] == [id(features), id(other)]
+    for feats, h1, f1 in bb._prefixes.values():
+        assert h1.shape == f1.shape == (len(feats), 2, 32)
+        assert h1.flags.c_contiguous and f1.flags.c_contiguous
+        for a in (h1, f1):
+            with pytest.raises(ValueError):
+                a[0, 0, 0] = 1.0
+
+
+def test_rows_forward_rejects_wrong_features_shape():
+    bb = small_backbone()
+    with pytest.raises(DimensionError, match=r"features shape \(5, 8, 7\)"):
+        bb.forward(np.zeros((5, 8, 7)), rows=slice(0, 2))
+    assert not bb._prefixes
+
+
+def test_zero_round_experiment_leaves_prefix_cache_empty():
+    cfg = ExperimentConfig.resolve({
+        "data.n": "120", "data.input_dim": "6", "backbone.dim": "16",
+        "backbone.seq_len": "4", "backbone.heads": "2",
+        "federation.clients": "4", "federation.rounds": "0"})
+    assert run_experiment(cfg).eval_backbone._prefixes == {}
+
+
+def test_training_step_tape_is_freed_without_cyclic_collector():
+    bb, features, labels, idx = prefix_case("grid")
+    opt = Adam(bb.trainable_parameters(), lr=1e-3)
+    gc.collect()
+    gc.disable()
+    try:
+        with Tape() as tape:
+            logits = bb.forward(features, rows=idx)
+            loss = tz.cross_entropy(logits, labels[idx])
+            tape.backward(loss)
+        opt.step()
+        assert loss.tape is tape
+        ref = weakref.ref(tape)
+        del tape
+        assert ref() is None and loss.tape is None
+    finally:
+        gc.enable()
