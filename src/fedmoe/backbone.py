@@ -14,8 +14,9 @@ its output before the residual add:
 
 Each frozen sublayer, ``LN1(h + Attention(h))``, ``FFN(h)`` and ``LN2(h +
 aug)``, is one tape op whose hand-written backward reaches only its inputs,
-since the weights never train.  It is bit-identical to the chain of per-op
-tape ops it replaced.
+since the weights never train.  Each gradient is its plain expression, bit
+for bit the chain of per-op tape ops it replaced, on one condition: a [b, s,
+d] gradient from attention's heads is made C-contiguous before its matmul.
 
 Nothing upstream of block 0's adapter trains, so ``forward(features,
 rows=...)`` computes block 0's prefix, ``h1 = LN1(x @ w_in + pos +
@@ -97,12 +98,11 @@ class TransformerBlock:
 
         The backward reaches ``h`` only: the residual first, then the v, k
         and q branches, the order in which the chain of per-op tape ops it
-        replaced added into ``h``.  Each intermediate gradient is rebuilt in a
-        zeroed buffer shaped like its forward value, as the tape built it, so
-        every matmul sees the same operand layouts and the result is bit for
-        bit the chain's.  The backward keeps only the q, k, v and softmax
-        arrays and the layer norm's ``xhat`` and ``inv``; off the tape
-        nothing is kept.
+        replaced added into ``h``.  It is bit for bit the chain's provided
+        each branch's [b, s, d] gradient is C-contiguous before its matmul, as
+        the chain's buffers were; ``merge_heads`` makes it so.  The backward
+        keeps only the q, k, v and softmax arrays and the layer norm's
+        ``xhat`` and ``inv``; off the tape nothing is kept.
         """
         b, s, d = h.shape
         nh, hd = self.heads, self.head_dim
@@ -121,40 +121,31 @@ class TransformerBlock:
             return Tensor(out)
 
         def merge_heads(g: np.ndarray) -> np.ndarray:
-            """A [b, heads, s, hd] gradient as the C-ordered [b, s, d] one
-            the tape's transpose and reshape ops left before each matmul."""
-            buf = np.zeros((b, s, nh, hd))
-            buf += g.transpose((0, 2, 1, 3))
-            return buf.reshape(b, s, d)
+            """A [b, heads, s, hd] gradient as a C-contiguous [b, s, d] one;
+            on the k branch a plain reshape would be a strided view."""
+            g = np.ascontiguousarray(g.transpose((0, 2, 1, 3)))
+            return g.reshape(b, s, d)
 
         def back(g: np.ndarray) -> None:
-            gr = np.zeros_like(xhat)
-            gr += tz._layer_norm_back(g, self.ln1_gain.values, xhat, inv)
+            gr = tz._layer_norm_back(g, self.ln1_gain.values, xhat, inv)
             tz._accumulate(h, gr)
-            gctx = np.zeros((b, nh, s, hd))
-            gctx += (gr @ np.swapaxes(self.wo.values, -1, -2)).reshape(
+            gctx = (gr @ np.swapaxes(self.wo.values, -1, -2)).reshape(
                 b, s, nh, hd).transpose((0, 2, 1, 3))
-            gp = np.zeros_like(p)
-            gp += gctx @ np.swapaxes(v, -1, -2)
+            gp = gctx @ np.swapaxes(v, -1, -2)
             gv = merge_heads(np.swapaxes(p, -1, -2) @ gctx)
-            gscores = np.zeros_like(p)
-            gscores += tz._softmax_back(gp, p)
-            gqk = np.zeros_like(p)
-            gqk += gscores * scale
-            gq = np.zeros_like(q)
-            gq += gqk @ np.swapaxes(kt, -1, -2)
-            gkt = np.zeros_like(kt)
-            gkt += np.swapaxes(q, -1, -2) @ gqk
+            gqk = tz._softmax_back(gp, p) * scale
+            gq = merge_heads(gqk @ k)
+            gkt = np.swapaxes(q, -1, -2) @ gqk
             gk = merge_heads(gkt.transpose((0, 1, 3, 2)))
-            for gm, w in ((gv, self.wv), (gk, self.wk),
-                          (merge_heads(gq), self.wq)):
+            for gm, w in ((gv, self.wv), (gk, self.wk), (gq, self.wq)):
                 tz._accumulate(h, gm @ np.swapaxes(w.values, -1, -2))
 
         return tz._emit(out, (h,), back)
 
     def _ffn(self, h: Tensor) -> Tensor:
         """``gelu(h @ w1) @ w2`` as one tape op whose backward reaches ``h``
-        only, bit-identical to the three per-op tape ops it replaced."""
+        only.  Its operands are already C-contiguous, so the plain
+        expressions give the bits of the three per-op tape ops it replaced."""
         pre = h.values @ self.w1.values
         phi, act = tz._gelu_values(pre)
         out = act @ self.w2.values
@@ -162,10 +153,8 @@ class TransformerBlock:
             return Tensor(out)
 
         def back(g: np.ndarray) -> None:
-            gact = np.zeros_like(pre)
-            gact += g @ np.swapaxes(self.w2.values, -1, -2)
-            gpre = np.zeros_like(pre)
-            gpre += gact * tz._gelu_slope(pre, phi)
+            gact = g @ np.swapaxes(self.w2.values, -1, -2)
+            gpre = gact * tz._gelu_slope(pre, phi)
             tz._accumulate(h, gpre @ np.swapaxes(self.w1.values, -1, -2))
 
         return tz._emit(out, (h,), back)
@@ -180,8 +169,7 @@ class TransformerBlock:
             return Tensor(out)
 
         def back(g: np.ndarray) -> None:
-            gr = np.zeros_like(xhat)
-            gr += tz._layer_norm_back(g, self.ln2_gain.values, xhat, inv)
+            gr = tz._layer_norm_back(g, self.ln2_gain.values, xhat, inv)
             for t in (h, aug):
                 if t.requires_grad:
                     tz._accumulate(t, gr)

@@ -80,11 +80,10 @@ def _layered_config(args, overrides: dict[str, str]) -> ExperimentConfig:
     return ExperimentConfig.resolve(preset, file_items, overrides)
 
 
-def _output_root(explicit: str | None) -> Path:
-    if explicit:
-        return Path(explicit)
-    env = os.environ.get(ENV_OUTPUT_ROOT)
-    return Path(env) if env else Path("runs")
+def _output_root(explicit: str | None, cfg: ExperimentConfig) -> Path:
+    """``--out``, else ``output.dir``, else ``$FEDMOE_RUNS``, else ./runs."""
+    root = explicit or cfg.output.dir or os.environ.get(ENV_OUTPUT_ROOT)
+    return Path(root or "runs")
 
 
 def _claim_dir(root: Path, name: str) -> Path:
@@ -111,7 +110,8 @@ def _stamp() -> str:
 
 def cmd_run(args, overrides: dict[str, str]) -> int:
     cfg = _layered_config(args, overrides)
-    run_dir = _claim_dir(_output_root(args.out), f"{_stamp()}-{cfg.hash_id()}")
+    run_dir = _claim_dir(_output_root(args.out, cfg),
+                         f"{_stamp()}-{cfg.hash_id()}")
     result = run_experiment(cfg, run_dir)
     for report in result.reports:
         print(f"round {report.round_index}: task {report.task_loss:.4f} "
@@ -133,7 +133,8 @@ def cmd_sweep(args, overrides: dict[str, str]) -> int:
     for key in swept_keys:
         if key not in base_items:
             raise ConfigurationError(f"unknown grid key {key!r}")
-    sweep_dir = _claim_dir(_output_root(args.out), f"sweep-{_stamp()}")
+    sweep_dir = _claim_dir(_output_root(args.out, base_cfg),
+                           f"sweep-{_stamp()}")
 
     rows = []
     # product() of zero axes yields one empty cell; an empty grid runs none
@@ -246,8 +247,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--preset", choices=sorted(PRESETS),
                        help="named baseline configuration")
-        p.add_argument("--out", help="output root (default $%s or ./runs)"
-                       % ENV_OUTPUT_ROOT)
+        p.add_argument("--out", help="output root (default output.dir, "
+                       "then $%s, then ./runs)" % ENV_OUTPUT_ROOT)
     sweep_p.add_argument("--grid", action="append", metavar="AXIS",
                          help="sweep axis, e.g. 'federation.lr=1e-4,3e-4'")
 

@@ -248,6 +248,10 @@ class ExperimentConfig:
             raise ConfigurationError("federation.batch_size must be >= 1")
         if fed.lr < 0 or fed.weight_decay < 0:
             raise ConfigurationError("federation.lr and weight_decay must be >= 0")
+        if adp.gating_mode == "uniform_one" and fed.rounds > 0:
+            raise ConfigurationError(
+                "adapter.gating_mode = uniform_one cannot train: its router "
+                "gets no gradient (use it with federation.rounds = 0)")
 
         # the threshold can only ever release the gate if it exceeds 1/M
         if self.aux.lam > 0.0 and self.aux.theta_th <= 1.0 / adp.experts:

@@ -537,12 +537,17 @@ class Adam:
             p.grad = None
 
     def step(self) -> None:
+        """One update of every parameter; if any has no gradient, nothing
+        changes and the error names the first such parameter's index."""
+        for i, p in enumerate(self.params):
+            if p.grad is None:
+                raise UsageError(
+                    f"Adam.step: parameter {i} of {len(self.params)} has no "
+                    f"gradient")
         self.t += 1
         b1t = 1.0 - self.beta1 ** self.t
         b2t = 1.0 - self.beta2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
-            if p.grad is None:
-                raise UsageError("Adam.step called with a missing gradient")
             g = p.grad
             m *= self.beta1
             m += (1.0 - self.beta1) * g

@@ -104,6 +104,7 @@ class TestValidation:
         ({"federation.weight_decay": "-inf"}, "federation.weight_decay"),
         ({"data.separation": "NaN"}, "data.separation"),
         ({"data.partition": "dirichlet", "data.alpha": "inf"}, "data.alpha"),
+        ({"adapter.gating_mode": "uniform_one"}, "adapter.gating_mode"),
     ])
     def test_bad_configs_name_the_problem(self, overrides, needle):
         with pytest.raises(ConfigurationError, match=needle):
@@ -120,6 +121,11 @@ class TestValidation:
         with pytest.raises(ConfigurationError, match="sparsity.k_low"):
             ExperimentConfig.resolve({"sparsity.mode": "capability",
                                       "sparsity.k_low": "0"})
+
+    def test_uniform_one_gating_is_accepted_without_training(self):
+        cfg = ExperimentConfig.resolve({"adapter.gating_mode": "uniform_one",
+                                        "federation.rounds": "0"})
+        assert cfg.adapter.gating_mode == "uniform_one"
 
     def test_threshold_must_exceed_uniform_mass(self):
         with pytest.raises(ConfigurationError, match="theta_th"):
@@ -230,6 +236,18 @@ class TestRunCommand:
         code = cli.main(["run", *tiny_flags()])
         assert code == 0
         assert any((tmp_path / "roots").iterdir())
+
+    def test_output_dir_key_sits_between_out_and_env_var(
+            self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path / "env"))
+        flags = [*tiny_flags(), "--federation.rounds=0",
+                 "--output.dir", str(tmp_path / "key")]
+        assert cli.main(["run", *flags]) == 0
+        assert cli.main(["run", "--out", str(tmp_path / "out"), *flags]) == 0
+        assert cli.main(["sweep", *flags]) == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["key", "out"]
+        assert len(list((tmp_path / "key").iterdir())) == 2
+        assert len(list((tmp_path / "out").iterdir())) == 1
 
     def test_config_file_plus_flag_precedence(self, tmp_path, capsys):
         config = tmp_path / "exp.txt"

@@ -379,10 +379,14 @@ def test_adam_decay_only_shrinks_by_lr_wd():
 
 
 def test_adam_missing_grad_raises():
-    p = parameter(np.ones(2))
-    opt = Adam([p], lr=0.1)
-    with pytest.raises(UsageError):
+    """The error names the parameter, and no parameter or moment moves."""
+    params = [parameter(np.ones(2)), parameter(np.ones(3))]
+    params[0].grad = np.ones(2)
+    opt = Adam(params, lr=0.1)
+    with pytest.raises(UsageError, match="parameter 1 of 2 has no gradient"):
         opt.step()
+    np.testing.assert_array_equal(params[0].values, np.ones(2))
+    assert opt.t == 0 and not opt.m[0].any()
 
 
 def test_adam_state_roundtrip():
