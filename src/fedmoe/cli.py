@@ -6,7 +6,7 @@ file, which beats the preset, which beats the built-in defaults.
 
 Sweep grids are given as repeated ``--grid`` flags.  Each flag is one axis
 of the cross product; an axis may bind several keys at once (zipped cells)
-for budget-matched comparisons::
+for budget-matched comparisons.  Each key is bound by one axis, once::
 
     --grid "federation.lr=1e-4,3e-4"              # 2 cells
     --grid "adapter.rank,adapter.experts=2:8,4:4" # 2 cells, keys tied
@@ -63,6 +63,9 @@ def parse_axis(spec: str) -> list[dict[str, str]]:
         raise ConfigurationError(f"malformed grid axis {spec!r}, "
                                  "expected key[,key2]=v[:v2],...")
     keys = [k.strip() for k in head.split(",")]
+    twice = next((k for i, k in enumerate(keys) if k in keys[:i]), None)
+    if twice is not None:
+        raise ConfigurationError(f"grid key {twice!r} is bound more than once")
     cells = []
     for cell_text in tail.split(","):
         parts = [p.strip() for p in cell_text.split(":")]
@@ -124,15 +127,16 @@ def cmd_run(args, overrides: dict[str, str]) -> int:
 def cmd_sweep(args, overrides: dict[str, str]) -> int:
     base_cfg = _layered_config(args, overrides)  # fail fast on the base
     axes = [parse_axis(spec) for spec in (args.grid or [])]
-    swept_keys: list[str] = []
-    for axis in axes:
-        for key in axis[0]:
-            if key not in swept_keys:
-                swept_keys.append(key)
+    swept_keys = [key for axis in axes for key in axis[0]]
     base_items = dict(base_cfg.to_items())
-    for key in swept_keys:
+    for i, key in enumerate(swept_keys):
         if key not in base_items:
             raise ConfigurationError(f"unknown grid key {key!r}")
+        if key in swept_keys[:i]:
+            raise ConfigurationError(f"grid key {key!r} is bound more than once")
+        if key == "output.dir":  # not in hash_id: every cell would share one dir
+            raise ConfigurationError("output.dir cannot be swept: every cell "
+                                     "is written under the sweep directory")
     sweep_dir = _claim_dir(_output_root(args.out, base_cfg),
                            f"sweep-{_stamp()}")
 

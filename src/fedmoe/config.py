@@ -3,22 +3,32 @@
 Config files are plain ``key = value`` text (``#`` comments); the same
 dotted keys work as CLI flag overrides.  ``ExperimentConfig.resolve`` layers
 defaults <- preset <- file <- flags, coerces types from the section
-dataclasses, and validates every cross-field constraint before any compute.
+dataclasses, and validates everything before any compute.
+
+Each rule has one owner.  A section checks its own fields in its
+``__post_init__``: ``BackboneConfig``, ``AdapterConfig``, ``AuxLossConfig``
+and ``DataConfig`` sit next to the modules that use them, and the
+``sparsity``, ``federation``, ``seeds`` and ``output`` sections live here.
+``ExperimentConfig.validate`` holds only the rules that read two sections.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
+from typing import get_type_hints
 
 from .adapter import AdapterConfig
 from .backbone import BackboneConfig
-from .data import PARTITION_SCHEMES, PartitionSpec
+from .data import DataConfig
 from .errors import ConfigurationError
 from .losses import AuxLossConfig
 
 ENV_OUTPUT_ROOT = "FEDMOE_RUNS"
+
+# mode -> the fields of its (high, low) budgets; fixed gives every client k
+_BUDGET_FIELDS = {"fixed": ("k", "k"), "capability": ("k_high", "k_low")}
 
 
 @dataclass(frozen=True)
@@ -29,6 +39,20 @@ class SparsitySection:
     k_low: int = 1
     high_fraction: float = 0.5   # leading clients are the high-capability ones
     eval_k: int = 0              # 0 = max over client K_n
+
+    def __post_init__(self):
+        if self.mode not in _BUDGET_FIELDS:
+            raise ConfigurationError("sparsity.mode must be fixed or capability")
+        if not 0.0 <= self.high_fraction <= 1.0:
+            raise ConfigurationError("sparsity.high_fraction outside [0, 1]")
+
+    def budgets(self, clients: int) -> list[int]:
+        """Every client's K_n: the leading ``round(high_fraction * clients)``
+        clients (half to even) get the mode's high budget, the rest its low
+        one; in fixed mode both are ``k``."""
+        high, low = (getattr(self, name) for name in _BUDGET_FIELDS[self.mode])
+        n_high = round(self.high_fraction * clients)
+        return [high] * n_high + [low] * (clients - n_high)
 
 
 @dataclass(frozen=True)
@@ -41,18 +65,17 @@ class FederationSection:
     weight_decay: float = 0.01
     reset_optimizer: bool = False  # fresh Adam moments every round when true
 
-
-@dataclass(frozen=True)
-class DataSection:
-    source: str = "synthetic"    # "synthetic" | "csv"
-    csv_path: str = ""
-    n: int = 2000
-    classes: int = 4
-    input_dim: int = 16
-    separation: float = 3.0
-    partition: str = "one_label"
-    alpha: float = 1.0
-    test_fraction: float = 0.2
+    def __post_init__(self):
+        if self.clients < 1:
+            raise ConfigurationError("federation.clients must be >= 1")
+        if self.rounds < 0:
+            raise ConfigurationError("federation.rounds must be >= 0")
+        if self.epochs < 1:
+            raise ConfigurationError("federation.epochs must be >= 1")
+        if self.batch_size < 1:
+            raise ConfigurationError("federation.batch_size must be >= 1")
+        if self.lr < 0 or self.weight_decay < 0:
+            raise ConfigurationError("federation.lr and weight_decay must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -61,22 +84,18 @@ class SeedsSection:
     data: int = 0
     frozen: int = 0
 
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if value < 0:
+                raise ConfigurationError(
+                    f"seeds.{f.name} must be >= 0, got {value}")
+
 
 @dataclass(frozen=True)
 class OutputSection:
     dir: str = ""                # empty: $FEDMOE_RUNS or ./runs
 
-
-_SECTIONS = {
-    "backbone": BackboneConfig,
-    "adapter": AdapterConfig,
-    "sparsity": SparsitySection,
-    "federation": FederationSection,
-    "aux": AuxLossConfig,
-    "data": DataSection,
-    "seeds": SeedsSection,
-    "output": OutputSection,
-}
 
 # public dotted key -> (section, field); "aux.lambda" keeps the usual symbol
 _FIELD_ALIASES = {"aux.lambda": ("aux", "lam")}
@@ -104,7 +123,6 @@ def _field_map() -> dict[str, tuple[str, str, type]]:
     return table
 
 
-_FIELDS = _field_map()
 _TYPES = {"int": int, "float": float, "str": str, "bool": bool}
 
 
@@ -169,7 +187,7 @@ class ExperimentConfig:
     sparsity: SparsitySection
     federation: FederationSection
     aux: AuxLossConfig
-    data: DataSection
+    data: DataConfig
     seeds: SeedsSection
     output: OutputSection
 
@@ -209,7 +227,10 @@ class ExperimentConfig:
         return "".join(f"{k} = {v}\n" for k, v in self.to_items())
 
     def hash_id(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:12]
+        """The experiment's content id.  ``output.dir`` is left out, so one
+        experiment keeps its id under any output root."""
+        text = replace(self, output=OutputSection()).canonical_text()
+        return hashlib.sha256(text.encode()).hexdigest()[:12]
 
     def write(self, path) -> None:
         with open(path, "w") as fh:
@@ -218,75 +239,34 @@ class ExperimentConfig:
     # -- validation ----------------------------------------------------------
 
     def validate(self) -> None:
-        """Cross-field checks; each section checked its own fields when it
-        was built."""
+        """The rules that read two sections.  A rule on one section's own
+        fields lives in that section's ``__post_init__`` and ran when the
+        section was built."""
         adp, spr, fed, dat = self.adapter, self.sparsity, self.federation, self.data
-        if spr.mode not in ("fixed", "capability"):
-            raise ConfigurationError("sparsity.mode must be fixed or capability")
-        if spr.mode == "fixed":
-            budgets = (("sparsity.k", spr.k),)
-        else:
-            budgets = (("sparsity.k_high", spr.k_high),
-                       ("sparsity.k_low", spr.k_low))
-        for key, value in budgets:
+        for name in dict.fromkeys(_BUDGET_FIELDS[spr.mode]):  # fixed: k once
+            value = getattr(spr, name)
             if not 1 <= value <= adp.experts:
                 raise ConfigurationError(
-                    f"{key} = {value} outside [1, {adp.experts}]")
+                    f"sparsity.{name} = {value} outside [1, {adp.experts}]")
         if spr.eval_k != 0 and not 1 <= spr.eval_k <= adp.experts:
             raise ConfigurationError(
                 f"sparsity.eval_k = {spr.eval_k} outside [1, {adp.experts}]")
-        if not 0.0 <= spr.high_fraction <= 1.0:
-            raise ConfigurationError("sparsity.high_fraction outside [0, 1]")
-
-        if fed.clients < 1:
-            raise ConfigurationError("federation.clients must be >= 1")
-        if fed.rounds < 0:
-            raise ConfigurationError("federation.rounds must be >= 0")
-        if fed.epochs < 1:
-            raise ConfigurationError("federation.epochs must be >= 1")
-        if fed.batch_size < 1:
-            raise ConfigurationError("federation.batch_size must be >= 1")
-        if fed.lr < 0 or fed.weight_decay < 0:
-            raise ConfigurationError("federation.lr and weight_decay must be >= 0")
         if adp.gating_mode == "uniform_one" and fed.rounds > 0:
             raise ConfigurationError(
                 "adapter.gating_mode = uniform_one cannot train: its router "
                 "gets no gradient (use it with federation.rounds = 0)")
-
         # the threshold can only ever release the gate if it exceeds 1/M
         if self.aux.lam > 0.0 and self.aux.theta_th <= 1.0 / adp.experts:
             raise ConfigurationError(
                 f"aux.theta_th = {self.aux.theta_th} never deactivates with "
                 f"{adp.experts} experts (needs > {1.0 / adp.experts:.4g})")
-
-        if dat.source not in ("synthetic", "csv"):
-            raise ConfigurationError("data.source must be synthetic or csv")
-        if dat.source == "csv" and not dat.csv_path:
-            raise ConfigurationError("data.csv_path required for csv source")
-        if dat.source == "synthetic":
-            if dat.classes < 2:
-                raise ConfigurationError("data.classes must be >= 2")
-            if dat.n < dat.classes:
-                raise ConfigurationError("data.n must cover every class")
-            if dat.separation <= 0:
-                raise ConfigurationError("data.separation must be > 0")
-            if dat.partition == "one_label" and fed.clients < dat.classes:
-                raise ConfigurationError(
-                    f"one_label partition needs federation.clients >= "
-                    f"{dat.classes}")
-        if dat.input_dim < 1:
-            raise ConfigurationError("data.input_dim must be >= 1")
-        if not 0.0 < dat.test_fraction < 1.0:
-            raise ConfigurationError("data.test_fraction outside (0, 1)")
-        # delegate the remaining scheme checks to the builder
-        self.partition_spec()
-
-    # -- builders -------------------------------------------------------------
-
-    def partition_spec(self) -> PartitionSpec:
-        if self.data.partition not in PARTITION_SCHEMES:
+        if (dat.source == "synthetic" and dat.partition == "one_label"
+                and fed.clients < dat.classes):
             raise ConfigurationError(
-                f"data.partition must be one of {PARTITION_SCHEMES}")
-        return PartitionSpec(scheme=self.data.partition,
-                             n_clients=self.federation.clients,
-                             alpha=self.data.alpha, seed=self.seeds.data)
+                f"one_label partition needs federation.clients >= "
+                f"{dat.classes}")
+
+
+# section name -> its dataclass, in ExperimentConfig's field order
+_SECTIONS = get_type_hints(ExperimentConfig)
+_FIELDS = _field_map()

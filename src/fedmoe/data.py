@@ -1,4 +1,5 @@
-"""Synthetic classification data, CSV loading, and heterogeneity partitioners.
+"""Synthetic classification data, CSV loading, and heterogeneity partitioners,
+configured by the ``data.*`` section (``DataConfig``).
 
 Partitioning supports the three client-skew regimes used throughout: a
 per-class Dirichlet split (lower alpha = more skew), the one-label extreme
@@ -51,19 +52,41 @@ class LabeledDataset:
 
 
 @dataclass(frozen=True)
-class PartitionSpec:
-    scheme: str
-    n_clients: int
+class DataConfig:
+    """The ``data.*`` section: where the examples come from, the test split,
+    and the partition scheme that spreads the rest over the clients."""
+
+    source: str = "synthetic"    # "synthetic" | "csv"
+    csv_path: str = ""
+    n: int = 2000
+    classes: int = 4
+    input_dim: int = 16
+    separation: float = 3.0
+    partition: str = "one_label"
     alpha: float = 1.0
-    seed: int = 0
+    test_fraction: float = 0.2
 
     def __post_init__(self):
-        if self.scheme not in PARTITION_SCHEMES:
+        if self.source not in ("synthetic", "csv"):
+            raise ConfigurationError("data.source must be synthetic or csv")
+        if self.source == "csv" and not self.csv_path:
+            raise ConfigurationError("data.csv_path required for csv source")
+        if self.source == "synthetic":
+            if self.classes < 2:
+                raise ConfigurationError("data.classes must be >= 2")
+            if self.n < self.classes:
+                raise ConfigurationError("data.n must cover every class")
+            if self.separation <= 0:
+                raise ConfigurationError("data.separation must be > 0")
+        if self.input_dim < 1:
+            raise ConfigurationError("data.input_dim must be >= 1")
+        if not 0.0 < self.test_fraction < 1.0:
+            raise ConfigurationError("data.test_fraction outside (0, 1)")
+        if self.partition not in PARTITION_SCHEMES:
             raise ConfigurationError(
-                f"scheme must be one of {PARTITION_SCHEMES}, got {self.scheme!r}")
-        if self.n_clients < 1:
-            raise ConfigurationError("need at least one client")
-        if self.scheme == "dirichlet" and self.alpha <= 0.0:
+                f"data.partition must be one of {PARTITION_SCHEMES}, "
+                f"got {self.partition!r}")
+        if self.partition == "dirichlet" and self.alpha <= 0.0:
             raise ConfigurationError(
                 f"data.alpha must be > 0 for the dirichlet partition, "
                 f"got {self.alpha}")
@@ -159,41 +182,41 @@ def train_test_split(ds: LabeledDataset, test_fraction: float, seed: int
     return ds.subset(np.sort(train_idx)), ds.subset(np.sort(test_idx))
 
 
-def partition(ds: LabeledDataset, spec: PartitionSpec) -> list[np.ndarray]:
-    """Disjoint index shards covering the dataset, one per client."""
+def partition(ds: LabeledDataset, cfg: DataConfig, clients: int,
+              seed: int) -> list[np.ndarray]:
+    """Disjoint index shards covering the dataset, one per client, split by
+    ``cfg.partition`` (with ``cfg.alpha`` for dirichlet)."""
     n = len(ds)
-    if n < spec.n_clients:
+    if not 1 <= clients <= n:
         raise ConfigurationError(
-            f"cannot spread {n} examples over {spec.n_clients} clients")
-    rng = np.random.default_rng(spec.seed)
-    if spec.scheme == "iid":
-        shards = [list(s) for s in np.array_split(rng.permutation(n),
-                                                  spec.n_clients)]
-    elif spec.scheme == "dirichlet":
-        shards = [[] for _ in range(spec.n_clients)]
+            f"cannot spread {n} examples over {clients} clients")
+    rng = np.random.default_rng(seed)
+    if cfg.partition == "iid":
+        shards = [list(s) for s in np.array_split(rng.permutation(n), clients)]
+    elif cfg.partition == "dirichlet":
+        shards = [[] for _ in range(clients)]
         for c in range(ds.class_count):
             idx = rng.permutation(np.flatnonzero(ds.labels == c))
-            props = rng.dirichlet(np.full(spec.n_clients, spec.alpha))
+            props = rng.dirichlet(np.full(clients, cfg.alpha))
             cuts = (np.cumsum(props)[:-1] * len(idx)).astype(int)
             for shard, piece in zip(shards, np.split(idx, cuts)):
                 shard.extend(piece)
     else:  # one_label
-        if spec.n_clients < ds.class_count:
+        if clients < ds.class_count:
             raise ConfigurationError(
                 f"one_label needs at least {ds.class_count} clients to cover "
-                f"every class, got {spec.n_clients}")
-        shards = [[] for _ in range(spec.n_clients)]
+                f"every class, got {clients}")
+        shards = [[] for _ in range(clients)]
         for c in range(ds.class_count):
-            owners = [i for i in range(spec.n_clients)
-                      if i % ds.class_count == c]
+            owners = [i for i in range(clients) if i % ds.class_count == c]
             idx = rng.permutation(np.flatnonzero(ds.labels == c))
             for owner, piece in zip(owners, np.array_split(idx, len(owners))):
                 shards[owner].extend(piece)
 
     # Re-seed empty shards with one sample pulled from the largest shard.
-    for i in range(spec.n_clients):
+    for i in range(clients):
         while not shards[i]:
-            donor = max(range(spec.n_clients), key=lambda j: len(shards[j]))
+            donor = max(range(clients), key=lambda j: len(shards[j]))
             if len(shards[donor]) <= 1:
                 raise ConfigurationError("not enough data to fill every client")
             moved = shards[donor].pop(int(rng.integers(len(shards[donor]))))

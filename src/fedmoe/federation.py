@@ -372,25 +372,14 @@ def _load_dataset(cfg: ExperimentConfig) -> LabeledDataset:
 def build_clients(cfg: ExperimentConfig, train: LabeledDataset,
                   backbone: Backbone) -> list[ClientState]:
     """Partition the training set into client records that start from the
-    backbone's initial adapter values.
-
-    K_n is ``sparsity.k`` in fixed mode; in capability mode the leading
-    ``high_fraction`` of clients get ``k_high`` and the rest ``k_low``.
-    """
-    shards = partition(train, cfg.partition_spec())
-    spr = cfg.sparsity
-    n_high = round(spr.high_fraction * len(shards))
+    backbone's initial adapter values, with K_n from
+    ``SparsitySection.budgets``."""
+    shards = partition(train, cfg.data, cfg.federation.clients, cfg.seeds.data)
+    budgets = cfg.sparsity.budgets(len(shards))
     initial = [p.values for p in backbone.trainable_parameters()]
-    clients = []
-    for i, indices in enumerate(shards):
-        if spr.mode == "fixed":
-            k_n = spr.k
-        else:
-            k_n = spr.k_high if i < n_high else spr.k_low
-        clients.append(ClientState(
-            client_id=i, shard=train.subset(indices), k_n=k_n,
-            params=[v.copy() for v in initial]))
-    return clients
+    return [ClientState(client_id=i, shard=train.subset(indices), k_n=k_n,
+                        params=[v.copy() for v in initial])
+            for i, (indices, k_n) in enumerate(zip(shards, budgets))]
 
 
 def run_experiment(cfg: ExperimentConfig,
@@ -404,9 +393,8 @@ def run_experiment(cfg: ExperimentConfig,
     dataset = _load_dataset(cfg)
     train, test = train_test_split(dataset, cfg.data.test_fraction,
                                    cfg.seeds.data)
-    spr = cfg.sparsity
     backbone = Backbone(cfg.backbone, cfg.adapter,
-                        k=spr.k if spr.mode == "fixed" else spr.k_high,
+                        k=max(cfg.sparsity.budgets(cfg.federation.clients)),
                         classes=train.class_count,
                         input_dim=cfg.data.input_dim,
                         frozen_seed=cfg.seeds.frozen)

@@ -10,7 +10,9 @@ import pytest
 
 from fedmoe import cli
 from fedmoe.config import (ENV_OUTPUT_ROOT, PRESETS, ExperimentConfig,
+                           FederationSection, SeedsSection, SparsitySection,
                            parse_config_file)
+from fedmoe.data import DataConfig
 from fedmoe.errors import ConfigurationError
 
 from oracles import with_overrides
@@ -72,6 +74,13 @@ class TestResolution:
         other = with_overrides(cfg, {"federation.lr": "0.002"})
         assert other.hash_id() != cfg.hash_id()
 
+    def test_hash_leaves_out_the_output_root(self):
+        default = ExperimentConfig.default()
+        elsewhere = ExperimentConfig.resolve({"output.dir": "/tmp/x"})
+        assert default.hash_id() == elsewhere.hash_id() == "c607a852c160"
+        assert "output.dir = /tmp/x\n" in elsewhere.canonical_text()
+        assert elsewhere.canonical_text() != default.canonical_text()
+
     def test_presets(self):
         cfg = ExperimentConfig.resolve(PRESETS["cifar-like"])
         assert cfg.federation.clients == 10
@@ -105,10 +114,25 @@ class TestValidation:
         ({"data.separation": "NaN"}, "data.separation"),
         ({"data.partition": "dirichlet", "data.alpha": "inf"}, "data.alpha"),
         ({"adapter.gating_mode": "uniform_one"}, "adapter.gating_mode"),
+        ({"seeds.run": "-1"}, "seeds.run"),
+        ({"seeds.data": "-1"}, "seeds.data"),
+        ({"seeds.frozen": "-1"}, "seeds.frozen"),
     ])
     def test_bad_configs_name_the_problem(self, overrides, needle):
         with pytest.raises(ConfigurationError, match=needle):
             ExperimentConfig.resolve(overrides)
+
+    @pytest.mark.parametrize("build,key", [
+        (lambda: DataConfig(partition="striped"), "data.partition"),
+        (lambda: DataConfig(partition="dirichlet", alpha=0.0), "data.alpha"),
+        (lambda: FederationSection(clients=0), "federation.clients"),
+        (lambda: SparsitySection(mode="x"), "sparsity.mode"),
+        (lambda: SeedsSection(run=-1), "seeds.run"),
+    ], ids=["data.partition", "data.alpha", "federation.clients",
+            "sparsity.mode", "seeds.run"])
+    def test_each_section_checks_its_own_fields(self, build, key):
+        with pytest.raises(ConfigurationError, match=key.replace(".", r"\.")):
+            build()
 
     def test_only_the_budgets_of_the_mode_are_checked(self):
         fixed = ExperimentConfig.resolve({"adapter.experts": "2",
@@ -136,6 +160,28 @@ class TestValidation:
                                         "aux.theta_th": "0.25",
                                         "aux.lambda": "0"})
         assert cfg.aux.theta_th == 0.25
+
+
+class TestBudgets:
+    def test_fixed_mode_gives_every_client_k(self):
+        spr = SparsitySection(mode="fixed", k=3, k_high=4, k_low=1)
+        assert spr.budgets(5) == [3] * 5
+
+    def test_capability_mode_gives_the_leading_clients_k_high(self):
+        spr = SparsitySection(mode="capability", k_high=4, k_low=1,
+                              high_fraction=0.25)
+        assert spr.budgets(8) == [4, 4, 1, 1, 1, 1, 1, 1]
+        assert SparsitySection(mode="capability", high_fraction=0.0) \
+            .budgets(3) == [1, 1, 1]
+        assert SparsitySection(mode="capability", high_fraction=1.0) \
+            .budgets(3) == [4, 4, 4]
+
+    def test_half_a_client_rounds_to_even(self):
+        # 0.5 * 5 = 2.5 rounds to 2, and 0.5 * 7 = 3.5 to 4
+        spr = SparsitySection(mode="capability", k_high=4, k_low=1,
+                              high_fraction=0.5)
+        assert spr.budgets(5) == [4, 4, 1, 1, 1]
+        assert spr.budgets(7) == [4, 4, 4, 4, 1, 1, 1]
 
 
 class TestConfigFile:
@@ -231,6 +277,13 @@ class TestRunCommand:
         assert code == 1
         assert "batch_size" in capsys.readouterr().err
 
+    def test_negative_seed_exits_one_and_claims_no_dir(self, tmp_path, capsys):
+        code = cli.main(["run", "--out", str(tmp_path / "out"),
+                         *tiny_flags(), "--seeds.run", "-1"])
+        assert code == 1
+        assert "seeds.run must be >= 0" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_env_var_output_root(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path / "roots"))
         code = cli.main(["run", *tiny_flags()])
@@ -294,6 +347,22 @@ class TestSweepCommand:
                          "--grid", "federation.lrr=1e-4,3e-4", *tiny_flags()])
         assert code == 1
         assert "federation.lrr" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("grid,needle", [
+        (["federation.lr=1e-4,3e-4", "federation.lr=1e-3"],
+         "'federation.lr' is bound more than once"),
+        (["federation.lr,federation.lr=1e-4:3e-4"],
+         "'federation.lr' is bound more than once"),
+        (["output.dir=a,b"], "output.dir cannot be swept"),
+    ], ids=["twice-in-two-axes", "twice-in-one-axis", "output-dir"])
+    def test_key_that_cannot_be_swept_fails_before_any_cell(
+            self, tmp_path, capsys, grid, needle):
+        flags = [arg for axis in grid for arg in ("--grid", axis)]
+        code = cli.main(["sweep", "--out", str(tmp_path), *flags,
+                         *tiny_flags()])
+        assert code == 1
+        assert needle in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
     def test_empty_grid_writes_header_only(self, tmp_path, capsys):

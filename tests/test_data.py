@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from fedmoe.data import (LabeledDataset, PartitionSpec, load_csv, partition,
+from fedmoe.data import (DataConfig, LabeledDataset, load_csv, partition,
                          synth_dataset, train_test_split)
 from fedmoe.errors import ConfigurationError, InputError
 
@@ -67,27 +67,34 @@ def test_synth_rejects_bad_parameters(kwargs):
 # -- partitioning -----------------------------------------------------------------
 
 
+IID = DataConfig(partition="iid")
+ONE_LABEL = DataConfig(partition="one_label")
+
+
+def dirichlet(alpha):
+    return DataConfig(partition="dirichlet", alpha=alpha)
+
+
 @pytest.mark.parametrize("spec", [
-    PartitionSpec("iid", n_clients=4, seed=0),
-    PartitionSpec("iid", n_clients=7, seed=1),
-    PartitionSpec("dirichlet", n_clients=4, alpha=0.1, seed=2),
-    PartitionSpec("dirichlet", n_clients=10, alpha=10.0, seed=3),
-    PartitionSpec("one_label", n_clients=4, seed=4),
-    PartitionSpec("one_label", n_clients=9, seed=5),
+    (IID, 4, 0),
+    (IID, 7, 1),
+    (dirichlet(0.1), 4, 2),
+    (dirichlet(10.0), 10, 3),
+    (ONE_LABEL, 4, 4),
+    (ONE_LABEL, 9, 5),
 ])
 def test_partition_is_a_disjoint_cover(spec):
     ds = synth_dataset(203, 4, 2, 3, separation=1.0, seed=6)
-    shards = partition(ds, spec)
-    assert len(shards) == spec.n_clients
+    shards = partition(ds, *spec)
+    assert len(shards) == spec[1]
     assert_disjoint_cover(shards, len(ds))
     assert all(len(s) > 0 for s in shards)
 
 
 def test_partition_is_deterministic():
     ds = synth_dataset(100, 4, 2, 3, separation=1.0, seed=7)
-    spec = PartitionSpec("dirichlet", n_clients=5, alpha=0.5, seed=8)
-    first = partition(ds, spec)
-    second = partition(ds, spec)
+    first = partition(ds, dirichlet(0.5), 5, seed=8)
+    second = partition(ds, dirichlet(0.5), 5, seed=8)
     for a, b in zip(first, second):
         np.testing.assert_array_equal(a, b)
 
@@ -95,7 +102,7 @@ def test_partition_is_deterministic():
 def test_one_label_gives_single_class_shards():
     ds = synth_dataset(120, 4, 2, 3, separation=1.0, seed=9)
     for n_clients in (4, 8):
-        shards = partition(ds, PartitionSpec("one_label", n_clients, seed=10))
+        shards = partition(ds, ONE_LABEL, n_clients, seed=10)
         for i, shard in enumerate(shards):
             labels = set(ds.labels[shard].tolist())
             assert labels == {i % 4}
@@ -105,12 +112,12 @@ def test_one_label_gives_single_class_shards():
 def test_one_label_rejects_too_few_clients():
     ds = synth_dataset(40, 4, 2, 3, separation=1.0, seed=11)
     with pytest.raises(ConfigurationError):
-        partition(ds, PartitionSpec("one_label", n_clients=2, seed=0))
+        partition(ds, ONE_LABEL, 2, seed=0)
 
 
 def test_iid_shards_track_global_class_proportions():
     ds = synth_dataset(1000, 4, 2, 3, separation=1.0, seed=12)
-    shards = partition(ds, PartitionSpec("iid", n_clients=4, seed=4))
+    shards = partition(ds, IID, 4, seed=4)
     global_p = np.bincount(ds.labels, minlength=4) / len(ds)
     for shard in shards:
         p = np.bincount(ds.labels[shard], minlength=4) / len(shard)
@@ -122,8 +129,7 @@ def test_dirichlet_entropy_grows_with_alpha():
     means = {}
     for alpha in (0.1, 1.0, 10.0):
         values = [
-            mean_label_entropy(
-                ds, partition(ds, PartitionSpec("dirichlet", 4, alpha, seed)))
+            mean_label_entropy(ds, partition(ds, dirichlet(alpha), 4, seed))
             for seed in range(20)
         ]
         means[alpha] = float(np.mean(values))
@@ -133,24 +139,16 @@ def test_dirichlet_entropy_grows_with_alpha():
 def test_empty_shards_are_reseeded():
     # extreme skew over many clients forces empties before repair
     ds = synth_dataset(12, 2, 2, 2, separation=1.0, seed=15)
-    shards = partition(ds, PartitionSpec("dirichlet", 12, alpha=0.01, seed=16))
+    shards = partition(ds, dirichlet(0.01), 12, seed=16)
     assert all(len(s) >= 1 for s in shards)
     assert_disjoint_cover(shards, 12)
 
 
 def test_partition_needs_enough_examples():
     ds = synth_dataset(4, 2, 2, 2, separation=1.0, seed=17)
-    with pytest.raises(ConfigurationError):
-        partition(ds, PartitionSpec("iid", n_clients=5, seed=0))
-
-
-def test_partition_spec_validation():
-    with pytest.raises(ConfigurationError):
-        PartitionSpec("striped", 4)
-    with pytest.raises(ConfigurationError):
-        PartitionSpec("iid", 0)
-    with pytest.raises(ConfigurationError):
-        PartitionSpec("dirichlet", 4, alpha=0.0)
+    for clients in (5, 0):  # more clients than examples, and no client
+        with pytest.raises(ConfigurationError, match=f"over {clients} clients"):
+            partition(ds, IID, clients, seed=0)
 
 
 # -- csv i/o -----------------------------------------------------------------------

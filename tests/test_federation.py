@@ -40,9 +40,8 @@ def make_world(cfg):
     dataset = _load_dataset(cfg)
     train, test = train_test_split(dataset, cfg.data.test_fraction,
                                    cfg.seeds.data)
-    spr = cfg.sparsity
     backbone = Backbone(cfg.backbone, cfg.adapter,
-                        k=spr.k if spr.mode == "fixed" else spr.k_high,
+                        k=max(cfg.sparsity.budgets(cfg.federation.clients)),
                         classes=train.class_count,
                         input_dim=cfg.data.input_dim,
                         frozen_seed=cfg.seeds.frozen)
