@@ -10,6 +10,12 @@ The M experts live in two stacked tensors, ``E1 [M, r, d]`` and
 ``E2 [M, d, r]``, beside the router's ``WR [M, d]``: three parameters per
 adapter, with the same shapes on every client.
 
+Clients that train in lock step load as one stack of G members: each
+parameter then carries a leading member axis (``E1 [G, M, r, d]``), the
+inputs are ``[G, tokens, d]`` and the budget is one K per member.  Every
+matmul runs per member over that member's own tokens, so a member's values
+and gradients are bit for bit those of the same client loaded alone.
+
 ``forward`` returns its routing with its output: the dense softmax the
 auxiliary loss reads and the top-K mask the expert-load counts read.  The
 adapter stores neither; the backbone keeps the books, and loads parameters.
@@ -57,16 +63,23 @@ class AdapterConfig:
                 f"adapter.activation must be one of {ACTIVATIONS}")
 
 
-def topk_mask(logits: np.ndarray, k: int) -> np.ndarray:
-    """Boolean mask of the k largest entries along the last axis.
+def topk_mask(logits: np.ndarray, k) -> np.ndarray:
+    """Boolean mask of the k largest entries along the last axis: each
+    entry's rank in its row against ``k``, an int or an array that
+    broadcasts against the rows (one K per stacked member).
 
     Ties are broken toward the lowest index: a stable argsort of the negated
     logits keeps earlier entries ahead of equal later ones.
     """
     order = np.argsort(-logits, axis=-1, kind="stable")
-    mask = np.zeros(logits.shape, dtype=bool)
-    np.put_along_axis(mask, order[..., :k], True, axis=-1)
-    return mask
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(logits.shape[-1]), axis=-1)
+    return rank < k
+
+
+def _t(a: np.ndarray) -> np.ndarray:
+    """The transposed view of each matrix in ``a`` (``a.T`` for a matrix)."""
+    return np.swapaxes(a, -1, -2)
 
 
 class ExpertNetwork:
@@ -83,23 +96,25 @@ class ExpertNetwork:
 
     def forward(self, x: np.ndarray, m: int) -> tuple[
             np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
-        """Apply expert m to a [tokens, d] array, values only.
+        """Apply expert m to a [tokens, d] array (or [G, tokens, d] for a
+        stack, member by member), values only.
 
         Returns the pre-activation ``h = x E1[m]^T``, the GELU factor ``phi``
         (None for a linear expert), the activation ``a`` and the output
         ``y = a E2[m]^T``; the mixture op's backward reads the first three.
         """
-        h = x @ self.E1.values[m].T
+        h = x @ _t(self.E1.values[..., m, :, :])
         if self.activation == "gelu":
             phi, a = tz._gelu_values(h)
         else:
             phi, a = None, h
-        return h, phi, a, a @ self.E2.values[m].T
+        return h, phi, a, a @ _t(self.E2.values[..., m, :, :])
 
 
 class MoEAdapter:
     """M stacked experts plus a router ``WR [M, d]``, gated by top-K softmax
-    or uniform weights."""
+    or uniform weights.  ``k`` is the budget: an int, or a [G, 1, 1] array
+    of one K per member when the parameters are a stack."""
 
     def __init__(self, dim: int, cfg: AdapterConfig, k: int,
                  rng: np.random.Generator | None = None):
@@ -163,7 +178,8 @@ class MoEAdapter:
 
     def forward(self, backbone_out: Tensor, x: Tensor) -> tuple[
             Tensor, Tensor, np.ndarray]:
-        """``backbone_out + sum_m w_m(x) * E_m(x)`` for [tokens, d] inputs.
+        """``backbone_out + sum_m w_m(x) * E_m(x)`` for [tokens, d] inputs,
+        or [G, tokens, d] when the parameters are a stack of G members.
 
         Returns ``(out, dense, selected)``: the output, the differentiable
         [tokens, M] dense softmax of the routing logits, and the boolean
@@ -174,13 +190,17 @@ class MoEAdapter:
         if single:
             x = x.reshape(1, self.dim)
             backbone_out = backbone_out.reshape(1, self.dim)
-        if x.ndim != 2 or x.shape[-1] != self.dim:
-            raise DimensionError(f"adapter input shape {x.shape}, width {self.dim}")
+        lead = self.WR.shape[:-2]  # (G,) for a stack, else ()
+        if x.shape[:-2] != lead or x.ndim != len(lead) + 2 \
+                or x.shape[-1] != self.dim:
+            raise DimensionError(f"adapter input shape {x.shape}, width "
+                                 f"{self.dim}, members {lead}")
         if backbone_out.shape != x.shape:
             raise DimensionError(
                 f"backbone output {backbone_out.shape} != input {x.shape}")
 
-        logits = x @ self.WR.T
+        swap = tuple(range(len(lead))) + (len(lead) + 1, len(lead))
+        logits = x @ self.WR.transpose(swap)
         weights, selected = self._gate(logits)
         dense = tz.softmax(logits)
         out = self._mix(backbone_out, x, weights)
@@ -206,9 +226,9 @@ class MoEAdapter:
             y = part[3]
             if recording:
                 parts.append(part)
-                out += w[:, m:m + 1] * y
+                out += w[..., m:m + 1] * y
             else:  # nothing reads y again, so weight it in place
-                out += np.multiply(w[:, m:m + 1], y, out=y)
+                out += np.multiply(w[..., m:m + 1], y, out=y)
         if not recording:
             return Tensor(out)
 
@@ -219,18 +239,18 @@ class MoEAdapter:
             for m in reversed(range(self.n_experts)):
                 h, phi, a, y = parts[m]
                 if gw is not None:
-                    gw[:, m:m + 1] = (g * y).sum(axis=1, keepdims=True)
-                gy = g * w[:, m:m + 1]
+                    gw[..., m:m + 1] = (g * y).sum(axis=-1, keepdims=True)
+                gy = g * w[..., m:m + 1]
                 if x.requires_grad or g1 is not None:
-                    gh = gy @ e2.values[m]
+                    gh = gy @ e2.values[..., m, :, :]
                     if phi is not None:
                         gh = gh * tz._gelu_slope(h, phi)
                 if g2 is not None:
-                    g2[m] = (a.T @ gy).T
+                    g2[..., m, :, :] = _t(_t(a) @ gy)
                 if x.requires_grad:
-                    tz._accumulate(x, gh @ e1.values[m])
+                    tz._accumulate(x, gh @ e1.values[..., m, :, :])
                 if g1 is not None:
-                    g1[m] = (xv.T @ gh).T
+                    g1[..., m, :, :] = _t(_t(xv) @ gh)
             for t, gt in ((weights, gw), (e1, g1), (e2, g2)):
                 if gt is not None:
                     tz._accumulate(t, gt)

@@ -28,7 +28,17 @@ The backbone keeps the routing books.  Each forward stores every layer's
 token-mean dense routing distribution in ``last_layer_probs`` (the auxiliary
 loss reads it inside the same tape) and, given a ``LoadMatrix``, tallies the
 layer's selections and probabilities into its row.  ``load_trainable`` is the
-one place a flat parameter list is copied into the model.
+one place flat parameter lists are copied into the model.
+
+Clients with equal shards train as one stack: ``load_trainable`` given G > 1
+parameter lists gives every trainable tensor a leading member axis, and
+``forward`` takes one features array and one index array per member.  The
+frozen sublayers then run once over the members' concatenated examples,
+which gives each example the bits it gets alone, since their matmuls work
+one example at a time.  The adapters and the head work member by member,
+each over that member's own rows, so the logits are ``[G, batch, C]`` and
+each layer's routing distribution is ``[G, M]``.  A single list loads the
+per-client shapes, with no member axis.
 """
 
 from __future__ import annotations
@@ -189,8 +199,9 @@ class TransformerBlock:
         if ffn is None:
             h, ffn = self.prefix(h)
         b, s, d = h.shape
-        aug, dense, selected = self.adapter.forward(ffn.reshape(b * s, d),
-                                                    h.reshape(b * s, d))
+        lead = self.adapter.WR.shape[:-2]  # (G,) when the adapter is a stack
+        aug, dense, selected = self.adapter.forward(ffn.reshape(*lead, -1, d),
+                                                    h.reshape(*lead, -1, d))
         return self._norm2(h, aug.reshape(b, s, d)), dense, selected
 
 
@@ -198,9 +209,10 @@ class Backbone:
     """Frozen encoder stack + classification head over mean-pooled states."""
 
     def __init__(self, cfg: BackboneConfig, adapter_cfg: AdapterConfig, *,
-                 k: int, classes: int, input_dim: int, frozen_seed: int):
-        """``k`` is every adapter's starting budget; ``classes``,
-        ``input_dim`` and ``frozen_seed`` come from the data and seeds."""
+                 classes: int, input_dim: int, frozen_seed: int):
+        """``classes``, ``input_dim`` and ``frozen_seed`` come from the data
+        and seeds.  Every adapter routes to all M experts until
+        :meth:`set_budget` says otherwise."""
         if classes < 1 or input_dim < 1:
             raise ConfigurationError(
                 f"classes = {classes} and input_dim = {input_dim} must be >= 1")
@@ -212,11 +224,14 @@ class Backbone:
         self.pos = Tensor(rng.normal(0.0, 0.02, size=(cfg.seq_len, cfg.dim)))
         self.blocks = [
             TransformerBlock(cfg.dim, cfg.heads,
-                             MoEAdapter(cfg.dim, adapter_cfg, k=k, rng=rng), rng)
+                             MoEAdapter(cfg.dim, adapter_cfg,
+                                        k=adapter_cfg.experts, rng=rng), rng)
             for _ in range(cfg.layers)
         ]
         head = rng.normal(0.0, cfg.dim ** -0.5, size=(cfg.dim, classes))
         self.head = parameter(head) if cfg.trainable_head else Tensor(head)
+        # Each trainable tensor's shape for one client: no member axis.
+        self._shapes = [p.shape for p in self.trainable_parameters()]
         # Token-mean routing distributions of the latest forward, per layer.
         self.last_layer_probs: list[Tensor] = []
         # id(features) -> (features, h1, f1): block 0's prefix per dataset.
@@ -226,26 +241,44 @@ class Backbone:
     def adapters(self) -> list[MoEAdapter]:
         return [b.adapter for b in self.blocks]
 
+    def set_budget(self, k) -> None:
+        """Every adapter's budget K: an int, or one per stacked member."""
+        if np.ndim(k):
+            k = np.reshape(k, (-1, 1, 1))  # against [G, tokens, M] ranks
+        for adapter in self.adapters:
+            adapter.k = k
+
     def forward(self, batch, load: LoadMatrix | None = None,
-                rows: np.ndarray | slice | None = None) -> Tensor:
-        """Logits [batch, C].  Each layer's token-mean dense routing goes to
-        ``last_layer_probs``; a given ``load`` also tallies the routing.
+                rows=None) -> Tensor:
+        """Logits [batch, C], or [G, batch, C] for a stack of G members.
+        Each layer's token-mean dense routing goes to ``last_layer_probs``; a
+        given ``load`` also tallies the routing (of an unstacked forward).
         Given ``rows`` (indices or a slice), ``batch`` is a whole features
-        array and block 0's prefix of ``batch[rows]`` comes from the cache."""
+        array and block 0's prefix of ``batch[rows]`` comes from the cache; a
+        stack passes a list of features arrays and a list of ``rows``, one
+        each per member, with equal row counts."""
         if rows is None:
             x = batch if isinstance(batch, Tensor) else Tensor(batch)
             self._check_shape("batch", x.shape)
             h, ffn = self._prefix(x)
+        elif isinstance(batch, list):
+            parts = [(self._cached_prefix(f), r) for f, r in zip(batch, rows)]
+            h = Tensor(np.concatenate([h1[r] for (h1, _), r in parts]))
+            ffn = Tensor(np.concatenate([f1[r] for (_, f1), r in parts]))
         else:
             h1, f1 = self._cached_prefix(batch)
             h, ffn = Tensor(h1[rows]), Tensor(f1[rows])
         self.last_layer_probs = []
         for layer, block in enumerate(self.blocks):
             h, dense, selected = block.forward(h, ffn if layer == 0 else None)
-            self.last_layer_probs.append(dense.mean(axis=0))
+            self.last_layer_probs.append(dense.mean(axis=-2))
             if load is not None:
                 load.record(layer, selected, dense.values)
-        return h.mean(axis=1) @ self.head
+        pooled = h.mean(axis=1)
+        lead = self.adapters[0].WR.shape[:-2]
+        if lead:  # each member's rows against its own head
+            pooled = pooled.reshape(*lead, -1, self.cfg.dim)
+        return pooled @ self.head
 
     def _check_shape(self, what: str, shape: tuple[int, ...]) -> None:
         seq_len, input_dim = self.cfg.seq_len, self.input_dim
@@ -294,20 +327,34 @@ class Backbone:
             names.append("head")
         return names
 
-    def load_trainable(self, values: list[np.ndarray]) -> None:
-        """Copy a flat list (same order as trainable_parameters) into place;
-        the tensors stay the same objects, so optimizer bindings survive."""
+    def load_trainable(self, *members: list[np.ndarray]) -> None:
+        """Copy one flat list per member (same order as
+        trainable_parameters) into place.  One list loads each tensor with
+        its per-client shape; G > 1 lists load a stack, each tensor with a
+        leading member axis of G.  The tensors stay the same objects, so
+        optimizer bindings survive."""
         params = self.trainable_parameters()
-        if len(values) != len(params):
-            raise AggregationError(
-                f"expected {len(params)} tensors, got {len(values)}")
-        for i, (p, v) in enumerate(zip(params, values)):
-            v = np.asarray(v, dtype=np.float64)
-            if v.shape != p.values.shape:
+        for j, values in enumerate(members):
+            who = f"member {j}: " if len(members) > 1 else ""
+            if len(values) != len(params):
                 raise AggregationError(
-                    f"parameter {i} ({self.parameter_names()[i]}): shape "
-                    f"{v.shape} does not match {p.values.shape}")
-            p.values[...] = v
+                    f"{who}expected {len(params)} tensors, got {len(values)}")
+            for i, (v, shape) in enumerate(zip(values, self._shapes)):
+                if np.shape(v) != shape:
+                    raise AggregationError(
+                        f"{who}parameter {i} ({self.parameter_names()[i]}): "
+                        f"shape "
+                        f"{np.shape(v)} does not match {shape}")
+        for i, p in enumerate(params):
+            if len(members) == 1:
+                v = np.asarray(members[0][i], dtype=np.float64)
+            else:
+                v = np.stack([np.asarray(m[i], dtype=np.float64)
+                              for m in members])
+            if p.values.shape == v.shape:
+                p.values[...] = v
+            else:
+                p.values = v.copy() if len(members) == 1 else v
 
     def frozen_tensors(self) -> list[Tensor]:
         out = [self.w_in, self.pos]

@@ -5,17 +5,23 @@ locally on its own shard, average the uploads weighted by shard size, then
 evaluate the new global model on the held-out test set.  Only adapter
 parameters (and the head, when trainable) move over the wire.
 
-An experiment builds one frozen backbone and shares it: every client trains
-on it in turn and the server evaluates on it.  A client is a record of its
-shard, its budget K_n, its latest parameters and its own Adam moments;
-``local_train`` loads the record into the shared model, trains, and writes
-the result back.
+An experiment builds one frozen backbone and shares it: clients train on it
+stack by stack and the server evaluates on it.  A client is a record of its
+shard, its budget K_n and its latest parameters.  Clients whose shards have
+the same size form stacks of at most ``STACK_ROWS // batch_size`` members,
+and a stack trains in lock step: each step gathers every member's next
+batch, records one tape, runs one backward and takes one Adam step over the
+stacked parameters.  Each member keeps its own shuffle stream, budget, loss,
+aux gate and Adam moments, and gets the bits it would get training alone;
+the stack owns the moments.  ``local_train`` loads a stack into the shared
+model, trains it, and writes each member's result back.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,6 +45,10 @@ METRICS_COLUMNS = ("round", "client_id", "task_loss", "aux_loss",
 
 CHECKPOINT_MAGIC = "fedmoe-checkpoint 1"
 
+# Example rows one lock-step may hold across a stack's members: the step's
+# activations, and so peak memory, grow with them.
+STACK_ROWS = 128
+
 
 # ---------------------------------------------------------------------------
 # state
@@ -46,21 +56,32 @@ CHECKPOINT_MAGIC = "fedmoe-checkpoint 1"
 
 @dataclass
 class ClientState:
-    """One participant: private shard, sparsity budget, parameters + Adam.
+    """One participant: private shard, sparsity budget, latest parameters.
 
     ``params`` is the client's latest upload, or the initial adapter values
-    before its first round; ``optimizer`` is bound to the shared backbone's
-    trainable tensors but holds this client's own moments.
+    before its first round.
     """
 
     client_id: int
     shard: LabeledDataset
     k_n: int
     params: list[np.ndarray]
-    optimizer: Adam | None = None
 
     def adapter_params(self) -> list[np.ndarray]:
         return [v.copy() for v in self.params]
+
+
+@dataclass
+class ClientStack:
+    """Clients with equal shard sizes that train in lock step.
+
+    ``optimizer`` is bound to the shared backbone's trainable tensors while
+    the stack is loaded; member i's Adam moments are index i of its stacked
+    ``m`` and ``v`` (the whole arrays for a stack of one).
+    """
+
+    members: list[ClientState]
+    optimizer: Adam | None = None
 
 
 @dataclass
@@ -99,62 +120,101 @@ def broadcast(server: ServerState, clients: list[ClientState]) -> None:
         client.params = [v.copy() for v in server.global_params]
 
 
-def local_train(client: ClientState, backbone: Backbone, cfg: ExperimentConfig,
-                round_index: int) -> tuple[list[np.ndarray], ClientRoundMetrics]:
-    """One client's local pass on the shared backbone; returns copies of the
-    updated params (also written back to ``client.params``) and loss averages.
+def stack_clients(clients: list[ClientState],
+                  batch_size: int) -> list[ClientStack]:
+    """Sort the clients by (shard size, client id) and cut each run of equal
+    shard sizes into stacks of at most ``STACK_ROWS // batch_size`` (at
+    least 1) members."""
+    width = max(1, STACK_ROWS // batch_size)
+    ordered = sorted(clients, key=lambda c: (len(c.shard), c.client_id))
+    stacks = []
+    for _, run in itertools.groupby(ordered, key=lambda c: len(c.shard)):
+        run = list(run)
+        stacks.extend(ClientStack(run[i:i + width])
+                      for i in range(0, len(run), width))
+    return stacks
 
-    The shuffle stream is seeded by (run seed, round, client id) so a replay
-    of the same experiment revisits identical batches.
+
+def local_train(stack: ClientStack, backbone: Backbone, cfg: ExperimentConfig,
+                round_index: int
+                ) -> list[tuple[list[np.ndarray], ClientRoundMetrics]]:
+    """One stack's local pass on the shared backbone; returns, per member in
+    stack order, copies of its updated params (also written back to
+    ``params``) and its loss averages.
+
+    Each member's shuffle stream is seeded by (run seed, round, client id),
+    so a replay of the same experiment revisits identical batches, in a
+    stack or alone.
     """
-    if len(client.shard) == 0:
-        raise ConfigurationError(
-            f"client {client.client_id}: empty shard cannot train")
+    members = stack.members
+    n = len(members[0].shard)
+    for client in members:
+        if len(client.shard) == 0:
+            raise ConfigurationError(
+                f"client {client.client_id}: empty shard cannot train")
+        if len(client.shard) != n:
+            raise UsageError(
+                f"client {client.client_id}: shard size {len(client.shard)} "
+                f"differs from its stack's {n}")
     fed, aux_cfg = cfg.federation, cfg.aux
-    backbone.load_trainable(client.params)
-    for adapter in backbone.adapters:
-        adapter.k = client.k_n
+    stacked = len(members) > 1
+    backbone.load_trainable(*(c.params for c in members))
+    backbone.set_budget(np.array([c.k_n for c in members]) if stacked
+                        else members[0].k_n)
 
     trainable = backbone.trainable_parameters()
-    if client.optimizer is None or fed.reset_optimizer:
-        client.optimizer = Adam(trainable, lr=fed.lr,
-                                weight_decay=fed.weight_decay)
-    opt = client.optimizer
+    if stack.optimizer is None or fed.reset_optimizer:
+        stack.optimizer = Adam(trainable, lr=fed.lr,
+                               weight_decay=fed.weight_decay)
+    opt = stack.optimizer
 
-    rng = np.random.default_rng((cfg.seeds.run, round_index, client.client_id))
-    n = len(client.shard)
-    task_sum = aux_sum = 0.0
+    rngs = [np.random.default_rng((cfg.seeds.run, round_index, c.client_id))
+            for c in members]
+    features = [c.shard.features for c in members]
+    task_sum = np.zeros(len(members))
+    aux_sum = np.zeros(len(members))
     steps = 0
     for _ in range(fed.epochs):
-        order = rng.permutation(n)
+        orders = [rng.permutation(n) for rng in rngs]
         for start in range(0, n, fed.batch_size):
-            idx = order[start:start + fed.batch_size]
-            labels = client.shard.labels[idx]
+            rows = [order[start:start + fed.batch_size] for order in orders]
+            labels = [c.shard.labels[r] for c, r in zip(members, rows)]
             opt.zero_grad()
             with tz.Tape() as tape:
-                logits = backbone.forward(client.shard.features, rows=idx)
-                task = tz.cross_entropy(logits, labels)
+                if stacked:
+                    logits = backbone.forward(features, rows=rows)
+                    task = tz.cross_entropy(logits, np.stack(labels))
+                else:
+                    logits = backbone.forward(features[0], rows=rows[0])
+                    task = tz.cross_entropy(logits, labels[0])
                 aux = None
                 if aux_cfg.lam > 0.0:
                     aux = reduce_aux([aux_loss_layer(p, aux_cfg)
                                       for p in backbone.last_layer_probs],
                                      aux_cfg)
-                tape.backward(total_loss(task, aux, aux_cfg))
-            task_value = task.item()
-            aux_value = aux.item() if aux is not None else 0.0
-            if not (math.isfinite(task_value) and math.isfinite(aux_value)):
-                raise AggregationError(
-                    f"client {client.client_id}, round {round_index}, step "
-                    f"{steps}: loss is not finite (task {task_value}, aux "
-                    f"{aux_value})")
+                tape.backward(total_loss(task, aux, aux_cfg).sum())
+            task_values = task.values.reshape(-1)
+            aux_values = (aux.values.reshape(-1) if aux is not None
+                          else np.zeros(len(members)))
+            for client, t, a in zip(members, task_values, aux_values):
+                if not (math.isfinite(t) and math.isfinite(a)):
+                    raise AggregationError(
+                        f"client {client.client_id}, round {round_index}, "
+                        f"step {steps}: loss is not finite (task {t}, aux "
+                        f"{a})")
             opt.step()
-            task_sum += task_value
-            aux_sum += aux_value
+            task_sum += task_values
+            aux_sum += aux_values
             steps += 1
-    client.params = [p.values.copy() for p in trainable]
-    metrics = ClientRoundMetrics(client.client_id, task_sum / steps,
-                                 aux_sum / steps, steps)
-    return client.adapter_params(), metrics
+    results = []
+    for i, client in enumerate(members):
+        client.params = [(p.values[i] if stacked else p.values).copy()
+                         for p in trainable]
+        metrics = ClientRoundMetrics(client.client_id,
+                                     float(task_sum[i] / steps),
+                                     float(aux_sum[i] / steps), steps)
+        results.append((client.adapter_params(), metrics))
+    return results
 
 
 def aggregate(uploads: list[tuple[list[np.ndarray], int]]) -> list[np.ndarray]:
@@ -202,19 +262,24 @@ def resolve_eval_k(cfg: ExperimentConfig, clients: list[ClientState]) -> int:
     return max(c.k_n for c in clients)
 
 
-def run_round(server: ServerState, clients: list[ClientState],
+def run_round(server: ServerState, stacks: list[ClientStack],
               backbone: Backbone, test: LabeledDataset,
               cfg: ExperimentConfig) -> RoundReport:
-    """broadcast -> local training on every client -> aggregate -> evaluate,
-    all on the one shared backbone."""
+    """broadcast -> local training, stack by stack -> aggregate -> evaluate,
+    all on the one shared backbone.  Uploads reach ``aggregate`` in client-id
+    order, since its anchor is the first upload."""
     round_index = server.round_index
+    clients = sorted((c for s in stacks for c in s.members),
+                     key=lambda c: c.client_id)
     broadcast(server, clients)
-    uploads = []
-    fragments = []
-    for client in clients:
-        params, frag = local_train(client, backbone, cfg, round_index)
-        uploads.append((params, len(client.shard)))
-        fragments.append(frag)
+    trained = {}
+    for stack in stacks:
+        for client, result in zip(stack.members,
+                                  local_train(stack, backbone, cfg,
+                                              round_index)):
+            trained[client.client_id] = result
+    uploads = [(trained[c.client_id][0], len(c.shard)) for c in clients]
+    fragments = [trained[c.client_id][1] for c in clients]
     server.global_params = aggregate(uploads)
     server.round_index = round_index + 1
 
@@ -224,8 +289,7 @@ def run_round(server: ServerState, clients: list[ClientState],
     aux = float(np.dot(weights, [f.aux_loss for f in fragments]))
 
     eval_k = resolve_eval_k(cfg, clients)
-    for adapter in backbone.adapters:
-        adapter.k = eval_k
+    backbone.set_budget(eval_k)
     load = LoadMatrix.zeros(cfg.backbone.layers, cfg.adapter.experts)
     accuracy = evaluate_accuracy(backbone, server.global_params, test,
                                  load=load)
@@ -394,18 +458,18 @@ def run_experiment(cfg: ExperimentConfig,
     train, test = train_test_split(dataset, cfg.data.test_fraction,
                                    cfg.seeds.data)
     backbone = Backbone(cfg.backbone, cfg.adapter,
-                        k=max(cfg.sparsity.budgets(cfg.federation.clients)),
                         classes=train.class_count,
                         input_dim=cfg.data.input_dim,
                         frozen_seed=cfg.seeds.frozen)
     clients = build_clients(cfg, train, backbone)
+    stacks = stack_clients(clients, cfg.federation.batch_size)
     server = ServerState(
         global_params=[p.values.copy()
                        for p in backbone.trainable_parameters()])
 
     reports = []
     for _ in range(cfg.federation.rounds):
-        reports.append(run_round(server, clients, backbone, test, cfg))
+        reports.append(run_round(server, stacks, backbone, test, cfg))
 
     out = Path(run_dir) if run_dir is not None else None
     if out is not None:

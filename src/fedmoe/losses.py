@@ -4,7 +4,8 @@ Each adapter layer yields a batch-mean routing distribution P.  When that
 distribution concentrates past a threshold (its max entry reaching
 ``theta_th``), the layer contributes KL(P || uniform) to an auxiliary term
 that pushes routing back toward balance; below the threshold the layer
-contributes exactly zero.  The total objective is
+contributes exactly zero.  Clients that train as a stack give one P per
+member, as rows, and every term is then per member.  The total objective is
 ``task + lam * reduce_aux(per_layer_terms)``.
 """
 
@@ -49,21 +50,26 @@ def uniform_target(n_experts: int) -> np.ndarray:
 
 
 def _check_distribution(name: str, values: np.ndarray) -> None:
-    if values.ndim != 1:
-        raise InputError(f"{name} must be a vector, got shape {values.shape}")
+    """A probability vector, or rows of them ([G, M], one per member)."""
+    if values.ndim not in (1, 2):
+        raise InputError(f"{name} must be a vector or rows of vectors, got "
+                         f"shape {values.shape}")
     if (values < 0.0).any():
         raise InputError(f"{name} has negative entries")
-    if abs(values.sum() - 1.0) > 1e-6:
-        raise InputError(f"{name} sums to {values.sum():.8f}, not 1")
+    sums = values.sum(axis=-1)
+    off = np.abs(sums - 1.0) > 1e-6
+    if off.any():
+        raise InputError(f"{name} sums to {sums[off].flat[0]:.8f}, not 1")
 
 
 def kl_divergence(p_local, p_global) -> Tensor:
     """KL(P_l || P_g) with 0 log 0 = 0; differentiable in P_l.
 
-    ``p_local`` may be a Tensor on the active tape; ``p_global`` is treated
-    as a constant and must be strictly positive.  The value is non-negative,
-    with round-off below zero clamped to exactly 0; the gradient is the
-    plain ``log(P_l / P_g) + 1`` on the support of P_l.
+    ``p_local`` may be a Tensor on the active tape, and may hold one
+    distribution per row, giving one KL per row; ``p_global`` is a vector
+    treated as a constant and must be strictly positive.  The value is
+    non-negative, with round-off below zero clamped to exactly 0; the
+    gradient is the plain ``log(P_l / P_g) + 1`` on the support of P_l.
     """
     p = p_local if isinstance(p_local, Tensor) else Tensor(p_local)
     q = p_global.values if isinstance(p_global, Tensor) else np.asarray(
@@ -80,13 +86,16 @@ def aux_loss_layer(p_local, cfg: AuxLossConfig) -> Tensor:
 
     The gate compares theta = max(P_l) against cfg.theta_th on values only;
     gradients flow through the KL term, never through the gate itself.
+    Given rows [G, M] (one per stacked member), each row has its own gate
+    and term: a row whose gate stays shut is exactly 0, with zero gradient.
     """
     p = p_local if isinstance(p_local, Tensor) else Tensor(p_local)
     _check_distribution("P_l", p.values)
-    theta = p.values.max()
-    if theta < cfg.theta_th:
-        return Tensor(0.0)
-    return kl_divergence(p, uniform_target(p.values.size))
+    fires = ~(p.values.max(axis=-1) < cfg.theta_th)
+    if not fires.any():
+        return Tensor(np.zeros(fires.shape))
+    kl = kl_divergence(p, uniform_target(p.shape[-1]))
+    return kl if fires.all() else kl * fires
 
 
 def reduce_aux(per_layer_aux: list[Tensor], cfg: AuxLossConfig) -> Tensor:

@@ -458,31 +458,36 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
 
 
 def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
-    """Mean cross-entropy of integer ``labels`` under ``logits`` [batch, C]."""
-    if logits.ndim != 2:
+    """Mean cross-entropy of integer ``labels`` under ``logits`` [batch, C];
+    a stack [G, batch, C] with labels [G, batch] gives one mean per member."""
+    if logits.ndim < 2:
         raise DimensionError(f"cross_entropy: logits must be 2-d, got {logits.shape}")
     labels = np.asarray(labels)
-    if labels.shape != (logits.shape[0],):
+    if labels.shape != logits.shape[:-1]:
         raise DimensionError(
-            f"cross_entropy: {labels.shape} labels for {logits.shape[0]} rows")
-    n, c = logits.shape
+            f"cross_entropy: {labels.shape} labels for logits {logits.shape}")
+    n, c = logits.shape[-2:]
     if labels.min() < 0 or labels.max() >= c:
         raise InputError(f"cross_entropy: labels outside [0, {c})")
+    at = labels[..., None]
     z = logits.values
     m = z.max(axis=-1, keepdims=True)
     lse = m + np.log(np.exp(z - m).sum(axis=-1, keepdims=True))
-    values = np.asarray((lse[:, 0] - z[np.arange(n), labels]).mean())
+    values = np.asarray(
+        (lse - np.take_along_axis(z, at, axis=-1))[..., 0].mean(axis=-1))
 
     def back(g: np.ndarray) -> None:
         p = np.exp(z - lse)
-        p[np.arange(n), labels] -= 1.0
-        _accumulate(logits, g * p / n)
+        np.put_along_axis(p, at, np.take_along_axis(p, at, axis=-1) - 1.0,
+                          axis=-1)
+        _accumulate(logits, g[..., None, None] * p / n)
 
     return _emit(values, (logits,), back)
 
 
 def rel_entropy(p: Tensor, q: np.ndarray) -> Tensor:
-    """KL(p || q) for a probability vector ``p`` and constant target ``q``.
+    """KL(p || q) for a probability vector ``p`` and constant target ``q``;
+    for rows ``p`` [G, M] and a target [M], one KL per row.
 
     The value is non-negative: round-off in the termwise sum that lands
     below zero (p one ulp from q, say) is clamped to exactly 0.  The
@@ -491,17 +496,18 @@ def rel_entropy(p: Tensor, q: np.ndarray) -> Tensor:
     (0 log 0 = 0) and receive zero gradient.
     """
     q = np.asarray(q, dtype=np.float64)
-    if q.shape != p.shape:
+    if q.shape not in (p.shape, p.shape[-1:]):
         raise DimensionError(f"rel_entropy: shapes {p.shape} vs {q.shape}")
     if (q <= 0.0).any():
         raise InputError("rel_entropy: target distribution has a zero entry")
     pv = p.values
     pos = pv > 0.0
     ratio = np.where(pos, pv / q, 1.0)
-    values = np.asarray(max(np.where(pos, pv * np.log(ratio), 0.0).sum(), 0.0))
+    kl = np.where(pos, pv * np.log(ratio), 0.0).sum(axis=-1)
+    values = np.where(kl < 0.0, 0.0, kl)
 
     def back(g: np.ndarray) -> None:
-        _accumulate(p, g * np.where(pos, np.log(ratio) + 1.0, 0.0))
+        _accumulate(p, g[..., None] * np.where(pos, np.log(ratio) + 1.0, 0.0))
 
     return _emit(values, (p,), back)
 
@@ -514,7 +520,9 @@ class Adam:
 
     The decay step ``theta -= lr * wd * theta`` is applied outside the moment
     estimates, so a parameter with zero gradient still shrinks by exactly
-    ``lr * wd`` per step.
+    ``lr * wd`` per step.  Every update is elementwise, so Adam over a stack
+    of G members' tensors (leading member axis) gives each member the bits
+    of its own Adam, with its moments at index i of ``m`` and ``v``.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float = 3e-4,

@@ -111,8 +111,9 @@ def test_criterion_03_end_to_end_gradients():
     start = time.monotonic()
     rng = np.random.default_rng(303)
     backbone = Backbone(BackboneConfig(layers=2, dim=16, heads=4, seq_len=4),
-                        AdapterConfig(experts=4, rank=2), k=2, classes=4,
+                        AdapterConfig(experts=4, rank=2), classes=4,
                         input_dim=8, frozen_seed=3)
+    backbone.set_budget(2)
     # generic parameter values: live gradients everywhere, no routing ties
     for adapter in backbone.adapters:
         adapter.WR.values[...] = rng.normal(0.0, 0.5, adapter.WR.shape)

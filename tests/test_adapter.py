@@ -430,8 +430,9 @@ def test_last_mean_probs_is_batch_mean_dense_softmax():
 
 def small_backbone(k=1, seed=3):
     cfg = BackboneConfig(layers=2, dim=6, heads=2, seq_len=4)
-    bb = Backbone(cfg, AdapterConfig(experts=2, rank=3), k=k, classes=3,
+    bb = Backbone(cfg, AdapterConfig(experts=2, rank=3), classes=3,
                   input_dim=5, frozen_seed=3)
+    bb.set_budget(k)
     rng = np.random.default_rng(seed)
     for p in bb.trainable_parameters():
         p.values[...] = rng.normal(size=p.shape)

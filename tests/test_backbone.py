@@ -18,11 +18,13 @@ from oracles import finite_difference_grads
 
 SMALL = BackboneConfig(layers=2, dim=16, heads=2, seq_len=8)
 SMALL_ADAPTER = AdapterConfig(experts=4, rank=2)
-SMALL_DATA = dict(k=2, classes=4, input_dim=6, frozen_seed=11)
+SMALL_DATA = dict(classes=4, input_dim=6, frozen_seed=11)
 
 
 def small_backbone(cfg=SMALL, **overrides):
-    return Backbone(cfg, SMALL_ADAPTER, **{**SMALL_DATA, **overrides})
+    bb = Backbone(cfg, SMALL_ADAPTER, **{**SMALL_DATA, **overrides})
+    bb.set_budget(2)
+    return bb
 
 
 def frozen_forward_oracle(bb, batch):
@@ -105,8 +107,9 @@ def test_stats_count_conservation():
 
 def test_adapter_gradients_match_fd_through_full_stack():
     cfg = BackboneConfig(layers=2, dim=8, heads=2, seq_len=4)
-    bb = Backbone(cfg, AdapterConfig(experts=2, rank=2), k=1, classes=3,
+    bb = Backbone(cfg, AdapterConfig(experts=2, rank=2), classes=3,
                   input_dim=5, frozen_seed=3)
+    bb.set_budget(1)
     rng = np.random.default_rng(4)
     # tie-free routing + live expert outputs
     for adapter in bb.adapters:
@@ -132,7 +135,7 @@ def test_adapter_gradients_match_fd_through_full_stack():
 
 def test_trainable_count_matches_adapter_configuration():
     cfg = BackboneConfig(layers=3, dim=16, heads=4, seq_len=4)
-    bb = Backbone(cfg, AdapterConfig(experts=2, rank=3), k=1, classes=4,
+    bb = Backbone(cfg, AdapterConfig(experts=2, rank=3), classes=4,
                   input_dim=4, frozen_seed=5)
     per_layer = (3 + 3) * 2 * 16 + 2 * 16  # expert entries + router rows
     got = sum(p.values.size for p in bb.trainable_parameters())
@@ -143,7 +146,7 @@ def test_trainable_count_matches_adapter_configuration():
 def test_trainable_parameters_are_three_stacked_tensors_per_layer(trainable_head):
     cfg = BackboneConfig(layers=3, dim=16, heads=4, seq_len=4,
                          trainable_head=trainable_head)
-    bb = Backbone(cfg, AdapterConfig(experts=5, rank=3), k=2, classes=4,
+    bb = Backbone(cfg, AdapterConfig(experts=5, rank=3), classes=4,
                   input_dim=4, frozen_seed=5)
     shapes = [(5, 3, 16), (5, 16, 3), (5, 16)] * 3
     names = [f"layer{i}.{n}" for i in range(3)
@@ -191,6 +194,22 @@ def test_load_trainable_round_trip_and_length_check():
         np.testing.assert_array_equal(p.values, s)
     with pytest.raises(AggregationError):
         bb.load_trainable(saved[:-1])
+
+
+def test_load_trainable_stacks_members_and_names_a_bad_one():
+    bb = small_backbone()
+    one = [p.values.copy() for p in bb.trainable_parameters()]
+    two = [v + 1.0 for v in one]
+    bb.load_trainable(one, two)
+    for p, a, b in zip(bb.trainable_parameters(), one, two):
+        assert p.shape == (2,) + a.shape
+        assert np.array_equal(p.values[0], a) and np.array_equal(p.values[1], b)
+    with pytest.raises(AggregationError,
+                       match=r"member 1: parameter 2 \(layer0\.router\.WR\)"):
+        bb.load_trainable(one, two[:2] + [two[2].T] + two[3:])
+    bb.load_trainable(two)
+    for p, b in zip(bb.trainable_parameters(), two):
+        assert np.array_equal(p.values, b)
 
 
 def test_load_trainable_names_a_bad_head_by_global_index():
@@ -323,7 +342,8 @@ def prefix_case(name, n=700, seed=41):
     512-row prefix chunk), labels, and one batch of fancy-index rows."""
     (batch, seq_len, dim), adapter_cfg, k = BLOCK_CASES[name]
     bb = Backbone(BackboneConfig(layers=2, dim=dim, heads=4, seq_len=seq_len),
-                  adapter_cfg, k=k, classes=4, input_dim=6, frozen_seed=seed)
+                  adapter_cfg, classes=4, input_dim=6, frozen_seed=seed)
+    bb.set_budget(k)
     rng = np.random.default_rng(seed)
     for t in bb.trainable_parameters():
         t.values[...] = rng.normal(0.0, 0.5, size=t.shape)

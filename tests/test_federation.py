@@ -8,13 +8,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from fedmoe.backbone import Backbone
-from fedmoe.config import ExperimentConfig
+from fedmoe.config import ExperimentConfig, parse_config_file
 from fedmoe.errors import AggregationError, InputError, UsageError
-from fedmoe.federation import (ServerState, aggregate, broadcast,
-                               build_clients, load_checkpoint, local_train,
-                               resolve_eval_k, run_experiment, run_round,
-                               save_checkpoint, write_metrics_csv)
+from fedmoe.federation import (STACK_ROWS, ClientStack, ServerState,
+                               aggregate, broadcast, build_clients,
+                               load_checkpoint, local_train, resolve_eval_k,
+                               run_experiment, run_round, save_checkpoint,
+                               stack_clients, write_metrics_csv)
 from fedmoe.errors import ConfigurationError
+from regenerate_golden import GOLDEN, RUNS
 
 SMALL = {
     "data.n": "240", "data.input_dim": "8", "data.classes": "4",
@@ -41,7 +43,6 @@ def make_world(cfg):
     train, test = train_test_split(dataset, cfg.data.test_fraction,
                                    cfg.seeds.data)
     backbone = Backbone(cfg.backbone, cfg.adapter,
-                        k=max(cfg.sparsity.budgets(cfg.federation.clients)),
                         classes=train.class_count,
                         input_dim=cfg.data.input_dim,
                         frozen_seed=cfg.seeds.frozen)
@@ -49,6 +50,15 @@ def make_world(cfg):
     server = ServerState(global_params=[
         p.values.copy() for p in backbone.trainable_parameters()])
     return clients, backbone, server, test
+
+
+def stacks_of(cfg, clients):
+    return stack_clients(clients, cfg.federation.batch_size)
+
+
+def train_alone(client, backbone, cfg, round_index):
+    """``local_train`` on a stack of one: the client's (params, metrics)."""
+    return local_train(ClientStack([client]), backbone, cfg, round_index)[0]
 
 
 def random_upload(rng, shapes):
@@ -181,7 +191,7 @@ class TestLocalTrain:
         cfg = small_config(**{"federation.lr": "0"})
         clients, backbone, _, _ = make_world(cfg)
         before = clients[0].adapter_params()
-        params, frag = local_train(clients[0], backbone, cfg, round_index=0)
+        params, frag = train_alone(clients[0], backbone, cfg, round_index=0)
         for got, want in zip(params, before):
             np.testing.assert_array_equal(got, want)
         assert frag.steps == 2  # 48-sample shard, batch 32
@@ -191,7 +201,7 @@ class TestLocalTrain:
         runs = []
         for _ in range(2):
             clients, backbone, _, _ = make_world(cfg)
-            params, frag = local_train(clients[1], backbone, cfg,
+            params, frag = train_alone(clients[1], backbone, cfg,
                                        round_index=0)
             runs.append((params, frag.task_loss))
         for a, b in zip(runs[0][0], runs[1][0]):
@@ -203,7 +213,7 @@ class TestLocalTrain:
         outs = []
         for round_index in (0, 1):
             clients, backbone, _, _ = make_world(cfg)
-            params, _ = local_train(clients[1], backbone, cfg, round_index)
+            params, _ = train_alone(clients[1], backbone, cfg, round_index)
             outs.append(params)
         assert any(not np.array_equal(a, b) for a, b in zip(*outs))
 
@@ -211,14 +221,14 @@ class TestLocalTrain:
         cfg = small_config()
         clients, backbone, _, _ = make_world(cfg)
         checksum = backbone.frozen_checksum()
-        local_train(clients[0], backbone, cfg, round_index=0)
+        train_alone(clients[0], backbone, cfg, round_index=0)
         assert backbone.frozen_checksum() == checksum
 
     def test_result_is_written_back_and_returned_as_copies(self):
         cfg = small_config()
         clients, backbone, _, _ = make_world(cfg)
         before = clients[0].adapter_params()
-        params, _ = local_train(clients[0], backbone, cfg, round_index=0)
+        params, _ = train_alone(clients[0], backbone, cfg, round_index=0)
         trained = [p.values for p in backbone.trainable_parameters()]
         for got, record, live, old in zip(params, clients[0].params, trained,
                                           before):
@@ -236,11 +246,11 @@ class TestLocalTrain:
             clients, backbone, _, _ = make_world(cfg)
             out = alone if not others else interleaved
             for round_index in (0, 1):
-                out.append(local_train(clients[0], backbone, cfg,
+                out.append(train_alone(clients[0], backbone, cfg,
                                        round_index)[0])
                 if others:  # other clients train on the same tensors between
-                    for client in clients[1:]:
-                        local_train(client, backbone, cfg, round_index)
+                    for stack in stacks_of(cfg, clients[1:]):
+                        local_train(stack, backbone, cfg, round_index)
         for a, b in zip(alone, interleaved):
             for x, y in zip(a, b):
                 np.testing.assert_array_equal(x, y)
@@ -248,29 +258,115 @@ class TestLocalTrain:
     def test_optimizer_persists_across_rounds_by_default(self):
         cfg = small_config()
         clients, backbone, _, _ = make_world(cfg)
-        _, frag0 = local_train(clients[0], backbone, cfg, round_index=0)
-        opt = clients[0].optimizer
-        local_train(clients[0], backbone, cfg, round_index=1)
-        assert clients[0].optimizer is opt
+        stack = ClientStack([clients[0]])
+        [(_, frag0)] = local_train(stack, backbone, cfg, round_index=0)
+        opt = stack.optimizer
+        local_train(stack, backbone, cfg, round_index=1)
+        assert stack.optimizer is opt
         assert opt.t == 2 * frag0.steps
 
     def test_reset_optimizer_flag_gives_fresh_moments(self):
         cfg = small_config(**{"federation.reset_optimizer": "true"})
         clients, backbone, _, _ = make_world(cfg)
-        _, frag0 = local_train(clients[0], backbone, cfg, round_index=0)
-        opt = clients[0].optimizer
-        local_train(clients[0], backbone, cfg, round_index=1)
-        assert clients[0].optimizer is not opt
-        assert clients[0].optimizer.t == frag0.steps
-
+        stack = ClientStack([clients[0]])
+        [(_, frag0)] = local_train(stack, backbone, cfg, round_index=0)
+        opt = stack.optimizer
+        local_train(stack, backbone, cfg, round_index=1)
+        assert stack.optimizer is not opt
+        assert stack.optimizer.t == frag0.steps
 
     def test_non_finite_loss_names_client_and_round(self):
         cfg = small_config()
         clients, backbone, _, _ = make_world(cfg)
         clients[2].shard.features[0, 0, 0] = np.nan
-        local_train(clients[1], backbone, cfg, round_index=3)
+        train_alone(clients[1], backbone, cfg, round_index=3)
         with pytest.raises(AggregationError, match="client 2, round 3"):
-            local_train(clients[2], backbone, cfg, round_index=3)
+            train_alone(clients[2], backbone, cfg, round_index=3)
+
+        # in a stack, the second member goes non-finite at round 1's step 0
+        cfg = small_config(**STACKED)
+        clients, backbone, _, _ = make_world(cfg)
+        stack = ClientStack(clients)
+        local_train(stack, backbone, cfg, round_index=0)
+        bad = clients[1].shard.subset(np.arange(len(clients[1].shard)))
+        bad.features[:, 0, 0] = np.nan  # a fresh array: a fresh prefix
+        clients[1].shard = bad
+        params = [c.adapter_params() for c in clients]
+        opt = stack.optimizer
+        t, m, v = opt.t, [a.copy() for a in opt.m], [a.copy() for a in opt.v]
+        with pytest.raises(AggregationError,
+                           match=f"client {clients[1].client_id}, round 1, "
+                                 "step 0: loss is not finite"):
+            local_train(stack, backbone, cfg, round_index=1)
+        assert stack.optimizer is opt and opt.t == t
+        for got, want in zip(opt.m + opt.v, m + v):
+            np.testing.assert_array_equal(got, want)
+        for client, before in zip(clients, params):
+            for got, want in zip(client.params, before):
+                np.testing.assert_array_equal(got, want)
+
+
+# Three equal iid shards of 64, budgets 4, 4 and 1, a trainable head, aux on:
+# the K=4 members' aux gates open and shut step by step, the K=1 member's
+# router gets no gradient and its gate stays shut.
+STACKED = {"federation.clients": "3", "data.partition": "iid",
+           "data.n": "240", "federation.batch_size": "16",
+           "federation.lr": "0.01",
+           "backbone.trainable_head": "true", "sparsity.mode": "capability",
+           "sparsity.k_high": "4", "sparsity.k_low": "1",
+           "aux.lambda": "0.01", "aux.theta_th": "0.26"}
+
+
+class TestStacks:
+    def test_stack_members_train_bit_for_bit_as_alone(self):
+        cfg = small_config(**STACKED)
+        clients, backbone, _, _ = make_world(cfg)
+        assert [len(c.shard) for c in clients] == [64] * 3
+        assert [c.k_n for c in clients] == [4, 4, 1]
+        [stack] = stacks_of(cfg, clients)
+        assert stack.members == clients
+        together = [local_train(stack, backbone, cfg, r) for r in (0, 1)]
+        aux = [frag.aux_loss for _, frag in together[1]]
+        assert aux[0] > 0.0 and aux[1] > 0.0 and aux[0] != aux[1]
+        assert aux[2] == 0.0
+        for i, client in enumerate(clients):
+            twins, twin_backbone, _, _ = make_world(cfg)
+            alone = ClientStack([twins[i]])
+            for r, results in enumerate(together):
+                [(want_params, want)] = local_train(alone, twin_backbone,
+                                                    cfg, r)
+                got_params, got = results[i]
+                assert (got.client_id, got.task_loss, got.aux_loss,
+                        got.steps) == (want.client_id, want.task_loss,
+                                       want.aux_loss, want.steps)
+                for a, b in zip(got_params, want_params):
+                    assert np.array_equal(a, b)
+            assert stack.optimizer.t == alone.optimizer.t == 8
+            for stacked, single in zip(stack.optimizer.m + stack.optimizer.v,
+                                       alone.optimizer.m + alone.optimizer.v):
+                assert np.array_equal(stacked[i], single)
+            for a, b in zip(client.params, twins[i].params):
+                assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("run", RUNS)
+    def test_grouping_rule_on_the_golden_configs(self, run):
+        cfg = ExperimentConfig.resolve(
+            parse_config_file(GOLDEN / run / "config.txt"))
+        clients = make_world(cfg)[0]
+        stacks = stacks_of(cfg, clients)
+        batch = cfg.federation.batch_size
+        if run.startswith("grid"):
+            assert [len(s.members) for s in stacks] == [4]
+        if run.startswith("wide"):
+            assert [len(s.members) for s in stacks] == [1] * 10
+        members = [c.client_id for s in stacks for c in s.members]
+        assert sorted(members) == list(range(len(clients)))
+        for stack in stacks:
+            sizes = {len(c.shard) for c in stack.members}
+            assert len(sizes) == 1
+            assert len(stack.members) * min(batch, sizes.pop()) <= STACK_ROWS
+        keys = [(len(c.shard), c.client_id) for s in stacks for c in s.members]
+        assert keys == sorted(keys)
 
 
 class TestRunRound:
@@ -278,7 +374,8 @@ class TestRunRound:
         cfg = small_config(**{"federation.lr": "0"})
         clients, backbone, server, test = make_world(cfg)
         before = [v.copy() for v in server.global_params]
-        report = run_round(server, clients, backbone, test, cfg)
+        report = run_round(server, stacks_of(cfg, clients), backbone,
+                           test, cfg)
         for got, want in zip(server.global_params, before):
             np.testing.assert_array_equal(got, want)
         assert report.round_index == 0 and server.round_index == 1
@@ -289,16 +386,18 @@ class TestRunRound:
         clients, backbone, server, test = make_world(cfg)
         twin_clients, twin_backbone, twin_server, _ = make_world(cfg)
         broadcast(twin_server, twin_clients)
-        expected, _ = local_train(twin_clients[0], twin_backbone, cfg,
+        expected, _ = train_alone(twin_clients[0], twin_backbone, cfg,
                                   round_index=0)
-        run_round(server, clients, backbone, test, cfg)
+        run_round(server, stacks_of(cfg, clients), backbone,
+                  test, cfg)
         for got, want in zip(server.global_params, expected):
             np.testing.assert_array_equal(got, want)
 
     def test_report_fields_are_sane(self):
         cfg = small_config()
         clients, backbone, server, test = make_world(cfg)
-        report = run_round(server, clients, backbone, test, cfg)
+        report = run_round(server, stacks_of(cfg, clients), backbone,
+                           test, cfg)
         assert 0.0 <= report.accuracy <= 1.0
         assert report.utilization.mean_kl >= 0.0
         assert {f.client_id for f in report.clients} == {0, 1, 2, 3}
@@ -310,7 +409,8 @@ class TestRunRound:
                               "sparsity.k_high": "4", "sparsity.k_low": "1"})
         clients, backbone, server, test = make_world(cfg)
         assert sorted({c.k_n for c in clients}) == [1, 4]
-        report = run_round(server, clients, backbone, test, cfg)
+        report = run_round(server, stacks_of(cfg, clients), backbone,
+                           test, cfg)
         assert report.eval_k == 4
 
     def test_replay_reports_are_identical(self):
@@ -318,7 +418,8 @@ class TestRunRound:
         results = []
         for _ in range(2):
             clients, backbone, server, test = make_world(cfg)
-            report = run_round(server, clients, backbone, test, cfg)
+            report = run_round(server, stacks_of(cfg, clients), backbone,
+                               test, cfg)
             results.append(report)
         a, b = results
         assert a.accuracy == b.accuracy
@@ -360,7 +461,8 @@ class TestCheckpoint:
         cfg = small_config(**{"sparsity.mode": "capability",
                               "sparsity.k_high": "4", "sparsity.k_low": "1"})
         clients, backbone, server, test = make_world(cfg)
-        run_round(server, clients, backbone, test, cfg)
+        run_round(server, stacks_of(cfg, clients), backbone,
+                  test, cfg)
         path = tmp_path / "ck.bin"
         names = backbone.parameter_names()
         save_checkpoint(names, server.global_params, path)
@@ -472,7 +574,6 @@ class TestRunExperiment:
                 (tmp_path / "b" / name).read_bytes(), name
 
     def test_written_config_replays_the_run(self, tmp_path):
-        from fedmoe.config import parse_config_file
         cfg = small_config()
         run_experiment(cfg, tmp_path / "a")
         replayed = ExperimentConfig.resolve(
@@ -541,7 +642,8 @@ class TestRunExperiment:
 def test_metrics_csv_uses_stable_float_format(tmp_path):
     cfg = small_config(**{"federation.rounds": "1"})
     clients, backbone, server, test = make_world(cfg)
-    report = run_round(server, clients, backbone, test, cfg)
+    report = run_round(server, stacks_of(cfg, clients), backbone,
+                       test, cfg)
     path = tmp_path / "m.csv"
     write_metrics_csv([report], path)
     again = tmp_path / "m2.csv"

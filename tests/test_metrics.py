@@ -139,11 +139,17 @@ def test_heatmap_write_failure_names_path(tmp_path):
 
 BB = BackboneConfig(layers=2, dim=16, heads=2, seq_len=4)
 AD = AdapterConfig(experts=4, rank=2)
-BB_DATA = dict(k=2, classes=4, input_dim=5, frozen_seed=21)
+BB_DATA = dict(classes=4, input_dim=5, frozen_seed=21)
+
+
+def small_bb(cfg=BB, k=2):
+    bb = Backbone(cfg, AD, **BB_DATA)
+    bb.set_budget(k)
+    return bb
 
 
 def test_accuracy_is_chance_level_on_random_labels():
-    bb = Backbone(BB, AD, **BB_DATA)
+    bb = small_bb()
     ds = synth_dataset(2000, 4, 4, 5, separation=1.0, seed=22)
     shuffled = np.random.default_rng(23).permutation(ds.labels)
     ds.labels = shuffled  # any fixed predictor is at chance now
@@ -152,14 +158,14 @@ def test_accuracy_is_chance_level_on_random_labels():
 
 
 def test_accuracy_on_single_item_is_zero_or_one():
-    bb = Backbone(BB, AD, **BB_DATA)
+    bb = small_bb()
     ds = synth_dataset(4, 4, 4, 5, separation=1.0, seed=24)
     acc = evaluate_accuracy(bb, None, ds.subset([0]))
     assert acc in (0.0, 1.0)
 
 
 def test_accuracy_is_invariant_to_example_order():
-    bb = Backbone(BB, AD, **BB_DATA)
+    bb = small_bb()
     ds = synth_dataset(64, 4, 4, 5, separation=2.0, seed=25)
     acc = evaluate_accuracy(bb, None, ds, batch_size=16)
     perm = np.random.default_rng(26).permutation(len(ds))
@@ -168,7 +174,7 @@ def test_accuracy_is_invariant_to_example_order():
 
 
 def test_accuracy_records_stats_for_the_load_matrix():
-    bb = Backbone(BB, AD, **BB_DATA)
+    bb = small_bb()
     ds = synth_dataset(32, 4, 4, 5, separation=1.0, seed=27)
     load = LoadMatrix.zeros(2, 4)
     evaluate_accuracy(bb, None, ds, batch_size=10, load=load)
@@ -179,8 +185,7 @@ def test_accuracy_records_stats_for_the_load_matrix():
 
 @pytest.mark.parametrize("k", [1, 3])
 def test_load_tally_conserves_tokens_and_leaves_accuracy_unchanged(k):
-    bb = Backbone(BackboneConfig(layers=3, dim=16, heads=2, seq_len=6), AD,
-                  **{**BB_DATA, "k": k})
+    bb = small_bb(BackboneConfig(layers=3, dim=16, heads=2, seq_len=6), k)
     rng = np.random.default_rng(30)
     for adapter in bb.adapters:
         adapter.WR.values[...] = rng.normal(size=adapter.WR.shape)
@@ -196,7 +201,7 @@ def test_load_tally_conserves_tokens_and_leaves_accuracy_unchanged(k):
 
 
 def test_accuracy_loads_given_parameters():
-    bb = Backbone(BB, AD, **BB_DATA)
+    bb = small_bb()
     ds = synth_dataset(32, 4, 4, 5, separation=1.0, seed=28)
     params = [p.values.copy() for p in bb.trainable_parameters()]
     params[0] = params[0] + 0.5
@@ -206,7 +211,7 @@ def test_accuracy_loads_given_parameters():
 
 @pytest.mark.parametrize("batch_size", [0, -4])
 def test_accuracy_rejects_a_batch_size_below_one(batch_size):
-    bb = Backbone(BB, AD, **BB_DATA)
+    bb = small_bb()
     ds = synth_dataset(8, 4, 4, 5, separation=1.0, seed=29)
     with pytest.raises(InputError, match=f"batch_size = {batch_size}"):
         evaluate_accuracy(bb, None, ds, batch_size=batch_size)
