@@ -6,13 +6,13 @@ weights are a softmax over the K largest routing logits (others exactly
 zero); in ``uniform_one`` mode every expert contributes with weight exactly 1,
 which makes a linear adapter equal to a dense low-rank update ``B @ A``.
 
-The M experts live in two stacked tensors, ``E1 [M, r, d]`` and
-``E2 [M, d, r]``, beside the router's ``WR [M, d]``: three parameters per
-adapter, with the same shapes on every client.
+The M experts live in two stacked tensors, ``E1 [G, M, r, d]`` and
+``E2 [G, M, d, r]``, beside the router's ``WR [G, M, d]``: three parameters
+per adapter, with the same per-client shapes on every client.
 
-Clients that train in lock step load as one stack of G members: each
-parameter then carries a leading member axis (``E1 [G, M, r, d]``), the
-inputs are ``[G, tokens, d]`` and the budget is one K per member.  Every
+The leading member axis G is the one shape convention.  A new adapter is a
+stack of one; clients that train in lock step load as a stack of G members,
+with one budget K per member.  The inputs are ``[G, tokens, d]`` and every
 matmul runs per member over that member's own tokens, so a member's values
 and gradients are bit for bit those of the same client loaded alone.
 
@@ -85,36 +85,37 @@ def _t(a: np.ndarray) -> np.ndarray:
 class ExpertNetwork:
     """The M two-layer experts R^d -> R^d of one adapter, as a stacked bank.
 
-    Expert m maps through rank r with ``E1[m]`` and ``E2[m]``; a LoRA split
-    with ragged ranks zero-pads each expert to the largest one.
+    Expert m maps through rank r with ``E1[:, m]`` and ``E2[:, m]``; a LoRA
+    split with ragged ranks zero-pads each expert to the largest one.
     """
 
     def __init__(self, e1: Tensor, e2: Tensor, activation: str):
-        self.E1 = e1   # [M, r, d]
-        self.E2 = e2   # [M, d, r]
+        self.E1 = e1   # [G, M, r, d]
+        self.E2 = e2   # [G, M, d, r]
         self.activation = activation
 
     def forward(self, x: np.ndarray, m: int) -> tuple[
             np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
-        """Apply expert m to a [tokens, d] array (or [G, tokens, d] for a
-        stack, member by member), values only.
+        """Apply expert m to a [G, tokens, d] array, member by member,
+        values only.
 
-        Returns the pre-activation ``h = x E1[m]^T``, the GELU factor ``phi``
-        (None for a linear expert), the activation ``a`` and the output
-        ``y = a E2[m]^T``; the mixture op's backward reads the first three.
+        Returns the pre-activation ``h = x E1[:, m]^T``, the GELU factor
+        ``phi`` (None for a linear expert), the activation ``a`` and the
+        output ``y = a E2[:, m]^T``; the mixture op's backward reads the
+        first three.
         """
-        h = x @ _t(self.E1.values[..., m, :, :])
+        h = x @ _t(self.E1.values[:, m])
         if self.activation == "gelu":
             phi, a = tz._gelu_values(h)
         else:
             phi, a = None, h
-        return h, phi, a, a @ _t(self.E2.values[..., m, :, :])
+        return h, phi, a, a @ _t(self.E2.values[:, m])
 
 
 class MoEAdapter:
-    """M stacked experts plus a router ``WR [M, d]``, gated by top-K softmax
-    or uniform weights.  ``k`` is the budget: an int, or a [G, 1, 1] array
-    of one K per member when the parameters are a stack."""
+    """M stacked experts plus a router ``WR [G, M, d]``, gated by top-K
+    softmax or uniform weights; built as a stack of one.  ``k`` is the
+    budget: an int, or a [G, 1, 1] array of one K per member."""
 
     def __init__(self, dim: int, cfg: AdapterConfig, k: int,
                  rng: np.random.Generator | None = None):
@@ -127,9 +128,10 @@ class MoEAdapter:
         self.k = k
         self.gating_mode = cfg.gating_mode
         m, r = cfg.experts, cfg.rank
-        self.E1 = parameter(rng.normal(0.0, EXPERT_INIT_STD, size=(m, r, dim)))
-        self.E2 = parameter(np.zeros((m, dim, r)))
-        self.WR = parameter(np.zeros((m, dim)))
+        self.E1 = parameter(rng.normal(0.0, EXPERT_INIT_STD,
+                                       size=(1, m, r, dim)))
+        self.E2 = parameter(np.zeros((1, m, dim, r)))
+        self.WR = parameter(np.zeros((1, m, dim)))
         self.experts = ExpertNetwork(self.E1, self.E2, cfg.activation)
 
     # -- construction --------------------------------------------------------
@@ -139,9 +141,9 @@ class MoEAdapter:
         """Split a LoRA pair (A [r, d], B [d, r]) into linear experts.
 
         Expert m takes the m-th row block of A and column block of B, in the
-        leading ``ranks[m]`` rows of ``E1[m]`` and columns of ``E2[m]``; the
-        rest is zero.  With uniform unit gating the adapter's correction
-        equals ``B @ A @ x``.
+        leading ``ranks[m]`` rows of ``E1[0, m]`` and columns of
+        ``E2[0, m]``; the rest is zero.  With uniform unit gating the
+        adapter's correction equals ``B @ A @ x``.
         """
         a = a if isinstance(a, Tensor) else Tensor(a)
         b = b if isinstance(b, Tensor) else Tensor(b)
@@ -159,15 +161,15 @@ class MoEAdapter:
         adapter.E1.values[...] = 0.0
         offset = 0
         for m, rm in enumerate(ranks):
-            adapter.E1.values[m, :rm] = a.values[offset:offset + rm, :]
-            adapter.E2.values[m, :, :rm] = b.values[:, offset:offset + rm]
+            adapter.E1.values[0, m, :rm] = a.values[offset:offset + rm, :]
+            adapter.E2.values[0, m, :, :rm] = b.values[:, offset:offset + rm]
             offset += rm
         return adapter
 
     # -- routing ---------------------------------------------------------------
 
     def _gate(self, logits: Tensor) -> tuple[Tensor, np.ndarray]:
-        """Differentiable [tokens, M] weights plus the boolean selection."""
+        """Differentiable [G, tokens, M] weights plus the boolean selection."""
         if self.gating_mode == "uniform_one":
             selected = np.ones(logits.shape, dtype=bool)
             return Tensor(np.ones(logits.shape)), selected
@@ -178,36 +180,29 @@ class MoEAdapter:
 
     def forward(self, backbone_out: Tensor, x: Tensor) -> tuple[
             Tensor, Tensor, np.ndarray]:
-        """``backbone_out + sum_m w_m(x) * E_m(x)`` for [tokens, d] inputs,
-        or [G, tokens, d] when the parameters are a stack of G members.
+        """``backbone_out + sum_m w_m(x) * E_m(x)`` for [G, tokens, d]
+        inputs, member g's tokens against member g's parameters.
 
         Returns ``(out, dense, selected)``: the output, the differentiable
-        [tokens, M] dense softmax of the routing logits, and the boolean
-        [tokens, M] mask of the experts the gate selected.  The adapter keeps
-        no record of the call; the caller keeps the books.
+        [G, tokens, M] dense softmax of the routing logits, and the boolean
+        [G, tokens, M] mask of the experts the gate selected.  The adapter
+        keeps no record of the call; the caller keeps the books.
         """
-        single = x.ndim == 1
-        if single:
-            x = x.reshape(1, self.dim)
-            backbone_out = backbone_out.reshape(1, self.dim)
-        lead = self.WR.shape[:-2]  # (G,) for a stack, else ()
-        if x.shape[:-2] != lead or x.ndim != len(lead) + 2 \
-                or x.shape[-1] != self.dim:
+        members = self.WR.shape[0]
+        if x.ndim != 3 or x.shape[0] != members or x.shape[-1] != self.dim:
             raise DimensionError(f"adapter input shape {x.shape}, width "
-                                 f"{self.dim}, members {lead}")
+                                 f"{self.dim}, members {members}")
         if backbone_out.shape != x.shape:
             raise DimensionError(
                 f"backbone output {backbone_out.shape} != input {x.shape}")
 
-        swap = tuple(range(len(lead))) + (len(lead) + 1, len(lead))
-        logits = x @ self.WR.transpose(swap)
+        logits = x @ self.WR.transpose((0, 2, 1))
         weights, selected = self._gate(logits)
         dense = tz.softmax(logits)
-        out = self._mix(backbone_out, x, weights)
-        return (out.reshape(self.dim) if single else out), dense, selected
+        return self._mix(backbone_out, x, weights), dense, selected
 
     def _mix(self, backbone_out: Tensor, x: Tensor, weights: Tensor) -> Tensor:
-        """``backbone_out + sum_m weights[:, m:m+1] * E_m(x)`` as one tape op.
+        """``backbone_out + sum_m weights[..., m:m+1] * E_m(x)`` as one op.
 
         The forward adds the experts in index order; the backward walks them
         from M-1 down to 0, writing expert m's gradients into slice m of one
@@ -242,15 +237,15 @@ class MoEAdapter:
                     gw[..., m:m + 1] = (g * y).sum(axis=-1, keepdims=True)
                 gy = g * w[..., m:m + 1]
                 if x.requires_grad or g1 is not None:
-                    gh = gy @ e2.values[..., m, :, :]
+                    gh = gy @ e2.values[:, m]
                     if phi is not None:
                         gh = gh * tz._gelu_slope(h, phi)
                 if g2 is not None:
-                    g2[..., m, :, :] = _t(_t(a) @ gy)
+                    g2[:, m] = _t(_t(a) @ gy)
                 if x.requires_grad:
-                    tz._accumulate(x, gh @ e1.values[..., m, :, :])
+                    tz._accumulate(x, gh @ e1.values[:, m])
                 if g1 is not None:
-                    g1[..., m, :, :] = _t(_t(xv) @ gh)
+                    g1[:, m] = _t(_t(xv) @ gh)
             for t, gt in ((weights, gw), (e1, g1), (e2, g2)):
                 if gt is not None:
                     tz._accumulate(t, gt)

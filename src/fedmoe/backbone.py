@@ -18,8 +18,8 @@ since the weights never train.  Each gradient is its plain expression, bit
 for bit the chain of per-op tape ops it replaced, on one condition: a [b, s,
 d] gradient from attention's heads is made C-contiguous before its matmul.
 
-Nothing upstream of block 0's adapter trains, so ``forward(features,
-rows=...)`` computes block 0's prefix, ``h1 = LN1(x @ w_in + pos +
+Nothing upstream of block 0's adapter trains, so ``forward([features],
+rows=[rows])`` computes block 0's prefix, ``h1 = LN1(x @ w_in + pos +
 Attention(.))`` and ``f1 = FFN(h1)``, once per features array and caches it:
 n * S * d * 2 float64 values for the backbone's life.  The frozen weights must
 never change, nor a dataset's features once the backbone has read them.
@@ -30,15 +30,16 @@ loss reads it inside the same tape) and, given a ``LoadMatrix``, tallies the
 layer's selections and probabilities into its row.  ``load_trainable`` is the
 one place flat parameter lists are copied into the model.
 
-Clients with equal shards train as one stack: ``load_trainable`` given G > 1
-parameter lists gives every trainable tensor a leading member axis, and
+Every trainable tensor carries a leading member axis: the model holds a
+stack of G >= 1 members, G = 1 as built.  ``load_trainable`` given G
+per-client parameter lists loads a stack of G, and ``member_params(i)`` reads
+member i back in per-client shapes; no other module sees the axis.
 ``forward`` takes one features array and one index array per member.  The
-frozen sublayers then run once over the members' concatenated examples,
-which gives each example the bits it gets alone, since their matmuls work
-one example at a time.  The adapters and the head work member by member,
-each over that member's own rows, so the logits are ``[G, batch, C]`` and
-each layer's routing distribution is ``[G, M]``.  A single list loads the
-per-client shapes, with no member axis.
+frozen sublayers run once over the members' concatenated examples, which
+gives each example the bits it gets alone, since their matmuls work one
+example at a time.  The adapters and the head work member by member, each
+over that member's own rows, so the logits are ``[G, batch, C]`` and each
+layer's routing distribution is ``[G, M]``.
 """
 
 from __future__ import annotations
@@ -76,6 +77,12 @@ class BackboneConfig:
             raise ConfigurationError(
                 f"backbone.dim = {self.dim} not divisible by "
                 f"backbone.heads = {self.heads}")
+
+
+def _join(parts: list[np.ndarray]) -> np.ndarray:
+    """The parts concatenated along axis 0; a lone part is returned as it
+    is, so a stack of one keeps a slice of the prefix cache as a view."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 class TransformerBlock:
@@ -194,15 +201,16 @@ class TransformerBlock:
     def forward(self, h: Tensor, ffn: Tensor | None = None
                 ) -> tuple[Tensor, Tensor, np.ndarray]:
         """The block's output plus its adapter's routing: the dense
-        [tokens, M] softmax and the boolean top-K mask.  Given ``ffn``, ``h``
-        and ``ffn`` are the block's :meth:`prefix`, computed ahead."""
+        [G, tokens, M] softmax and the boolean top-K mask.  ``h`` holds the
+        G members' examples one after another.  Given ``ffn``, ``h`` and
+        ``ffn`` are the block's :meth:`prefix`, computed ahead."""
         if ffn is None:
             h, ffn = self.prefix(h)
-        b, s, d = h.shape
-        lead = self.adapter.WR.shape[:-2]  # (G,) when the adapter is a stack
-        aug, dense, selected = self.adapter.forward(ffn.reshape(*lead, -1, d),
-                                                    h.reshape(*lead, -1, d))
-        return self._norm2(h, aug.reshape(b, s, d)), dense, selected
+        members = self.adapter.WR.shape[0]
+        aug, dense, selected = self.adapter.forward(
+            ffn.reshape(members, -1, self.dim),
+            h.reshape(members, -1, self.dim))
+        return self._norm2(h, aug.reshape(h.shape)), dense, selected
 
 
 class Backbone:
@@ -229,9 +237,8 @@ class Backbone:
             for _ in range(cfg.layers)
         ]
         head = rng.normal(0.0, cfg.dim ** -0.5, size=(cfg.dim, classes))
-        self.head = parameter(head) if cfg.trainable_head else Tensor(head)
-        # Each trainable tensor's shape for one client: no member axis.
-        self._shapes = [p.shape for p in self.trainable_parameters()]
+        self.head = (parameter(head[None]) if cfg.trainable_head
+                     else Tensor(head))
         # Token-mean routing distributions of the latest forward, per layer.
         self.last_layer_probs: list[Tensor] = []
         # id(features) -> (features, h1, f1): block 0's prefix per dataset.
@@ -242,43 +249,39 @@ class Backbone:
         return [b.adapter for b in self.blocks]
 
     def set_budget(self, k) -> None:
-        """Every adapter's budget K: an int, or one per stacked member."""
-        if np.ndim(k):
-            k = np.reshape(k, (-1, 1, 1))  # against [G, tokens, M] ranks
+        """Every adapter's budget: one K per member, or one K for them all."""
+        k = np.reshape(k, (-1, 1, 1))  # against [G, tokens, M] ranks
         for adapter in self.adapters:
             adapter.k = k
 
     def forward(self, batch, load: LoadMatrix | None = None,
                 rows=None) -> Tensor:
-        """Logits [batch, C], or [G, batch, C] for a stack of G members.
-        Each layer's token-mean dense routing goes to ``last_layer_probs``; a
-        given ``load`` also tallies the routing (of an unstacked forward).
-        Given ``rows`` (indices or a slice), ``batch`` is a whole features
-        array and block 0's prefix of ``batch[rows]`` comes from the cache; a
-        stack passes a list of features arrays and a list of ``rows``, one
-        each per member, with equal row counts."""
+        """Logits [G, batch, C] for the loaded stack of G members.  Each
+        layer's token-mean dense routing, [G, M], goes to
+        ``last_layer_probs``; a given ``load`` also tallies the routing.
+
+        ``batch`` is a list of features arrays and ``rows`` a list of index
+        arrays or slices, one each per member with equal row counts; block
+        0's prefix of each ``batch[g][rows[g]]`` comes from the cache.
+        Without ``rows``, ``batch`` is one [G * batch, S, in] array holding
+        the members' examples one after another, and nothing is cached."""
         if rows is None:
             x = batch if isinstance(batch, Tensor) else Tensor(batch)
             self._check_shape("batch", x.shape)
             h, ffn = self._prefix(x)
-        elif isinstance(batch, list):
-            parts = [(self._cached_prefix(f), r) for f, r in zip(batch, rows)]
-            h = Tensor(np.concatenate([h1[r] for (h1, _), r in parts]))
-            ffn = Tensor(np.concatenate([f1[r] for (_, f1), r in parts]))
         else:
-            h1, f1 = self._cached_prefix(batch)
-            h, ffn = Tensor(h1[rows]), Tensor(f1[rows])
+            prefixes = [self._cached_prefix(f) for f in batch]
+            h = Tensor(_join([h1[r] for (h1, _), r in zip(prefixes, rows)]))
+            ffn = Tensor(_join([f1[r] for (_, f1), r in zip(prefixes, rows)]))
         self.last_layer_probs = []
         for layer, block in enumerate(self.blocks):
             h, dense, selected = block.forward(h, ffn if layer == 0 else None)
             self.last_layer_probs.append(dense.mean(axis=-2))
             if load is not None:
                 load.record(layer, selected, dense.values)
-        pooled = h.mean(axis=1)
-        lead = self.adapters[0].WR.shape[:-2]
-        if lead:  # each member's rows against its own head
-            pooled = pooled.reshape(*lead, -1, self.cfg.dim)
-        return pooled @ self.head
+        members = self.adapters[0].WR.shape[0]
+        pooled = h.mean(axis=1).reshape(members, -1, self.cfg.dim)
+        return pooled @ self.head  # each member's rows against its own head
 
     def _check_shape(self, what: str, shape: tuple[int, ...]) -> None:
         seq_len, input_dim = self.cfg.seq_len, self.input_dim
@@ -329,32 +332,30 @@ class Backbone:
 
     def load_trainable(self, *members: list[np.ndarray]) -> None:
         """Copy one flat list per member (same order as
-        trainable_parameters) into place.  One list loads each tensor with
-        its per-client shape; G > 1 lists load a stack, each tensor with a
-        leading member axis of G.  The tensors stay the same objects, so
-        optimizer bindings survive."""
+        trainable_parameters, per-client shapes) into place: G lists load a
+        stack of G, each tensor with a leading member axis of G.  The
+        tensors stay the same objects, so optimizer bindings survive."""
         params = self.trainable_parameters()
         for j, values in enumerate(members):
-            who = f"member {j}: " if len(members) > 1 else ""
             if len(values) != len(params):
-                raise AggregationError(
-                    f"{who}expected {len(params)} tensors, got {len(values)}")
-            for i, (v, shape) in enumerate(zip(values, self._shapes)):
-                if np.shape(v) != shape:
+                raise AggregationError(f"member {j}: expected {len(params)} "
+                                       f"tensors, got {len(values)}")
+            for i, (v, p) in enumerate(zip(values, params)):
+                if np.shape(v) != p.shape[1:]:
                     raise AggregationError(
-                        f"{who}parameter {i} ({self.parameter_names()[i]}): "
-                        f"shape "
-                        f"{np.shape(v)} does not match {shape}")
+                        f"member {j}: parameter {i} "
+                        f"({self.parameter_names()[i]}): shape {np.shape(v)} "
+                        f"does not match {p.shape[1:]}")
         for i, p in enumerate(params):
-            if len(members) == 1:
-                v = np.asarray(members[0][i], dtype=np.float64)
-            else:
-                v = np.stack([np.asarray(m[i], dtype=np.float64)
-                              for m in members])
-            if p.values.shape == v.shape:
-                p.values[...] = v
-            else:
-                p.values = v.copy() if len(members) == 1 else v
+            if p.shape[0] != len(members):
+                p.values = np.empty((len(members),) + p.shape[1:])
+            for g, values in enumerate(members):
+                p.values[g] = values[i]
+
+    def member_params(self, i: int) -> list[np.ndarray]:
+        """Copies of member i's trainable tensors in per-client shapes, in
+        the order of :meth:`parameter_names`."""
+        return [p.values[i].copy() for p in self.trainable_parameters()]
 
     def frozen_tensors(self) -> list[Tensor]:
         out = [self.w_in, self.pos]

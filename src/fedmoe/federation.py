@@ -77,7 +77,7 @@ class ClientStack:
 
     ``optimizer`` is bound to the shared backbone's trainable tensors while
     the stack is loaded; member i's Adam moments are index i of its stacked
-    ``m`` and ``v`` (the whole arrays for a stack of one).
+    ``m`` and ``v``.
     """
 
     members: list[ClientState]
@@ -157,10 +157,8 @@ def local_train(stack: ClientStack, backbone: Backbone, cfg: ExperimentConfig,
                 f"client {client.client_id}: shard size {len(client.shard)} "
                 f"differs from its stack's {n}")
     fed, aux_cfg = cfg.federation, cfg.aux
-    stacked = len(members) > 1
     backbone.load_trainable(*(c.params for c in members))
-    backbone.set_budget(np.array([c.k_n for c in members]) if stacked
-                        else members[0].k_n)
+    backbone.set_budget([c.k_n for c in members])
 
     trainable = backbone.trainable_parameters()
     if stack.optimizer is None or fed.reset_optimizer:
@@ -181,20 +179,16 @@ def local_train(stack: ClientStack, backbone: Backbone, cfg: ExperimentConfig,
             labels = [c.shard.labels[r] for c, r in zip(members, rows)]
             opt.zero_grad()
             with tz.Tape() as tape:
-                if stacked:
-                    logits = backbone.forward(features, rows=rows)
-                    task = tz.cross_entropy(logits, np.stack(labels))
-                else:
-                    logits = backbone.forward(features[0], rows=rows[0])
-                    task = tz.cross_entropy(logits, labels[0])
+                logits = backbone.forward(features, rows=rows)
+                task = tz.cross_entropy(logits, np.stack(labels))
                 aux = None
                 if aux_cfg.lam > 0.0:
                     aux = reduce_aux([aux_loss_layer(p, aux_cfg)
                                       for p in backbone.last_layer_probs],
                                      aux_cfg)
                 tape.backward(total_loss(task, aux, aux_cfg).sum())
-            task_values = task.values.reshape(-1)
-            aux_values = (aux.values.reshape(-1) if aux is not None
+            task_values = task.values
+            aux_values = (aux.values if aux is not None
                           else np.zeros(len(members)))
             for client, t, a in zip(members, task_values, aux_values):
                 if not (math.isfinite(t) and math.isfinite(a)):
@@ -208,8 +202,7 @@ def local_train(stack: ClientStack, backbone: Backbone, cfg: ExperimentConfig,
             steps += 1
     results = []
     for i, client in enumerate(members):
-        client.params = [(p.values[i] if stacked else p.values).copy()
-                         for p in trainable]
+        client.params = backbone.member_params(i)
         metrics = ClientRoundMetrics(client.client_id,
                                      float(task_sum[i] / steps),
                                      float(aux_sum[i] / steps), steps)
@@ -440,7 +433,7 @@ def build_clients(cfg: ExperimentConfig, train: LabeledDataset,
     ``SparsitySection.budgets``."""
     shards = partition(train, cfg.data, cfg.federation.clients, cfg.seeds.data)
     budgets = cfg.sparsity.budgets(len(shards))
-    initial = [p.values for p in backbone.trainable_parameters()]
+    initial = backbone.member_params(0)
     return [ClientState(client_id=i, shard=train.subset(indices), k_n=k_n,
                         params=[v.copy() for v in initial])
             for i, (indices, k_n) in enumerate(zip(shards, budgets))]
@@ -463,9 +456,7 @@ def run_experiment(cfg: ExperimentConfig,
                         frozen_seed=cfg.seeds.frozen)
     clients = build_clients(cfg, train, backbone)
     stacks = stack_clients(clients, cfg.federation.batch_size)
-    server = ServerState(
-        global_params=[p.values.copy()
-                       for p in backbone.trainable_parameters()])
+    server = ServerState(global_params=backbone.member_params(0))
 
     reports = []
     for _ in range(cfg.federation.rounds):

@@ -36,11 +36,13 @@ class LoadMatrix:
 
     def record(self, layer: int, selected: np.ndarray,
                dense_probs: np.ndarray) -> None:
-        """Add one batch's [tokens, experts] selection mask and dense routing
-        probabilities to row ``layer``."""
-        self.counts[layer] += selected.sum(axis=0)
-        self.prob_sums[layer] += dense_probs.sum(axis=0)
-        self.tokens[layer] += selected.shape[0]
+        """Add one batch's [..., tokens, experts] selection mask and dense
+        routing probabilities to row ``layer``, tallied over every leading
+        axis (a stack's members included)."""
+        experts = selected.shape[-1]
+        self.counts[layer] += selected.reshape(-1, experts).sum(axis=0)
+        self.prob_sums[layer] += dense_probs.reshape(-1, experts).sum(axis=0)
+        self.tokens[layer] += selected.size // experts
 
     @property
     def layers(self) -> int:
@@ -123,25 +125,25 @@ def export_mean_probs_csv(load: LoadMatrix, path) -> None:
         raise OSError(f"cannot write probabilities to {path}: {exc}") from exc
 
 
-def evaluate_accuracy(backbone: Backbone, params: list[np.ndarray] | None,
+def evaluate_accuracy(backbone: Backbone, params: list[np.ndarray],
                       test: LabeledDataset, batch_size: int = 512,
                       load: LoadMatrix | None = None) -> float:
     """Fraction of argmax-correct predictions; ties go to the lowest class.
 
-    ``params`` (when given) are loaded into the backbone first — pass the
-    aggregated global parameters to score the shared model.  Runs without a
-    tape; a given ``load`` tallies the pass's routing, one row per layer.
+    ``params``, one client's flat list (the aggregated global parameters, to
+    score the shared model), are loaded into the backbone as a stack of one.
+    Runs without a tape; a given ``load`` tallies the pass's routing, one
+    row per layer.
     """
     if len(test) < 1:
         raise InputError("test set is empty")
     if batch_size < 1:
         raise InputError(f"evaluation batch_size = {batch_size} must be >= 1")
-    if params is not None:
-        backbone.load_trainable(params)
+    backbone.load_trainable(params)
     correct = 0
     for start in range(0, len(test), batch_size):
         rows = slice(start, start + batch_size)
-        logits = backbone.forward(test.features, load, rows=rows)
+        logits = backbone.forward([test.features], load, rows=[rows])
         labels = test.labels[rows]
-        correct += int((logits.values.argmax(axis=1) == labels).sum())
+        correct += int((logits.values[0].argmax(axis=1) == labels).sum())
     return correct / len(test)

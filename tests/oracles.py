@@ -87,7 +87,7 @@ def route(adapter, x):
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (adapter.dim,):
         raise DimensionError(f"token shape {x.shape}, expected ({adapter.dim},)")
-    logits = adapter.WR.values @ x
+    logits = adapter.WR.values[0] @ x
     chosen = sorted(sorted(range(len(logits)),
                            key=lambda i: (-logits[i], i))[:adapter.k])
     top = max(logits[i] for i in chosen)

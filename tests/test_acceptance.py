@@ -57,7 +57,8 @@ def test_criterion_01_lora_split_equivalence():
         want = base + x @ a.T @ b.T
         for ranks in splits:
             adapter = MoEAdapter.from_lora(a, b, list(ranks))
-            got = adapter.forward(Tensor(base), Tensor(x))[0].values
+            out = adapter.forward(Tensor(base[None]), Tensor(x[None]))[0]
+            got = out.values[0]
             worst = max(worst, float(np.max(np.abs(got - want))))
     elapsed = time.monotonic() - start
     assert worst <= 1e-9, f"max abs deviation {worst:.3g}"
@@ -119,7 +120,7 @@ def test_criterion_03_end_to_end_gradients():
         adapter.WR.values[...] = rng.normal(0.0, 0.5, adapter.WR.shape)
         adapter.E2.values[...] = rng.normal(0.0, 0.1, adapter.E2.shape)
     batch = rng.normal(size=(8, 4, 8))
-    labels = rng.integers(0, 4, size=8)
+    labels = rng.integers(0, 4, size=8)[None]  # a stack of one member
     cfg = AuxLossConfig(lam=1e-4, theta_th=0.3)
     params = backbone.trainable_parameters()
 
@@ -334,7 +335,7 @@ def test_criterion_08_adaptive_k_round(tmp_path):
             [loaded[name] for name in model.parameter_names()])
         for tensor, want in zip(model.trainable_parameters(),
                                 result.server.global_params):
-            np.testing.assert_array_equal(tensor.values, want)
+            np.testing.assert_array_equal(tensor.values[0], want)
 
 
 # ---------------------------------------------------------------------------

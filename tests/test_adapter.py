@@ -73,7 +73,7 @@ def test_route_contract_on_random_tokens():
         nonzero = np.flatnonzero(weights)
         assert len(nonzero) == 3
         assert abs(weights.sum() - 1.0) <= 1e-12
-        logits = adapter.WR.values @ x
+        logits = adapter.WR.values[0] @ x
         assert selected == brute_force_topk(logits, 3)
         assert sorted(nonzero.tolist()) == selected
 
@@ -98,29 +98,31 @@ def test_zero_initialized_adapter_is_exact_identity():
     adapter = make_adapter(6, 2, 3, k=1, rng=rng)
     backbone_out = rng.normal(size=(5, 6))
     x = rng.normal(size=(5, 6))
-    out = adapter.forward(Tensor(backbone_out), Tensor(x))[0]
-    np.testing.assert_array_equal(out.values, backbone_out)
+    out = adapter.forward(Tensor(backbone_out[None]), Tensor(x[None]))[0]
+    np.testing.assert_array_equal(out.values[0], backbone_out)
 
 
 def test_single_token_forward_keeps_shape():
     adapter = make_adapter(4, 2, 2, k=2)
-    out = adapter.forward(Tensor(np.ones(4)), Tensor(np.zeros(4)))[0]
-    assert out.shape == (4,)
+    out = adapter.forward(Tensor(np.ones((1, 1, 4))),
+                          Tensor(np.zeros((1, 1, 4))))[0]
+    assert out.shape == (1, 1, 4)
 
 
 def test_hand_evaluated_two_expert_case():
     # d=2, M=2, K=1; router makes expert 0 win for x = [1, 0]
     adapter = make_adapter(2, 2, 1, k=1, activation="linear")
     adapter.WR.values[...] = [[5.0, 0.0], [0.0, 5.0]]
-    adapter.E1.values[0] = [[1.0, 2.0]]
-    adapter.E2.values[0] = [[3.0], [4.0]]
-    adapter.E1.values[1] = [[100.0, 100.0]]
-    adapter.E2.values[1] = [[100.0], [100.0]]
+    adapter.E1.values[0, 0] = [[1.0, 2.0]]
+    adapter.E2.values[0, 0] = [[3.0], [4.0]]
+    adapter.E1.values[0, 1] = [[100.0, 100.0]]
+    adapter.E2.values[0, 1] = [[100.0], [100.0]]
     backbone_out = np.array([0.5, -0.5])
     x = np.array([1.0, 0.0])
-    out = adapter.forward(Tensor(backbone_out), Tensor(x))[0]
+    out = adapter.forward(Tensor(backbone_out[None, None]),
+                          Tensor(x[None, None]))[0]
     # E1 @ x = 1.0; E2 * 1.0 = [3, 4]; plus the backbone output
-    np.testing.assert_allclose(out.values, [3.5, 3.5], atol=1e-12)
+    np.testing.assert_allclose(out.values[0, 0], [3.5, 3.5], atol=1e-12)
 
 
 def test_equal_logits_full_activation_averages_experts():
@@ -128,8 +130,9 @@ def test_equal_logits_full_activation_averages_experts():
     adapter = make_adapter(5, 4, 2, k=4, rng=rng)
     adapter.E2.values[...] = rng.normal(size=adapter.E2.shape)
     x = rng.normal(size=(3, 5))
-    out = adapter.forward(Tensor(np.zeros((3, 5))), Tensor(x))[0]
-    want = np.mean([adapter.experts.forward(x, m)[3] for m in range(4)], axis=0)
+    out = adapter.forward(Tensor(np.zeros((1, 3, 5))), Tensor(x[None]))[0]
+    want = np.mean([adapter.experts.forward(x[None], m)[3] for m in range(4)],
+                   axis=0)
     np.testing.assert_allclose(out.values, want, atol=1e-12)
 
 
@@ -141,14 +144,14 @@ def test_permuting_experts_and_router_rows_changes_nothing():
 
     perm = [2, 0, 1]
     twin = make_adapter(6, 3, 2, k=2)
-    twin.WR.values[...] = adapter.WR.values[perm]
-    twin.E1.values[...] = adapter.E1.values[perm]
-    twin.E2.values[...] = adapter.E2.values[perm]
+    twin.WR.values[...] = adapter.WR.values[:, perm]
+    twin.E1.values[...] = adapter.E1.values[:, perm]
+    twin.E2.values[...] = adapter.E2.values[:, perm]
 
     x = rng.normal(size=(4, 6))
     base = rng.normal(size=(4, 6))
-    out = adapter.forward(Tensor(base), Tensor(x))[0]
-    out_perm = twin.forward(Tensor(base), Tensor(x))[0]
+    out = adapter.forward(Tensor(base[None]), Tensor(x[None]))[0]
+    out_perm = twin.forward(Tensor(base[None]), Tensor(x[None]))[0]
     np.testing.assert_allclose(out_perm.values, out.values, atol=1e-12)
 
     w, sel = route(adapter, x[0])
@@ -160,9 +163,11 @@ def test_permuting_experts_and_router_rows_changes_nothing():
 def test_forward_rejects_mismatched_shapes():
     adapter = make_adapter(4, 1, 2, k=1)
     with pytest.raises(DimensionError):
-        adapter.forward(Tensor(np.zeros((2, 4))), Tensor(np.zeros((3, 4))))
+        adapter.forward(Tensor(np.zeros((1, 2, 4))),
+                        Tensor(np.zeros((1, 3, 4))))
     with pytest.raises(DimensionError):
-        adapter.forward(Tensor(np.zeros((2, 5))), Tensor(np.zeros((2, 5))))
+        adapter.forward(Tensor(np.zeros((1, 2, 5))),
+                        Tensor(np.zeros((1, 2, 5))))
 
 
 # -- LoRA equivalence -------------------------------------------------------------
@@ -173,8 +178,8 @@ def test_from_lora_single_expert_keeps_factors():
     a = rng.normal(size=(4, 10))
     b = rng.normal(size=(10, 4))
     adapter = MoEAdapter.from_lora(Tensor(a), Tensor(b), ranks=[4])
-    np.testing.assert_array_equal(adapter.E1.values[0], a)
-    np.testing.assert_array_equal(adapter.E2.values[0], b)
+    np.testing.assert_array_equal(adapter.E1.values[0, 0], a)
+    np.testing.assert_array_equal(adapter.E2.values[0, 0], b)
 
 
 def test_from_lora_block_sum_reconstructs_dense_product():
@@ -182,7 +187,8 @@ def test_from_lora_block_sum_reconstructs_dense_product():
     a = rng.normal(size=(4, 9))
     b = rng.normal(size=(9, 4))
     adapter = MoEAdapter.from_lora(Tensor(a), Tensor(b), ranks=[2, 2])
-    total = sum(adapter.E2.values[m] @ adapter.E1.values[m] for m in range(2))
+    total = sum(adapter.E2.values[0, m] @ adapter.E1.values[0, m]
+                for m in range(2))
     np.testing.assert_allclose(total, b @ a, atol=1e-12)
 
 
@@ -195,16 +201,19 @@ def test_from_lora_forward_equals_lora_update(ranks):
     for _ in range(10):
         x = rng.normal(size=8)
         base = rng.normal(size=8)
-        out = adapter.forward(Tensor(base), Tensor(x))[0]
-        np.testing.assert_allclose(out.values, base + b @ (a @ x), atol=1e-9)
+        out = adapter.forward(Tensor(base[None, None]),
+                              Tensor(x[None, None]))[0]
+        np.testing.assert_allclose(out.values[0, 0], base + b @ (a @ x),
+                                   atol=1e-9)
 
 
 def test_from_lora_zero_factor_is_zero_map():
     b = np.random.default_rng(14).normal(size=(6, 3))
     adapter = MoEAdapter.from_lora(Tensor(np.zeros((3, 6))), Tensor(b), [1, 2])
     x = np.ones(6)
-    out = adapter.forward(Tensor(np.zeros(6)), Tensor(x))[0]
-    np.testing.assert_array_equal(out.values, np.zeros(6))
+    out = adapter.forward(Tensor(np.zeros((1, 1, 6))),
+                          Tensor(x[None, None]))[0]
+    np.testing.assert_array_equal(out.values[0, 0], np.zeros(6))
 
 
 def test_from_lora_validates_ranks_and_shapes():
@@ -226,18 +235,19 @@ def test_ragged_lora_split_pads_with_exact_zeros_that_never_train():
     ranks = [1, 3, 2, 2]
     a, b = rng.normal(size=(8, 10)), rng.normal(size=(10, 8))
     adapter = MoEAdapter.from_lora(Tensor(a), Tensor(b), ranks)
-    assert adapter.E1.shape == (4, 3, 10) and adapter.E2.shape == (4, 10, 3)
+    assert adapter.E1.shape == (1, 4, 3, 10)
+    assert adapter.E2.shape == (1, 4, 10, 3)
     pad1 = np.zeros(adapter.E1.shape, dtype=bool)
     pad2 = np.zeros(adapter.E2.shape, dtype=bool)
     for m, r in enumerate(ranks):
-        pad1[m, r:] = True
-        pad2[m, :, r:] = True
+        pad1[0, m, r:] = True
+        pad2[0, m, :, r:] = True
     x, base, w = (rng.normal(size=(6, 10)) for _ in range(3))
 
     def lora_factors():
-        a_now = np.concatenate([adapter.E1.values[m, :r]
+        a_now = np.concatenate([adapter.E1.values[0, m, :r]
                                 for m, r in enumerate(ranks)])
-        b_now = np.concatenate([adapter.E2.values[m, :, :r]
+        b_now = np.concatenate([adapter.E2.values[0, m, :, :r]
                                 for m, r in enumerate(ranks)], axis=1)
         return a_now, b_now
 
@@ -246,10 +256,10 @@ def test_ragged_lora_split_pads_with_exact_zeros_that_never_train():
     for _ in range(5):
         opt.zero_grad()
         with Tape() as tape:
-            out = adapter.forward(Tensor(base), Tensor(x))[0]
-            loss = tz.mul(out, Tensor(w)).sum()
+            out = adapter.forward(Tensor(base[None]), Tensor(x[None]))[0]
+            loss = tz.mul(out, Tensor(w[None])).sum()
         a_now, b_now = lora_factors()
-        np.testing.assert_allclose(out.values, base + x @ a_now.T @ b_now.T,
+        np.testing.assert_allclose(out.values[0], base + x @ a_now.T @ b_now.T,
                                    atol=1e-9)
         tape.backward(loss)
         assert np.all(adapter.E1.grad[pad1] == 0.0)
@@ -274,13 +284,13 @@ def test_adapter_gradients_match_finite_differences():
     w = rng.normal(size=(4, 6))
 
     def loss_value(_arrays):
-        out = adapter.forward(Tensor(base), Tensor(x))[0]
-        return tz.mul(out, Tensor(w)).sum().item()
+        out = adapter.forward(Tensor(base[None]), Tensor(x[None]))[0]
+        return tz.mul(out, Tensor(w[None])).sum().item()
 
     params = adapter.parameters()
     with Tape() as tape:
-        out = adapter.forward(Tensor(base), Tensor(x))[0]
-        loss = tz.mul(out, Tensor(w)).sum()
+        out = adapter.forward(Tensor(base[None]), Tensor(x[None]))[0]
+        loss = tz.mul(out, Tensor(w[None])).sum()
     tape.backward(loss)
     fd = finite_difference_grads(loss_value, [p.values for p in params])
     for p, want in zip(params, fd):
@@ -293,15 +303,15 @@ def per_op_mix(adapter, backbone_out, x, weights):
     mixture replaced, on per-expert leaf tensors copied from the slices of
     the stacked E1 and E2; values and gradients must match it bit for bit.
     Returns the output and the (E1_m, E2_m) leaves."""
-    leaves = [(parameter(adapter.E1.values[m].copy()),
-               parameter(adapter.E2.values[m].copy()))
+    leaves = [(parameter(adapter.E1.values[0, m].copy()),
+               parameter(adapter.E2.values[0, m].copy()))
               for m in range(adapter.n_experts)]
     out = backbone_out
     for m, (e1, e2) in enumerate(leaves):
         h = x @ e1.T
         if adapter.experts.activation == "gelu":
             h = tz.gelu(h)
-        out = out + weights[:, m:m + 1] * (h @ e2.T)
+        out = out + weights[..., m:m + 1] * (h @ e2.T)
     return out, leaves
 
 
@@ -318,11 +328,11 @@ def mixture_case(activation, gating_mode, k, seed=24):
     adapter.E1.values[...] = rng.normal(size=adapter.E1.shape)
     adapter.E2.values[...] = rng.normal(size=adapter.E2.shape)
     for m, r in enumerate(MIXED_RANKS):
-        adapter.E1.values[m, r:] = 0.0
-        adapter.E2.values[m, :, r:] = 0.0
+        adapter.E1.values[0, m, r:] = 0.0
+        adapter.E2.values[0, m, :, r:] = 0.0
     arrays = dict(x=rng.normal(size=(5, 6)), base=rng.normal(size=(5, 6)),
                   logits=rng.normal(size=(5, 4)), w=rng.normal(size=(5, 6)))
-    return adapter, arrays
+    return adapter, {key: a[None] for key, a in arrays.items()}
 
 
 def run_mix(adapter, arrays, inputs_grad, per_op=False):
@@ -343,7 +353,8 @@ def run_mix(adapter, arrays, inputs_grad, per_op=False):
         loss = tz.mul(out, Tensor(arrays["w"])).sum()
     tape.backward(loss)
     if per_op:
-        experts = [np.stack([leaf[i].grad for leaf in leaves]) for i in (0, 1)]
+        experts = [np.stack([leaf[i].grad for leaf in leaves])[None]
+                   for i in (0, 1)]
     else:
         experts = [adapter.E1.grad.copy(), adapter.E2.grad.copy()]
     return out.values, [x.grad, base.grad, logits.grad] + experts
@@ -399,17 +410,17 @@ def test_never_routed_expert_gets_exactly_zero_grad():
     adapter = make_adapter(4, 4, 1, k=2, rng=np.random.default_rng(16))
     # experts 0 and 1 always win; experts 2 and 3 never enter the top-2
     adapter.WR.values[...] = 0.0
-    adapter.WR.values[0] = [3.0, 3.0, 3.0, 3.0]
-    adapter.WR.values[1] = [2.0, 2.0, 2.0, 2.0]
+    adapter.WR.values[0, 0] = [3.0, 3.0, 3.0, 3.0]
+    adapter.WR.values[0, 1] = [2.0, 2.0, 2.0, 2.0]
     x = np.abs(np.random.default_rng(17).normal(size=(6, 4))) + 0.1
     with Tape() as tape:
-        out = adapter.forward(Tensor(np.zeros((6, 4))), Tensor(x))[0]
+        out = adapter.forward(Tensor(np.zeros((1, 6, 4))), Tensor(x[None]))[0]
         loss = out.sum()
     tape.backward(loss)
     for m in (2, 3):
-        np.testing.assert_array_equal(adapter.E1.grad[m], 0.0)
-        np.testing.assert_array_equal(adapter.E2.grad[m], 0.0)
-    assert np.any(adapter.E2.grad[0] != 0.0)
+        np.testing.assert_array_equal(adapter.E1.grad[0, m], 0.0)
+        np.testing.assert_array_equal(adapter.E2.grad[0, m], 0.0)
+    assert np.any(adapter.E2.grad[0, 0] != 0.0)
 
 
 def test_last_mean_probs_is_batch_mean_dense_softmax():
@@ -417,11 +428,12 @@ def test_last_mean_probs_is_batch_mean_dense_softmax():
     adapter = make_adapter(5, 3, 1, k=1, rng=rng)
     adapter.WR.values[...] = rng.normal(size=(3, 5))
     x = rng.normal(size=(7, 5))
-    _, dense, selected = adapter.forward(Tensor(np.zeros((7, 5))), Tensor(x))
-    logits = x @ adapter.WR.values.T
+    _, dense, selected = adapter.forward(Tensor(np.zeros((1, 7, 5))),
+                                         Tensor(x[None]))
+    logits = x @ adapter.WR.values[0].T
     want = np.mean([softmax_direct(row) for row in logits], axis=0)
-    np.testing.assert_allclose(dense.mean(axis=0).values, want, atol=1e-12)
-    for row, mask in zip(logits, selected):
+    np.testing.assert_allclose(dense.mean(axis=1).values[0], want, atol=1e-12)
+    for row, mask in zip(logits, selected[0]):
         assert list(np.flatnonzero(mask)) == brute_force_topk(row, 1)
 
 
@@ -440,23 +452,23 @@ def small_backbone(k=1, seed=3):
 
 
 def test_parameter_round_trip_is_bit_identical():
-    saved = [p.values.copy() for p in small_backbone(seed=19).trainable_parameters()]
+    saved = small_backbone(seed=19).member_params(0)
     bb = small_backbone(seed=20)
     bb.load_trainable(saved)
     for p, s in zip(bb.trainable_parameters(), saved):
-        np.testing.assert_array_equal(p.values, s)
+        np.testing.assert_array_equal(p.values[0], s)
 
 
 def test_parameter_order_is_experts_then_router():
     adapter = make_adapter(4, 2, 3, k=1)
     shapes = [p.shape for p in adapter.parameters()]
-    assert shapes == [(2, 3, 4), (2, 4, 3), (2, 4)]
+    assert shapes == [(1, 2, 3, 4), (1, 2, 4, 3), (1, 2, 4)]
     assert adapter.parameter_names() == ["experts.E1", "experts.E2", "router.WR"]
 
 
 def test_load_transposed_tensor_names_position():
     bb = small_backbone()
-    bad = [p.values.copy() for p in bb.trainable_parameters()]
+    bad = bb.member_params(0)
     bad[2] = bad[2].T
     with pytest.raises(AggregationError,
                        match=r"parameter 2 \(layer0\.router\.WR\)"):
@@ -468,7 +480,7 @@ def test_load_transposed_tensor_names_position():
 def test_adapters_with_different_k_interoperate():
     first = small_backbone(k=1, seed=20)
     second = small_backbone(k=2, seed=21)
-    second.load_trainable([p.values.copy() for p in first.trainable_parameters()])
+    second.load_trainable(first.member_params(0))
     x = np.random.default_rng(22).normal(size=(3, 4, 5))
     first.forward(x)
     second.forward(x)
@@ -482,7 +494,7 @@ def test_load_keeps_tensor_identity_for_optimizer_state():
     bb = small_backbone()
     before = bb.trainable_parameters()
     opt = Adam(before, lr=1e-3)
-    bb.load_trainable([np.ones_like(p.values) for p in before])
+    bb.load_trainable([np.ones_like(p.values[0]) for p in before])
     assert all(a is b for a, b in zip(before, bb.trainable_parameters()))
     assert all(a is b for a, b in zip(before, opt.params))
     assert all((p.values == 1.0).all() for p in before)
@@ -499,10 +511,10 @@ def test_routing_accumulates_into_load_matrix_over_two_batches():
     want = np.zeros(4, dtype=np.int64)
     for tokens in (10, 5):
         x = rng.normal(size=(tokens, 6))
-        _, dense, selected = adapter.forward(Tensor(np.zeros((tokens, 6))),
-                                             Tensor(x))
+        _, dense, selected = adapter.forward(Tensor(np.zeros((1, tokens, 6))),
+                                             Tensor(x[None]))
         load.record(0, selected, dense.values)
-        for row in x @ adapter.WR.values.T:
+        for row in x @ adapter.WR.values[0].T:
             want[brute_force_topk(row, 2)] += 1
     assert load.tokens[0] == 15
     assert load.counts.sum() == 15 * 2
@@ -515,9 +527,10 @@ def test_stats_not_collected_by_default():
     same objects before and after."""
     adapter = make_adapter(4, 2, 2, k=1)
     before = dict(vars(adapter))
-    adapter.forward(Tensor(np.zeros((3, 4))), Tensor(np.zeros((3, 4))))
+    adapter.forward(Tensor(np.zeros((1, 3, 4))), Tensor(np.zeros((1, 3, 4))))
     with Tape():
-        adapter.forward(Tensor(np.zeros((3, 4))), Tensor(np.ones((3, 4))))
+        adapter.forward(Tensor(np.zeros((1, 3, 4))),
+                        Tensor(np.ones((1, 3, 4))))
     after = vars(adapter)
     assert after.keys() == before.keys()
     assert all(after[key] is value for key, value in before.items())

@@ -9,9 +9,10 @@ from fedmoe import tensor as tz
 from fedmoe.adapter import AdapterConfig, MoEAdapter
 from fedmoe.backbone import Backbone, BackboneConfig, TransformerBlock
 from fedmoe.config import ExperimentConfig
+from fedmoe.data import synth_dataset
 from fedmoe.errors import AggregationError, ConfigurationError, DimensionError
 from fedmoe.federation import run_experiment
-from fedmoe.metrics import LoadMatrix
+from fedmoe.metrics import LoadMatrix, evaluate_accuracy
 from fedmoe.tensor import Adam, Tape, Tensor
 
 from oracles import finite_difference_grads
@@ -77,7 +78,7 @@ def test_smoke_forward_shape_and_finiteness():
     bb = small_backbone()
     batch = np.random.default_rng(0).normal(size=(5, 8, 6))
     logits = bb.forward(batch)
-    assert logits.shape == (5, 4)
+    assert logits.shape == (1, 5, 4)
     assert np.isfinite(logits.values).all()
     assert len(bb.last_layer_probs) == 2
 
@@ -91,7 +92,8 @@ def test_zero_adapters_match_adapter_free_oracle():
     bb = small_backbone()  # E2 = 0 at init
     batch = np.random.default_rng(1).normal(size=(4, 8, 6))
     logits = bb.forward(batch)
-    np.testing.assert_allclose(logits.values, frozen_forward_oracle(bb, batch),
+    np.testing.assert_allclose(logits.values[0],
+                               frozen_forward_oracle(bb, batch),
                                rtol=0, atol=1e-12)
 
 
@@ -116,7 +118,7 @@ def test_adapter_gradients_match_fd_through_full_stack():
         adapter.WR.values[...] = rng.normal(size=(2, 8))
         adapter.E2.values[...] = rng.normal(size=adapter.E2.shape) * 0.1
     batch = rng.normal(size=(3, 4, 5))
-    labels = rng.integers(0, 3, size=3)
+    labels = rng.integers(0, 3, size=3)[None]  # a stack of one member
 
     params = bb.trainable_parameters()
     with Tape() as tape:
@@ -148,14 +150,49 @@ def test_trainable_parameters_are_three_stacked_tensors_per_layer(trainable_head
                          trainable_head=trainable_head)
     bb = Backbone(cfg, AdapterConfig(experts=5, rank=3), classes=4,
                   input_dim=4, frozen_seed=5)
-    shapes = [(5, 3, 16), (5, 16, 3), (5, 16)] * 3
+    shapes = [(1, 5, 3, 16), (1, 5, 16, 3), (1, 5, 16)] * 3
     names = [f"layer{i}.{n}" for i in range(3)
              for n in ("experts.E1", "experts.E2", "router.WR")]
     if trainable_head:
-        shapes.append((16, 4))
+        shapes.append((1, 16, 4))
         names.append("head")
     assert [p.shape for p in bb.trainable_parameters()] == shapes
     assert bb.parameter_names() == names
+
+
+@pytest.mark.parametrize("trainable_head", [False, True])
+def test_every_model_pass_is_a_stack_of_members(trainable_head):
+    """Built, every trainable tensor is a stack of one; ``load_trainable``
+    with G lists loads G members, ``member_params(i)`` reads member i back
+    as per-client copies, and evaluation leaves a stack of one loaded."""
+    bb = small_backbone(BackboneConfig(**{**SMALL.__dict__,
+                                          "trainable_head": trainable_head}))
+    params = bb.trainable_parameters()
+    assert all(p.shape[0] == 1 for p in params)
+    lora = MoEAdapter.from_lora(np.ones((2, 4)), np.ones((4, 2)), [1, 1])
+    assert all(p.shape[0] == 1 for p in lora.parameters())
+
+    rng = np.random.default_rng(50)
+    members = [[rng.normal(size=p.shape[1:]) for p in params]
+               for _ in range(3)]
+    bb.load_trainable(members[0])
+    assert all(p.shape[0] == 1 for p in params)
+    bb.load_trainable(*members)
+    assert all(p.shape[0] == 3 for p in params)
+    assert all(a is b for a, b in zip(bb.trainable_parameters(), params))
+    for i, want in enumerate(members):
+        got = bb.member_params(i)
+        assert len(got) == len(bb.parameter_names())
+        for g, w, p in zip(got, want, params):
+            assert g.shape == w.shape == p.shape[1:]
+            assert np.array_equal(g, w)
+            assert not np.shares_memory(g, p.values)
+
+    test = synth_dataset(12, 4, 8, 6, separation=1.0, seed=51)
+    evaluate_accuracy(bb, members[1], test)
+    assert all(p.shape[0] == 1 for p in params)
+    for g, w in zip(bb.member_params(0), members[1]):
+        assert np.array_equal(g, w)
 
 
 def test_trainable_head_is_exposed_and_loadable():
@@ -163,10 +200,10 @@ def test_trainable_head_is_exposed_and_loadable():
                                           "trainable_head": True}))
     assert bb.parameter_names()[-1] == "head"
     assert bb.trainable_parameters()[-1] is bb.head
-    values = [p.values.copy() for p in bb.trainable_parameters()]
+    values = bb.member_params(0)
     values[-1] = values[-1] + 1.0
     bb.load_trainable(values)
-    np.testing.assert_array_equal(bb.head.values, values[-1])
+    np.testing.assert_array_equal(bb.head.values[0], values[-1])
 
 
 def test_frozen_weights_survive_training_steps():
@@ -176,7 +213,7 @@ def test_frozen_weights_survive_training_steps():
     opt = Adam(bb.trainable_parameters(), lr=1e-3, weight_decay=0.01)
     for _ in range(3):
         batch = rng.normal(size=(4, 8, 6))
-        labels = rng.integers(0, 4, size=4)
+        labels = rng.integers(0, 4, size=4)[None]  # a stack of one member
         opt.zero_grad()
         with Tape() as tape:
             logits = bb.forward(batch)
@@ -188,17 +225,17 @@ def test_frozen_weights_survive_training_steps():
 
 def test_load_trainable_round_trip_and_length_check():
     bb = small_backbone()
-    saved = [p.values.copy() for p in bb.trainable_parameters()]
+    saved = bb.member_params(0)
     bb.load_trainable(saved)
     for p, s in zip(bb.trainable_parameters(), saved):
-        np.testing.assert_array_equal(p.values, s)
+        np.testing.assert_array_equal(p.values[0], s)
     with pytest.raises(AggregationError):
         bb.load_trainable(saved[:-1])
 
 
 def test_load_trainable_stacks_members_and_names_a_bad_one():
     bb = small_backbone()
-    one = [p.values.copy() for p in bb.trainable_parameters()]
+    one = bb.member_params(0)
     two = [v + 1.0 for v in one]
     bb.load_trainable(one, two)
     for p, a, b in zip(bb.trainable_parameters(), one, two):
@@ -209,13 +246,13 @@ def test_load_trainable_stacks_members_and_names_a_bad_one():
         bb.load_trainable(one, two[:2] + [two[2].T] + two[3:])
     bb.load_trainable(two)
     for p, b in zip(bb.trainable_parameters(), two):
-        assert np.array_equal(p.values, b)
+        assert np.array_equal(p.values[0], b)
 
 
 def test_load_trainable_names_a_bad_head_by_global_index():
     bb = small_backbone(BackboneConfig(**{**SMALL.__dict__,
                                           "trainable_head": True}))
-    values = [p.values.copy() for p in bb.trainable_parameters()]
+    values = bb.member_params(0)
     assert len(values) == 7
     values[6] = values[6].T
     with pytest.raises(AggregationError, match=r"parameter 6 \(head\)"):
@@ -235,7 +272,7 @@ def test_layer_probs_are_per_layer_distributions():
     bb.forward(np.random.default_rng(7).normal(size=(3, 8, 6)))
     assert len(bb.last_layer_probs) == 2
     for p in bb.last_layer_probs:
-        assert p.shape == (4,)
+        assert p.shape == (1, 4)
         assert abs(p.values.sum() - 1.0) < 1e-9
 
 
@@ -255,7 +292,8 @@ def per_op_block(block, h):
     ctx = (tz.softmax(scores) @ v).transpose((0, 2, 1, 3)).reshape(b, s, d)
     h = tz.layer_norm(h + ctx @ block.wo, block.ln1_gain, block.ln1_bias)
     ffn = tz.gelu(h @ block.w1) @ block.w2
-    aug, _, _ = block.adapter.forward(ffn.reshape(b * s, d), h.reshape(b * s, d))
+    aug, _, _ = block.adapter.forward(ffn.reshape(1, b * s, d),
+                                      h.reshape(1, b * s, d))
     aug = aug.reshape(b, s, d)
     return tz.layer_norm(h + aug, block.ln2_gain, block.ln2_bias), aug
 
@@ -266,7 +304,8 @@ def one_op_block(block, h):
     b, s, d = h.shape
     h = block._attend(h)
     ffn = block._ffn(h)
-    aug, _, _ = block.adapter.forward(ffn.reshape(b * s, d), h.reshape(b * s, d))
+    aug, _, _ = block.adapter.forward(ffn.reshape(1, b * s, d),
+                                      h.reshape(1, b * s, d))
     aug = aug.reshape(b, s, d)
     return block._norm2(h, aug), aug
 
@@ -357,12 +396,12 @@ def taped_step(bb, features, labels, rows, cached):
     of ``last_layer_probs``; returns everything the two paths must share."""
     for t in bb.trainable_parameters():
         t.grad = None
-    experts = bb.trainable_parameters()[0].shape[0]  # E1 is [M, r, d]
+    experts = bb.trainable_parameters()[0].shape[1]  # E1 is [G, M, r, d]
     load = LoadMatrix.zeros(len(bb.blocks), experts)
     with Tape() as tape:
-        logits = (bb.forward(features, load, rows=rows) if cached
+        logits = (bb.forward([features], load, rows=[rows]) if cached
                   else bb.forward(features[rows], load))
-        loss = tz.cross_entropy(logits, labels[rows])
+        loss = tz.cross_entropy(logits, labels[rows][None])
         for i, p in enumerate(bb.last_layer_probs):
             loss = loss + (p * float(i + 1)).sum()
         tape.backward(loss)
@@ -383,15 +422,15 @@ def test_cached_prefix_forward_is_bit_identical_to_uncached(case, kind):
         assert len(got) == len(want) == 12
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
-    assert np.array_equal(bb.forward(features, rows=rows).values, want[0])
+    assert np.array_equal(bb.forward([features], rows=[rows]).values, want[0])
 
 
 def test_prefix_cache_is_read_only_with_one_entry_per_features_array():
     bb, features, _, idx = prefix_case("grid")
     other = features[:100].copy()
-    bb.forward(features, rows=idx)
-    bb.forward(features, rows=slice(0, 64))
-    bb.forward(other, rows=slice(0, 64))
+    bb.forward([features], rows=[idx])
+    bb.forward([features], rows=[slice(0, 64)])
+    bb.forward([other], rows=[slice(0, 64)])
     assert [id(e[0]) for e in bb._prefixes.values()] == [id(features), id(other)]
     for feats, h1, f1 in bb._prefixes.values():
         assert h1.shape == f1.shape == (len(feats), 2, 32)
@@ -404,7 +443,7 @@ def test_prefix_cache_is_read_only_with_one_entry_per_features_array():
 def test_rows_forward_rejects_wrong_features_shape():
     bb = small_backbone()
     with pytest.raises(DimensionError, match=r"features shape \(5, 8, 7\)"):
-        bb.forward(np.zeros((5, 8, 7)), rows=slice(0, 2))
+        bb.forward([np.zeros((5, 8, 7))], rows=[slice(0, 2)])
     assert not bb._prefixes
 
 
@@ -423,8 +462,8 @@ def test_training_step_tape_is_freed_without_cyclic_collector():
     gc.disable()
     try:
         with Tape() as tape:
-            logits = bb.forward(features, rows=idx)
-            loss = tz.cross_entropy(logits, labels[idx])
+            logits = bb.forward([features], rows=[idx])
+            loss = tz.cross_entropy(logits, labels[idx][None])
             tape.backward(loss)
         opt.step()
         assert loss.tape is tape

@@ -476,3 +476,13 @@ def test_module_entrypoint_subprocess(tmp_path):
         capture_output=True, text=True, cwd=tmp_path, env=env)
     assert result.returncode == 0, result.stderr
     assert "run dir:" in result.stdout
+
+
+def test_package_runs_as_a_module():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src
+    result = subprocess.run([sys.executable, "-m", "fedmoe", "--help"],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert "usage:" in result.stdout

@@ -47,8 +47,7 @@ def make_world(cfg):
                         input_dim=cfg.data.input_dim,
                         frozen_seed=cfg.seeds.frozen)
     clients = build_clients(cfg, train, backbone)
-    server = ServerState(global_params=[
-        p.values.copy() for p in backbone.trainable_parameters()])
+    server = ServerState(global_params=backbone.member_params(0))
     return clients, backbone, server, test
 
 
@@ -229,7 +228,7 @@ class TestLocalTrain:
         clients, backbone, _, _ = make_world(cfg)
         before = clients[0].adapter_params()
         params, _ = train_alone(clients[0], backbone, cfg, round_index=0)
-        trained = [p.values for p in backbone.trainable_parameters()]
+        trained = [p.values[0] for p in backbone.trainable_parameters()]
         for got, record, live, old in zip(params, clients[0].params, trained,
                                           before):
             np.testing.assert_array_equal(got, record)
@@ -344,7 +343,7 @@ class TestStacks:
             assert stack.optimizer.t == alone.optimizer.t == 8
             for stacked, single in zip(stack.optimizer.m + stack.optimizer.v,
                                        alone.optimizer.m + alone.optimizer.v):
-                assert np.array_equal(stacked[i], single)
+                assert np.array_equal(stacked[i], single[0])
             for a, b in zip(client.params, twins[i].params):
                 assert np.array_equal(a, b)
 
@@ -474,7 +473,7 @@ class TestCheckpoint:
                 [loaded[n] for n in backbone.parameter_names()])
             got = backbone.trainable_parameters()
             for tensor, want in zip(got, server.global_params):
-                np.testing.assert_array_equal(tensor.values, want)
+                np.testing.assert_array_equal(tensor.values[0], want)
 
     def test_truncated_or_foreign_files_rejected(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -547,7 +546,7 @@ class TestRunExperiment:
         fresh = make_world(cfg)[1]  # untouched eval model
         for name, tensor in zip(fresh.parameter_names(),
                                 fresh.trainable_parameters()):
-            np.testing.assert_array_equal(loaded[name], tensor.values)
+            np.testing.assert_array_equal(loaded[name], tensor.values[0])
         lines = (tmp_path / "run" / "metrics.csv").read_text().splitlines()
         assert lines == ["round,client_id,task_loss,aux_loss,accuracy,"
                          "mean_util_kl"]

@@ -153,23 +153,24 @@ def test_accuracy_is_chance_level_on_random_labels():
     ds = synth_dataset(2000, 4, 4, 5, separation=1.0, seed=22)
     shuffled = np.random.default_rng(23).permutation(ds.labels)
     ds.labels = shuffled  # any fixed predictor is at chance now
-    acc = evaluate_accuracy(bb, None, ds)
+    acc = evaluate_accuracy(bb, bb.member_params(0), ds)
     assert abs(acc - 0.25) <= 0.05
 
 
 def test_accuracy_on_single_item_is_zero_or_one():
     bb = small_bb()
     ds = synth_dataset(4, 4, 4, 5, separation=1.0, seed=24)
-    acc = evaluate_accuracy(bb, None, ds.subset([0]))
+    acc = evaluate_accuracy(bb, bb.member_params(0), ds.subset([0]))
     assert acc in (0.0, 1.0)
 
 
 def test_accuracy_is_invariant_to_example_order():
     bb = small_bb()
     ds = synth_dataset(64, 4, 4, 5, separation=2.0, seed=25)
-    acc = evaluate_accuracy(bb, None, ds, batch_size=16)
+    acc = evaluate_accuracy(bb, bb.member_params(0), ds, batch_size=16)
     perm = np.random.default_rng(26).permutation(len(ds))
-    acc_perm = evaluate_accuracy(bb, None, ds.subset(perm), batch_size=16)
+    acc_perm = evaluate_accuracy(bb, bb.member_params(0), ds.subset(perm),
+                                 batch_size=16)
     assert acc == acc_perm
 
 
@@ -177,7 +178,7 @@ def test_accuracy_records_stats_for_the_load_matrix():
     bb = small_bb()
     ds = synth_dataset(32, 4, 4, 5, separation=1.0, seed=27)
     load = LoadMatrix.zeros(2, 4)
-    evaluate_accuracy(bb, None, ds, batch_size=10, load=load)
+    evaluate_accuracy(bb, bb.member_params(0), ds, batch_size=10, load=load)
     # count conservation: tokens * K selections per layer
     np.testing.assert_array_equal(load.tokens, [32 * 4, 32 * 4])
     assert (load.counts.sum(axis=1) == 32 * 4 * 2).all()
@@ -191,9 +192,10 @@ def test_load_tally_conserves_tokens_and_leaves_accuracy_unchanged(k):
         adapter.WR.values[...] = rng.normal(size=adapter.WR.shape)
         adapter.E2.values[...] = rng.normal(size=adapter.E2.shape)
     ds = synth_dataset(45, 4, 6, 5, separation=1.0, seed=31)
-    plain = evaluate_accuracy(bb, None, ds, batch_size=16)
+    plain = evaluate_accuracy(bb, bb.member_params(0), ds, batch_size=16)
     load = LoadMatrix.zeros(3, 4)
-    assert evaluate_accuracy(bb, None, ds, batch_size=16, load=load) == plain
+    assert evaluate_accuracy(bb, bb.member_params(0), ds, batch_size=16,
+                             load=load) == plain
     np.testing.assert_array_equal(load.tokens, [45 * 6] * 3)
     np.testing.assert_array_equal(load.counts.sum(axis=1), [45 * 6 * k] * 3)
     np.testing.assert_allclose(load.prob_sums.sum(axis=1), load.tokens,
@@ -203,10 +205,38 @@ def test_load_tally_conserves_tokens_and_leaves_accuracy_unchanged(k):
 def test_accuracy_loads_given_parameters():
     bb = small_bb()
     ds = synth_dataset(32, 4, 4, 5, separation=1.0, seed=28)
-    params = [p.values.copy() for p in bb.trainable_parameters()]
+    params = bb.member_params(0)
     params[0] = params[0] + 0.5
     evaluate_accuracy(bb, params, ds)
-    np.testing.assert_array_equal(bb.trainable_parameters()[0].values, params[0])
+    np.testing.assert_array_equal(bb.trainable_parameters()[0].values[0],
+                                  params[0])
+
+
+def test_load_matrix_tallies_a_stack_as_the_sum_of_its_members_alone():
+    """A stack of three members with its own budgets tallies, in ``counts``
+    and ``tokens``, exactly the three members' single tallies summed."""
+    bb = small_bb(BackboneConfig(layers=3, dim=16, heads=2, seq_len=6))
+    rng = np.random.default_rng(32)
+    members = [[rng.normal(size=p.shape[1:])
+                for p in bb.trainable_parameters()] for _ in range(3)]
+    budgets = [1, 2, 3]
+    features = [synth_dataset(20, 4, 6, 5, separation=1.0, seed=s).features
+                for s in (33, 34, 35)]
+    rows = [rng.permutation(20)[:8] for _ in range(3)]
+    bb.load_trainable(*members)
+    bb.set_budget(budgets)
+    stacked = LoadMatrix.zeros(3, 4)
+    bb.forward(features, stacked, rows=rows)
+    alone = LoadMatrix.zeros(3, 4)
+    for params, k, f, r in zip(members, budgets, features, rows):
+        bb.load_trainable(params)
+        bb.set_budget(k)
+        bb.forward([f], alone, rows=[r])
+    np.testing.assert_array_equal(stacked.counts, alone.counts)
+    np.testing.assert_array_equal(stacked.tokens, alone.tokens)
+    np.testing.assert_array_equal(stacked.tokens, [3 * 8 * 6] * 3)
+    np.testing.assert_allclose(stacked.prob_sums, alone.prob_sums, rtol=0,
+                               atol=1e-12)
 
 
 @pytest.mark.parametrize("batch_size", [0, -4])
@@ -214,7 +244,7 @@ def test_accuracy_rejects_a_batch_size_below_one(batch_size):
     bb = small_bb()
     ds = synth_dataset(8, 4, 4, 5, separation=1.0, seed=29)
     with pytest.raises(InputError, match=f"batch_size = {batch_size}"):
-        evaluate_accuracy(bb, None, ds, batch_size=batch_size)
+        evaluate_accuracy(bb, bb.member_params(0), ds, batch_size=batch_size)
 
 
 def test_empty_test_sets_are_unconstructible():
