@@ -10,6 +10,12 @@ The M experts live in two stacked tensors, ``E1 [G, M, r, d]`` and
 ``E2 [G, M, d, r]``, beside the router's ``WR [G, M, d]``: three parameters
 per adapter, with the same per-client shapes on every client.
 
+The experts share r, so the mixture is one block low-rank product,
+``sum_m w_m E2_m act(E1_m x) = ((w (x) 1_r) * act(x E1cat^T)) @ E2cat`` with
+``E1cat = E1.reshape(G, M*r, d)`` and ``E2cat`` the ``E2[:, m]^T`` stacked
+to ``[G, M*r, d]``: the sum over experts runs inside the second product.
+That moved values by about one ulp from the per-expert loop it replaced.
+
 The leading member axis G is the one shape convention.  A new adapter is a
 stack of one; clients that train in lock step load as a stack of G members,
 with one budget K per member.  The inputs are ``[G, tokens, d]`` and every
@@ -86,7 +92,9 @@ class ExpertNetwork:
     """The M two-layer experts R^d -> R^d of one adapter, as a stacked bank.
 
     Expert m maps through rank r with ``E1[:, m]`` and ``E2[:, m]``; a LoRA
-    split with ragged ranks zero-pads each expert to the largest one.
+    split with ragged ranks zero-pads each expert to the largest one.  As
+    the experts share r, their down-projections fold into one product by
+    ``E1cat``, which rounds differently from the per-expert loop it replaced.
     """
 
     def __init__(self, e1: Tensor, e2: Tensor, activation: str):
@@ -94,22 +102,18 @@ class ExpertNetwork:
         self.E2 = e2   # [G, M, d, r]
         self.activation = activation
 
-    def forward(self, x: np.ndarray, m: int) -> tuple[
-            np.ndarray, np.ndarray | None, np.ndarray, np.ndarray]:
-        """Apply expert m to a [G, tokens, d] array, member by member,
-        values only.
-
-        Returns the pre-activation ``h = x E1[:, m]^T``, the GELU factor
-        ``phi`` (None for a linear expert), the activation ``a`` and the
-        output ``y = a E2[:, m]^T``; the mixture op's backward reads the
-        first three.
-        """
-        h = x @ _t(self.E1.values[:, m])
+    def forward(self, x: np.ndarray) -> tuple[
+            np.ndarray, np.ndarray | None, np.ndarray]:
+        """``h = x E1cat^T`` [G, tokens, M*r] for a [G, tokens, d] array
+        (column block m is expert m's), the GELU factor ``phi`` (None for a
+        linear expert) and the activation ``a``; values only."""
+        e1 = self.E1.values
+        h = x @ _t(e1.reshape(e1.shape[0], -1, e1.shape[-1]))
         if self.activation == "gelu":
             phi, a = tz._gelu_values(h)
         else:
             phi, a = None, h
-        return h, phi, a, a @ _t(self.E2.values[:, m])
+        return h, phi, a
 
 
 class MoEAdapter:
@@ -204,53 +208,41 @@ class MoEAdapter:
     def _mix(self, backbone_out: Tensor, x: Tensor, weights: Tensor) -> Tensor:
         """``backbone_out + sum_m weights[..., m:m+1] * E_m(x)`` as one op.
 
-        The forward adds the experts in index order; the backward walks them
-        from M-1 down to 0, writing expert m's gradients into slice m of one
-        zeroed buffer per stacked tensor.  Both do the arithmetic of the
-        equivalent chain of per-expert ops in the same order and with the
-        same operand layouts, so values and gradients are bit-identical to it.
+        The experts fold into two products: ``a`` from
+        ``ExpertNetwork.forward``, weighted per expert as
+        ``aw = a.reshape(G, tokens, M, r) * w[..., None]``, then
+        ``aw @ E2cat``.  Values and gradients are bit-identical to the chain
+        of tape ops for that formula, and differ by rounding only from the
+        per-expert loop it replaced, which summed the experts one by one.
         """
         xv, w = x.values, weights.values
         e1, e2 = self.E1, self.E2
+        members, m, d, r = e2.shape
+        h, phi, a = self.experts.forward(xv)
+        a4 = a.reshape(*a.shape[:-1], m, r)
+        aw = (a4 * w[..., None]).reshape(a.shape)
+        e2cat = _t(e2.values).reshape(members, m * r, d)
+        out = aw @ e2cat
+        out += backbone_out.values
         inputs = [backbone_out, x, weights, e1, e2]
-        recording = tz._recording(inputs)
-        parts = []  # per-expert (h, phi, a, y), kept only for the backward
-        out = backbone_out.values.copy()
-        for m in range(self.n_experts):
-            part = self.experts.forward(xv, m)
-            y = part[3]
-            if recording:
-                parts.append(part)
-                out += w[..., m:m + 1] * y
-            else:  # nothing reads y again, so weight it in place
-                out += np.multiply(w[..., m:m + 1], y, out=y)
-        if not recording:
+        if not tz._recording(inputs):
             return Tensor(out)
 
         def back(g: np.ndarray) -> None:
-            gw = np.zeros_like(w) if weights.requires_grad else None
-            g1 = np.zeros_like(e1.values) if e1.requires_grad else None
-            g2 = np.zeros_like(e2.values) if e2.requires_grad else None
-            for m in reversed(range(self.n_experts)):
-                h, phi, a, y = parts[m]
-                if gw is not None:
-                    gw[..., m:m + 1] = (g * y).sum(axis=-1, keepdims=True)
-                gy = g * w[..., m:m + 1]
-                if x.requires_grad or g1 is not None:
-                    gh = gy @ e2.values[:, m]
-                    if phi is not None:
-                        gh = gh * tz._gelu_slope(h, phi)
-                if g2 is not None:
-                    g2[:, m] = _t(_t(a) @ gy)
-                if x.requires_grad:
-                    tz._accumulate(x, gh @ e1.values[:, m])
-                if g1 is not None:
-                    g1[:, m] = _t(_t(xv) @ gh)
-            for t, gt in ((weights, gw), (e1, g1), (e2, g2)):
-                if gt is not None:
-                    tz._accumulate(t, gt)
             if backbone_out.requires_grad:
                 tz._accumulate(backbone_out, g)
+            gaw = (g @ _t(e2cat)).reshape(a4.shape)
+            if e2.requires_grad:
+                tz._accumulate(e2, _t((_t(aw) @ g).reshape(members, m, r, d)))
+            if weights.requires_grad:
+                tz._accumulate(weights, (gaw * a4).sum(axis=-1))
+            gh = (gaw * w[..., None]).reshape(a.shape)
+            if phi is not None:
+                gh = gh * tz._gelu_slope(h, phi)
+            if x.requires_grad:
+                tz._accumulate(x, gh @ e1.values.reshape(members, m * r, d))
+            if e1.requires_grad:
+                tz._accumulate(e1, _t(_t(xv) @ gh).reshape(e1.shape))
 
         return tz._emit(out, inputs, back)
 

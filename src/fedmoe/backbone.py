@@ -249,10 +249,17 @@ class Backbone:
         return [b.adapter for b in self.blocks]
 
     def set_budget(self, k) -> None:
-        """Every adapter's budget: one K per member, or one K for them all."""
+        """Every adapter's budget: one K per member, or one K for them all,
+        each an integer in [1, M]."""
         k = np.reshape(k, (-1, 1, 1))  # against [G, tokens, M] ranks
+        experts = self.adapters[0].n_experts
+        for i, ki in enumerate(k.ravel()):
+            if not (float(ki).is_integer() and 1 <= ki <= experts):
+                raise ConfigurationError(
+                    f"member {i}: budget K = {ki} is not an integer in "
+                    f"[1, {experts}]")
         for adapter in self.adapters:
-            adapter.k = k
+            adapter.k = k.astype(np.int64)
 
     def forward(self, batch, load: LoadMatrix | None = None,
                 rows=None) -> Tensor:

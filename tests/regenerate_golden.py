@@ -12,6 +12,9 @@ Usage, from the root of a checkout, to rewrite ``table.json``::
 
     PYTHONPATH=src python3 tests/regenerate_golden.py
 
+Before writing, it prints for each run the artifacts whose hash moved
+against the committed table, or ``unchanged``.
+
 A change that means to move numerics regenerates the table and says so,
 with the acceptance criteria 6 and 7 margins.
 """
@@ -78,12 +81,19 @@ def run_hashes(run: str, out_dir: Path) -> dict[str, str]:
     return {name: digest(out_dir / name) for name in ARTIFACTS}
 
 
+def moved(got: dict[str, str], want: dict[str, str]) -> list[str]:
+    """The artifacts whose hash in ``got`` differs from ``want``'s."""
+    return [name for name in ARTIFACTS if got[name] != want.get(name)]
+
+
 def main() -> int:
+    committed = json.loads(TABLE.read_text())["runs"] if TABLE.exists() else {}
     runs = {}
     with tempfile.TemporaryDirectory() as tmp:
         for run in RUNS:
             runs[run] = run_hashes(run, Path(tmp) / run)
-            print(run, " ".join(h[:12] for h in runs[run].values()))
+            changed = moved(runs[run], committed.get(run, {}))
+            print(f"{run}: {'moved ' + ', '.join(changed) if changed else 'unchanged'}")
     TABLE.write_text(json.dumps({**environment(), "runs": runs}, indent=2) + "\n")
     print(f"wrote {TABLE}")
     return 0

@@ -131,9 +131,10 @@ def test_equal_logits_full_activation_averages_experts():
     adapter.E2.values[...] = rng.normal(size=adapter.E2.shape)
     x = rng.normal(size=(3, 5))
     out = adapter.forward(Tensor(np.zeros((1, 3, 5))), Tensor(x[None]))[0]
-    want = np.mean([adapter.experts.forward(x[None], m)[3] for m in range(4)],
-                   axis=0)
-    np.testing.assert_allclose(out.values, want, atol=1e-12)
+    e1, e2 = adapter.E1.values[0], adapter.E2.values[0]
+    want = np.mean([tz._gelu_values(x @ e1[m].T)[1] @ e2[m].T
+                    for m in range(4)], axis=0)
+    np.testing.assert_allclose(out.values[0], want, atol=1e-12)
 
 
 def test_permuting_experts_and_router_rows_changes_nothing():
@@ -298,21 +299,39 @@ def test_adapter_gradients_match_finite_differences():
 
 
 def per_op_mix(adapter, backbone_out, x, weights):
+    """The folded mixture as a chain of tape ops on the stacked E1 and E2:
+    ``E1cat = E1.reshape(G, M*r, d)``, ``h = x @ E1cat^T``, the activation,
+    the activation's blocks weighted by ``weights.reshape(G, T, M, 1)``, and
+    one up-projection by ``E2cat``, E2 moved to ``[G, M*r, d]``.  The one-op
+    mixture must match it bit for bit."""
+    e1, e2 = adapter.E1, adapter.E2
+    members, m, d, r = e2.shape
+    tokens = x.shape[1]
+    h = x @ e1.reshape(members, m * r, d).transpose((0, 2, 1))
+    if adapter.experts.activation == "gelu":
+        h = tz.gelu(h)
+    aw = h.reshape(members, tokens, m, r) * weights.reshape(members, tokens, m, 1)
+    e2cat = e2.transpose((0, 1, 3, 2)).reshape(members, m * r, d)
+    return backbone_out + aw.reshape(members, tokens, m * r) @ e2cat
+
+
+def per_expert_mix(adapter, backbone_out, x, weights):
     """The expert mixture as the chain of per-expert tape ops (transpose,
-    matmul, gelu, transpose, matmul, take, mul, add) that the one-op
-    mixture replaced, on per-expert leaf tensors copied from the slices of
-    the stacked E1 and E2; values and gradients must match it bit for bit.
-    Returns the output and the (E1_m, E2_m) leaves."""
-    leaves = [(parameter(adapter.E1.values[0, m].copy()),
-               parameter(adapter.E2.values[0, m].copy()))
-              for m in range(adapter.n_experts)]
+    matmul, gelu, transpose, matmul, take, mul, add) that the one-op mixture
+    first replaced, on per-expert leaf tensors copied from the slices of
+    the stacked E1 and E2; it sums the experts one by one, so the folded
+    mixture matches it up to rounding.  Returns the output and the
+    per-expert (E1_m, E2_m) leaves stacked in expert order."""
+    pairs = [(parameter(adapter.E1.values[:, m].copy()),
+              parameter(adapter.E2.values[:, m].copy()))
+             for m in range(adapter.n_experts)]
     out = backbone_out
-    for m, (e1, e2) in enumerate(leaves):
-        h = x @ e1.T
+    for m, (e1, e2) in enumerate(pairs):
+        h = x @ e1.transpose((0, 2, 1))
         if adapter.experts.activation == "gelu":
             h = tz.gelu(h)
-        out = out + weights[..., m:m + 1] * (h @ e2.T)
-    return out, leaves
+        out = out + weights[..., m:m + 1] * (h @ e2.transpose((0, 2, 1)))
+    return out, pairs
 
 
 MIXED_RANKS = (2, 1, 3, 2)
@@ -335,40 +354,46 @@ def mixture_case(activation, gating_mode, k, seed=24):
     return adapter, {key: a[None] for key, a in arrays.items()}
 
 
-def run_mix(adapter, arrays, inputs_grad, per_op=False):
+def run_mix(adapter, arrays, inputs_grad, chain=None):
     """Loss ``sum(w * mix(...))`` under a tape, mixing with the one-op
-    ``_mix`` or with ``per_op_mix``; returns the output and the gradients of
-    x, backbone_out, router logits, E1 and E2 (the per-expert leaves'
-    gradients stacked in expert order)."""
+    ``_mix`` or with a ``chain`` (``per_op_mix`` or ``per_expert_mix``);
+    returns the output and the gradients of x, backbone_out, router
+    logits, E1 and E2 (per-expert leaves' gradients stacked in expert
+    order)."""
     x = Tensor(arrays["x"], requires_grad=inputs_grad)
     base = Tensor(arrays["base"], requires_grad=inputs_grad)
     logits = Tensor(arrays["logits"], requires_grad=True)
     adapter.E1.grad = adapter.E2.grad = None
     with Tape() as tape:
         weights, _ = adapter._gate(logits)
-        if per_op:
-            out, leaves = per_op_mix(adapter, base, x, weights)
+        if chain is per_expert_mix:
+            out, pairs = per_expert_mix(adapter, base, x, weights)
         else:
-            out = adapter._mix(base, x, weights)
+            out = (chain or MoEAdapter._mix)(adapter, base, x, weights)
         loss = tz.mul(out, Tensor(arrays["w"])).sum()
     tape.backward(loss)
-    if per_op:
-        experts = [np.stack([leaf[i].grad for leaf in leaves])[None]
+    if chain is per_expert_mix:
+        experts = [np.stack([pair[i].grad for pair in pairs], axis=1)
                    for i in (0, 1)]
     else:
         experts = [adapter.E1.grad.copy(), adapter.E2.grad.copy()]
     return out.values, [x.grad, base.grad, logits.grad] + experts
 
 
-@pytest.mark.parametrize("inputs_grad", [True, False])
-@pytest.mark.parametrize("gating_mode,k", [("topk_softmax", 1), ("topk_softmax", 2),
-                                           ("topk_softmax", 4), ("uniform_one", 4)])
-@pytest.mark.parametrize("activation", ["gelu", "linear"])
+# activation, gating mode, K, whether x and backbone_out need gradients
+MIX_CASES = [(activation, mode, k, inputs_grad)
+             for activation in ("gelu", "linear")
+             for mode, k in (("topk_softmax", 1), ("topk_softmax", 2),
+                             ("topk_softmax", 4), ("uniform_one", 4))
+             for inputs_grad in (False, True)]
+
+
+@pytest.mark.parametrize("activation,gating_mode,k,inputs_grad", MIX_CASES)
 def test_one_op_mixture_is_bit_identical_to_per_op_chain(activation, gating_mode,
                                                          k, inputs_grad):
     adapter, arrays = mixture_case(activation, gating_mode, k)
     out, grads = run_mix(adapter, arrays, inputs_grad)
-    want_out, want_grads = run_mix(adapter, arrays, inputs_grad, per_op=True)
+    want_out, want_grads = run_mix(adapter, arrays, inputs_grad, per_op_mix)
     np.testing.assert_array_equal(out, want_out)
     assert len(grads) == len(want_grads) == 5
     for got, want in zip(grads, want_grads):
@@ -377,6 +402,22 @@ def test_one_op_mixture_is_bit_identical_to_per_op_chain(activation, gating_mode
             np.testing.assert_array_equal(got, want)
     assert (grads[0] is None) == (not inputs_grad)
     assert (grads[2] is None) == (gating_mode == "uniform_one")
+
+
+@pytest.mark.parametrize("activation,gating_mode,k,inputs_grad", MIX_CASES)
+def test_folded_mixture_matches_per_expert_chain_up_to_rounding(
+        activation, gating_mode, k, inputs_grad):
+    """Folding the experts into two products only reorders the sum over
+    experts: output and gradients agree with the per-expert chain to 1e-12
+    relative."""
+    adapter, arrays = mixture_case(activation, gating_mode, k)
+    out, grads = run_mix(adapter, arrays, inputs_grad)
+    want_out, want_grads = run_mix(adapter, arrays, inputs_grad, per_expert_mix)
+    np.testing.assert_allclose(out, want_out, rtol=1e-12)
+    for got, want in zip(grads, want_grads):
+        assert (got is None) == (want is None)
+        if want is not None:
+            np.testing.assert_allclose(got, want, rtol=1e-12)
 
 
 def test_mixture_records_one_tape_op_and_matches_evaluation():

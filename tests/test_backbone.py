@@ -88,6 +88,20 @@ def test_indivisible_heads_rejected():
         BackboneConfig(dim=16, heads=3)
 
 
+@pytest.mark.parametrize("budget,bad", [
+    (0, "member 0: budget K = 0 "), (5, "member 0: budget K = 5 "),
+    (2.5, r"member 0: budget K = 2\.5 "), ([2, 4, 0, 1], "member 2: budget K = 0 ")])
+def test_set_budget_rejects_k_outside_one_to_m(budget, bad):
+    """M = 4: a budget must be an integer in [1, 4] for every member, and a
+    rejected one leaves the adapters' budgets as they were."""
+    bb = small_backbone()
+    with pytest.raises(ConfigurationError, match=bad):
+        bb.set_budget(budget)
+    assert all(np.array_equal(a.k, [[[2]]]) for a in bb.adapters)
+    bb.set_budget(4.0)  # an integral float is an integer
+    assert all(a.k.dtype == np.int64 and a.k.item() == 4 for a in bb.adapters)
+
+
 def test_zero_adapters_match_adapter_free_oracle():
     bb = small_backbone()  # E2 = 0 at init
     batch = np.random.default_rng(1).normal(size=(4, 8, 6))

@@ -12,7 +12,7 @@ import json
 
 import pytest
 
-from regenerate_golden import ARTIFACTS, RUNS, TABLE, environment, run_hashes
+from regenerate_golden import ARTIFACTS, RUNS, TABLE, environment, moved, run_hashes
 
 GOLDEN = json.loads(TABLE.read_text())
 
@@ -25,14 +25,12 @@ def test_table_covers_every_run_and_artifact():
 
 @pytest.mark.parametrize("run", RUNS)
 def test_artifacts_match_golden_hashes(run, tmp_path):
-    got = run_hashes(run, tmp_path)
-    want = GOLDEN["runs"][run]
-    moved = [name for name in ARTIFACTS if got[name] != want[name]]
-    if not moved:
+    changed = moved(run_hashes(run, tmp_path), GOLDEN["runs"][run])
+    if not changed:
         return
     here = environment()
     recorded = {key: GOLDEN[key] for key in here}
-    detail = (f"{run}: the sha256 of {', '.join(moved)} does not match "
+    detail = (f"{run}: the sha256 of {', '.join(changed)} does not match "
               f"tests/golden/table.json; "
               f"table taken on numpy {recorded['numpy']} with BLAS "
               f"{recorded['blas']!r}, this run on numpy {here['numpy']} with "
