@@ -119,17 +119,15 @@ class ExpertNetwork:
 class MoEAdapter:
     """M stacked experts plus a router ``WR [G, M, d]``, gated by top-K
     softmax or uniform weights; built as a stack of one.  ``k`` is the
-    budget: an int, or a [G, 1, 1] array of one K per member."""
+    budget, always ``[G, 1, 1]`` int64 (one K per member, or one K for
+    them all), set by :meth:`set_budget`; a new adapter routes to all M."""
 
-    def __init__(self, dim: int, cfg: AdapterConfig, k: int,
+    def __init__(self, dim: int, cfg: AdapterConfig,
                  rng: np.random.Generator | None = None):
-        if not 1 <= k <= cfg.experts:
-            raise ConfigurationError(
-                f"active expert count K={k} outside [1, {cfg.experts}]")
         rng = rng or np.random.default_rng(0)
         self.dim = dim
         self.n_experts = cfg.experts
-        self.k = k
+        self.set_budget(cfg.experts)
         self.gating_mode = cfg.gating_mode
         m, r = cfg.experts, cfg.rank
         self.E1 = parameter(rng.normal(0.0, EXPERT_INIT_STD,
@@ -138,39 +136,18 @@ class MoEAdapter:
         self.WR = parameter(np.zeros((1, m, dim)))
         self.experts = ExpertNetwork(self.E1, self.E2, cfg.activation)
 
-    # -- construction --------------------------------------------------------
-
-    @classmethod
-    def from_lora(cls, a: Tensor, b: Tensor, ranks: list[int]) -> "MoEAdapter":
-        """Split a LoRA pair (A [r, d], B [d, r]) into linear experts.
-
-        Expert m takes the m-th row block of A and column block of B, in the
-        leading ``ranks[m]`` rows of ``E1[0, m]`` and columns of
-        ``E2[0, m]``; the rest is zero.  With uniform unit gating the
-        adapter's correction equals ``B @ A @ x``.
-        """
-        a = a if isinstance(a, Tensor) else Tensor(a)
-        b = b if isinstance(b, Tensor) else Tensor(b)
-        r, d = a.shape
-        if b.shape != (d, r):
-            raise DimensionError(f"B shape {b.shape} does not pair with A {a.shape}")
-        if not ranks or min(ranks) < 1 or sum(ranks) != r:
-            raise ConfigurationError(
-                f"ranks {ranks} are not a positive split of LoRA rank {r}")
-        if r > d:
-            raise ConfigurationError(f"LoRA rank {r} exceeds width {d}")
-        cfg = AdapterConfig(experts=len(ranks), rank=max(ranks),
-                            gating_mode="uniform_one", activation="linear")
-        adapter = cls(d, cfg, k=len(ranks))
-        adapter.E1.values[...] = 0.0
-        offset = 0
-        for m, rm in enumerate(ranks):
-            adapter.E1.values[0, m, :rm] = a.values[offset:offset + rm, :]
-            adapter.E2.values[0, m, :, :rm] = b.values[:, offset:offset + rm]
-            offset += rm
-        return adapter
-
     # -- routing ---------------------------------------------------------------
+
+    def set_budget(self, k) -> None:
+        """The budget: one K per member, or one K for them all, each an
+        integer in [1, M]; a rejected budget leaves the old one in place."""
+        k = np.reshape(k, (-1, 1, 1))  # against [G, tokens, M] ranks
+        for i, ki in enumerate(k.ravel()):
+            if not (float(ki).is_integer() and 1 <= ki <= self.n_experts):
+                raise ConfigurationError(
+                    f"member {i}: budget K = {ki} is not an integer in "
+                    f"[1, {self.n_experts}]")
+        self.k = k.astype(np.int64)
 
     def _gate(self, logits: Tensor) -> tuple[Tensor, np.ndarray]:
         """Differentiable [G, tokens, M] weights plus the boolean selection."""

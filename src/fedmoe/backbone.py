@@ -232,8 +232,7 @@ class Backbone:
         self.pos = Tensor(rng.normal(0.0, 0.02, size=(cfg.seq_len, cfg.dim)))
         self.blocks = [
             TransformerBlock(cfg.dim, cfg.heads,
-                             MoEAdapter(cfg.dim, adapter_cfg,
-                                        k=adapter_cfg.experts, rng=rng), rng)
+                             MoEAdapter(cfg.dim, adapter_cfg, rng), rng)
             for _ in range(cfg.layers)
         ]
         head = rng.normal(0.0, cfg.dim ** -0.5, size=(cfg.dim, classes))
@@ -250,16 +249,9 @@ class Backbone:
 
     def set_budget(self, k) -> None:
         """Every adapter's budget: one K per member, or one K for them all,
-        each an integer in [1, M]."""
-        k = np.reshape(k, (-1, 1, 1))  # against [G, tokens, M] ranks
-        experts = self.adapters[0].n_experts
-        for i, ki in enumerate(k.ravel()):
-            if not (float(ki).is_integer() and 1 <= ki <= experts):
-                raise ConfigurationError(
-                    f"member {i}: budget K = {ki} is not an integer in "
-                    f"[1, {experts}]")
+        each an integer in [1, M] (see :meth:`MoEAdapter.set_budget`)."""
         for adapter in self.adapters:
-            adapter.k = k.astype(np.int64)
+            adapter.set_budget(k)
 
     def forward(self, batch, load: LoadMatrix | None = None,
                 rows=None) -> Tensor:
@@ -272,13 +264,24 @@ class Backbone:
         0's prefix of each ``batch[g][rows[g]]`` comes from the cache.
         Without ``rows``, ``batch`` is one [G * batch, S, in] array holding
         the members' examples one after another, and nothing is cached."""
+        members = self.adapters[0].WR.shape[0]
         if rows is None:
             x = batch if isinstance(batch, Tensor) else Tensor(batch)
             self._check_shape("batch", x.shape)
             h, ffn = self._prefix(x)
         else:
+            if not len(batch) == len(rows) == members:
+                raise DimensionError(
+                    f"member {min(len(batch), len(rows), members)}: a stack "
+                    f"of {members} given {len(batch)} features arrays and "
+                    f"{len(rows)} row sets")
             prefixes = [self._cached_prefix(f) for f in batch]
-            h = Tensor(_join([h1[r] for (h1, _), r in zip(prefixes, rows)]))
+            h1s = [h1[r] for (h1, _), r in zip(prefixes, rows)]
+            for g, part in enumerate(h1s):
+                if len(part) != len(h1s[0]):
+                    raise DimensionError(f"member {g}: {len(part)} rows, "
+                                         f"member 0 has {len(h1s[0])}")
+            h = Tensor(_join(h1s))
             ffn = Tensor(_join([f1[r] for (_, f1), r in zip(prefixes, rows)]))
         self.last_layer_probs = []
         for layer, block in enumerate(self.blocks):
@@ -286,7 +289,6 @@ class Backbone:
             self.last_layer_probs.append(dense.mean(axis=-2))
             if load is not None:
                 load.record(layer, selected, dense.values)
-        members = self.adapters[0].WR.shape[0]
         pooled = h.mean(axis=1).reshape(members, -1, self.cfg.dim)
         return pooled @ self.head  # each member's rows against its own head
 

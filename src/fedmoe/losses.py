@@ -76,9 +76,7 @@ def kl_divergence(p_local, p_global) -> Tensor:
         p_global, dtype=np.float64)
     _check_distribution("P_l", p.values)
     _check_distribution("P_g", q)
-    if (q <= 0.0).any():
-        raise InputError("P_g has a zero entry; KL would be undefined")
-    return tz.rel_entropy(p, q)
+    return tz.rel_entropy(p, q)  # rejects a P_g with a zero entry
 
 
 def aux_loss_layer(p_local, cfg: AuxLossConfig) -> Tensor:

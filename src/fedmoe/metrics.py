@@ -93,36 +93,33 @@ def utilization_kl(load: LoadMatrix) -> UtilizationReport:
     return UtilizationReport(per_layer, mean, warnings)
 
 
-def export_heatmap_csv(load: LoadMatrix, path) -> None:
-    """Write `layer, expert, count, frequency` rows sorted by (layer, expert)."""
-    freq = load.frequencies()
+def _write_rows(path, what: str, header: list[str], rows) -> None:
+    """One CSV of ``header`` then ``rows``; a failed write names ``path``."""
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["layer", "expert", "count", "frequency"])
-            for layer in range(load.layers):
-                for expert in range(load.experts):
-                    writer.writerow([layer, expert,
-                                     int(load.counts[layer, expert]),
-                                     f"{freq[layer, expert]:.12g}"])
+            writer.writerow(header)
+            writer.writerows(rows)
     except OSError as exc:
-        raise OSError(f"cannot write heatmap to {path}: {exc}") from exc
+        raise OSError(f"cannot write {what} to {path}: {exc}") from exc
+
+
+def export_heatmap_csv(load: LoadMatrix, path) -> None:
+    """Write `layer, expert, count, frequency` rows sorted by (layer, expert)."""
+    freq = load.frequencies()
+    _write_rows(path, "heatmap", ["layer", "expert", "count", "frequency"],
+                ([layer, expert, int(load.counts[layer, expert]),
+                  f"{freq[layer, expert]:.12g}"]
+                 for layer, expert in np.ndindex(freq.shape)))
 
 
 def export_mean_probs_csv(load: LoadMatrix, path) -> None:
     """The routing-probability view of the same traffic: `layer, expert,
     mean_prob` (token-mean dense softmax, the aux-loss perspective)."""
     probs = load.mean_probs()
-    try:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["layer", "expert", "mean_prob"])
-            for layer in range(load.layers):
-                for expert in range(load.experts):
-                    writer.writerow([layer, expert,
-                                     f"{probs[layer, expert]:.12g}"])
-    except OSError as exc:
-        raise OSError(f"cannot write probabilities to {path}: {exc}") from exc
+    _write_rows(path, "probabilities", ["layer", "expert", "mean_prob"],
+                ([layer, expert, f"{probs[layer, expert]:.12g}"]
+                 for layer, expert in np.ndindex(probs.shape)))
 
 
 def evaluate_accuracy(backbone: Backbone, params: list[np.ndarray],

@@ -564,31 +564,3 @@ class Adam:
             if self.weight_decay:
                 p.values -= self.lr * self.weight_decay * p.values
             p.values -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
-
-    def state_dict(self) -> dict:
-        return {
-            "t": self.t,
-            "m": [m.copy() for m in self.m],
-            "v": [v.copy() for v in self.v],
-        }
-
-    def load_state_dict(self, state: dict) -> None:
-        """Adopt ``state``; each moment must match its parameter's shape and
-        be finite, or the error names the parameter index and the moment."""
-        moments = {}
-        for key in ("m", "v"):
-            if len(state[key]) != len(self.params):
-                raise UsageError(
-                    f"optimizer state has {len(state[key])} {key} moments for "
-                    f"{len(self.params)} parameters")
-            moments[key] = [np.array(x, dtype=np.float64) for x in state[key]]
-            for i, (p, x) in enumerate(zip(self.params, moments[key])):
-                if x.shape != p.shape:
-                    raise UsageError(
-                        f"optimizer state: parameter {i}: {key} has shape "
-                        f"{x.shape}, expected {p.shape}")
-                if not np.isfinite(x).all():
-                    raise UsageError(
-                        f"optimizer state: parameter {i}: {key} is not finite")
-        self.t = int(state["t"])
-        self.m, self.v = moments["m"], moments["v"]

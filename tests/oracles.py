@@ -9,8 +9,10 @@ import math
 
 import numpy as np
 
+from fedmoe.adapter import AdapterConfig, MoEAdapter
 from fedmoe.config import ExperimentConfig
-from fedmoe.errors import DimensionError, UsageError
+from fedmoe.errors import ConfigurationError, DimensionError, UsageError
+from fedmoe.tensor import Tensor
 
 
 def finite_difference_grads(f, arrays, step=1e-5):
@@ -88,8 +90,9 @@ def route(adapter, x):
     if x.shape != (adapter.dim,):
         raise DimensionError(f"token shape {x.shape}, expected ({adapter.dim},)")
     logits = adapter.WR.values[0] @ x
+    k = int(np.ravel(adapter.k)[0])
     chosen = sorted(sorted(range(len(logits)),
-                           key=lambda i: (-logits[i], i))[:adapter.k])
+                           key=lambda i: (-logits[i], i))[:k])
     top = max(logits[i] for i in chosen)
     exps = {i: math.exp(logits[i] - top) for i in chosen}
     total = sum(exps.values())
@@ -97,6 +100,37 @@ def route(adapter, x):
     for i, e in exps.items():
         weights[i] = e / total
     return weights, chosen
+
+
+def lora_adapter(a, b, ranks):
+    """Split a LoRA pair (A [r, d], B [d, r]) into linear experts: the
+    paper's claim that one MoE adapter shape absorbs a LoRA configuration.
+
+    Expert m takes the m-th row block of A and column block of B, in the
+    leading ``ranks[m]`` rows of ``E1[0, m]`` and columns of ``E2[0, m]``;
+    the rest is zero.  With uniform unit gating the adapter's correction
+    equals ``B @ A @ x``.
+    """
+    a = a.values if isinstance(a, Tensor) else np.asarray(a)
+    b = b.values if isinstance(b, Tensor) else np.asarray(b)
+    r, d = a.shape
+    if b.shape != (d, r):
+        raise DimensionError(f"B shape {b.shape} does not pair with A {a.shape}")
+    if not ranks or min(ranks) < 1 or sum(ranks) != r:
+        raise ConfigurationError(
+            f"ranks {ranks} are not a positive split of LoRA rank {r}")
+    if r > d:
+        raise ConfigurationError(f"LoRA rank {r} exceeds width {d}")
+    cfg = AdapterConfig(experts=len(ranks), rank=max(ranks),
+                        gating_mode="uniform_one", activation="linear")
+    adapter = MoEAdapter(d, cfg)
+    adapter.E1.values[...] = 0.0
+    offset = 0
+    for m, rm in enumerate(ranks):
+        adapter.E1.values[0, m, :rm] = a[offset:offset + rm, :]
+        adapter.E2.values[0, m, :, :rm] = b[:, offset:offset + rm]
+        offset += rm
+    return adapter
 
 
 def with_overrides(cfg, overrides):

@@ -24,7 +24,7 @@ from fedmoe.losses import (AuxLossConfig, aux_loss_layer, kl_divergence,
                            reduce_aux, total_loss, uniform_target)
 from fedmoe.tensor import Tensor
 
-from oracles import finite_difference_grads, kl_direct, route
+from oracles import finite_difference_grads, kl_direct, lora_adapter, route
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +56,7 @@ def test_criterion_01_lora_split_equivalence():
         base = x @ rng.normal(size=(d, d))
         want = base + x @ a.T @ b.T
         for ranks in splits:
-            adapter = MoEAdapter.from_lora(a, b, list(ranks))
+            adapter = lora_adapter(a, b, list(ranks))
             out = adapter.forward(Tensor(base[None]), Tensor(x[None]))[0]
             got = out.values[0]
             worst = max(worst, float(np.max(np.abs(got - want))))
@@ -91,7 +91,8 @@ def test_criterion_02_routing_contract():
                                       kind="stable")[:, :k], axis=1)
         np.testing.assert_array_equal(selected, brute)
         # spot-check a plain per-token routing oracle against the same math
-        adapter = MoEAdapter(d, AdapterConfig(experts=m, rank=1), k=k)
+        adapter = MoEAdapter(d, AdapterConfig(experts=m, rank=1))
+        adapter.set_budget(k)
         adapter.WR.values[...] = wr
         for t in rng.choice(tokens, size=50, replace=False):
             token_weights, chosen = route(adapter, x[t])
@@ -329,8 +330,7 @@ def test_criterion_08_adaptive_k_round(tmp_path):
     loaded = load_checkpoint(tmp_path / "run" / "checkpoint.bin")
     model = result.eval_backbone
     for client in result.clients:
-        for adapter in model.adapters:
-            adapter.k = client.k_n
+        model.set_budget(client.k_n)
         model.load_trainable(
             [loaded[name] for name in model.parameter_names()])
         for tensor, want in zip(model.trainable_parameters(),
@@ -366,8 +366,7 @@ def test_criterion_09_budget_matched_sweep(tmp_path):
     budgets = []
     for row in rows:
         rank, experts = int(row["adapter.rank"]), int(row["adapter.experts"])
-        adapter = MoEAdapter(32, AdapterConfig(experts=experts, rank=rank),
-                             k=min(2, experts))
+        adapter = MoEAdapter(32, AdapterConfig(experts=experts, rank=rank))
         budgets.append(adapter.E1.values.size + adapter.E2.values.size)
     assert budgets[0] == budgets[1] == budgets[2]
 

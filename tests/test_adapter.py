@@ -9,7 +9,8 @@ from fedmoe.errors import (AggregationError, ConfigurationError, DimensionError,
 from fedmoe.metrics import LoadMatrix
 from fedmoe.tensor import Adam, Tape, Tensor, parameter
 
-from oracles import finite_difference_grads, route, softmax_direct
+from oracles import (finite_difference_grads, lora_adapter, route,
+                     softmax_direct)
 
 
 def brute_force_topk(logits, k):
@@ -19,9 +20,11 @@ def brute_force_topk(logits, k):
 
 
 def make_adapter(dim, experts, rank, k, rng=None, **kwargs):
-    """An adapter of M = experts stacked experts of one rank."""
-    return MoEAdapter(dim, AdapterConfig(experts=experts, rank=rank, **kwargs),
-                      k=k, rng=rng)
+    """An adapter of M = experts stacked experts of one rank, budget k."""
+    adapter = MoEAdapter(dim, AdapterConfig(experts=experts, rank=rank,
+                                            **kwargs), rng)
+    adapter.set_budget(k)
+    return adapter
 
 
 def identity_router_adapter(m, k, **kwargs):
@@ -178,7 +181,7 @@ def test_from_lora_single_expert_keeps_factors():
     rng = np.random.default_rng(11)
     a = rng.normal(size=(4, 10))
     b = rng.normal(size=(10, 4))
-    adapter = MoEAdapter.from_lora(Tensor(a), Tensor(b), ranks=[4])
+    adapter = lora_adapter(Tensor(a), Tensor(b), ranks=[4])
     np.testing.assert_array_equal(adapter.E1.values[0, 0], a)
     np.testing.assert_array_equal(adapter.E2.values[0, 0], b)
 
@@ -187,7 +190,7 @@ def test_from_lora_block_sum_reconstructs_dense_product():
     rng = np.random.default_rng(12)
     a = rng.normal(size=(4, 9))
     b = rng.normal(size=(9, 4))
-    adapter = MoEAdapter.from_lora(Tensor(a), Tensor(b), ranks=[2, 2])
+    adapter = lora_adapter(Tensor(a), Tensor(b), ranks=[2, 2])
     total = sum(adapter.E2.values[0, m] @ adapter.E1.values[0, m]
                 for m in range(2))
     np.testing.assert_allclose(total, b @ a, atol=1e-12)
@@ -198,7 +201,7 @@ def test_from_lora_forward_equals_lora_update(ranks):
     rng = np.random.default_rng(13)
     a = rng.normal(size=(4, 8))
     b = rng.normal(size=(8, 4))
-    adapter = MoEAdapter.from_lora(Tensor(a), Tensor(b), ranks=ranks)
+    adapter = lora_adapter(Tensor(a), Tensor(b), ranks=ranks)
     for _ in range(10):
         x = rng.normal(size=8)
         base = rng.normal(size=8)
@@ -210,7 +213,7 @@ def test_from_lora_forward_equals_lora_update(ranks):
 
 def test_from_lora_zero_factor_is_zero_map():
     b = np.random.default_rng(14).normal(size=(6, 3))
-    adapter = MoEAdapter.from_lora(Tensor(np.zeros((3, 6))), Tensor(b), [1, 2])
+    adapter = lora_adapter(Tensor(np.zeros((3, 6))), Tensor(b), [1, 2])
     x = np.ones(6)
     out = adapter.forward(Tensor(np.zeros((1, 1, 6))),
                           Tensor(x[None, None]))[0]
@@ -220,11 +223,11 @@ def test_from_lora_zero_factor_is_zero_map():
 def test_from_lora_validates_ranks_and_shapes():
     a, b = Tensor(np.zeros((4, 8))), Tensor(np.zeros((8, 4)))
     with pytest.raises(ConfigurationError):
-        MoEAdapter.from_lora(a, b, ranks=[2, 3])
+        lora_adapter(a, b, ranks=[2, 3])
     with pytest.raises(DimensionError):
-        MoEAdapter.from_lora(a, Tensor(np.zeros((4, 8))), ranks=[2, 2])
+        lora_adapter(a, Tensor(np.zeros((4, 8))), ranks=[2, 2])
     with pytest.raises(ConfigurationError):
-        MoEAdapter.from_lora(Tensor(np.zeros((9, 8))), Tensor(np.zeros((8, 9))),
+        lora_adapter(Tensor(np.zeros((9, 8))), Tensor(np.zeros((8, 9))),
                              ranks=[9])
 
 
@@ -235,7 +238,7 @@ def test_ragged_lora_split_pads_with_exact_zeros_that_never_train():
     rng = np.random.default_rng(26)
     ranks = [1, 3, 2, 2]
     a, b = rng.normal(size=(8, 10)), rng.normal(size=(10, 8))
-    adapter = MoEAdapter.from_lora(Tensor(a), Tensor(b), ranks)
+    adapter = lora_adapter(Tensor(a), Tensor(b), ranks)
     assert adapter.E1.shape == (1, 4, 3, 10)
     assert adapter.E2.shape == (1, 4, 10, 3)
     pad1 = np.zeros(adapter.E1.shape, dtype=bool)
@@ -525,8 +528,7 @@ def test_adapters_with_different_k_interoperate():
     x = np.random.default_rng(22).normal(size=(3, 4, 5))
     first.forward(x)
     second.forward(x)
-    for adapter in second.adapters:
-        adapter.k = 1
+    second.set_budget(1)
     np.testing.assert_array_equal(second.forward(x).values,
                                   first.forward(x).values)
 

@@ -15,7 +15,7 @@ from fedmoe.federation import run_experiment
 from fedmoe.metrics import LoadMatrix, evaluate_accuracy
 from fedmoe.tensor import Adam, Tape, Tensor
 
-from oracles import finite_difference_grads
+from oracles import finite_difference_grads, lora_adapter
 
 SMALL = BackboneConfig(layers=2, dim=16, heads=2, seq_len=8)
 SMALL_ADAPTER = AdapterConfig(experts=4, rank=2)
@@ -93,13 +93,37 @@ def test_indivisible_heads_rejected():
     (2.5, r"member 0: budget K = 2\.5 "), ([2, 4, 0, 1], "member 2: budget K = 0 ")])
 def test_set_budget_rejects_k_outside_one_to_m(budget, bad):
     """M = 4: a budget must be an integer in [1, 4] for every member, and a
-    rejected one leaves the adapters' budgets as they were."""
+    rejected one leaves the adapters' budgets as they were, in a backbone
+    and in a standalone adapter, which starts at K = M."""
     bb = small_backbone()
     with pytest.raises(ConfigurationError, match=bad):
         bb.set_budget(budget)
     assert all(np.array_equal(a.k, [[[2]]]) for a in bb.adapters)
     bb.set_budget(4.0)  # an integral float is an integer
     assert all(a.k.dtype == np.int64 and a.k.item() == 4 for a in bb.adapters)
+    adapter = MoEAdapter(SMALL.dim, SMALL_ADAPTER)
+    with pytest.raises(ConfigurationError, match=bad):
+        adapter.set_budget(budget)
+    assert adapter.k.dtype == np.int64 and np.array_equal(adapter.k, [[[4]]])
+
+
+@pytest.mark.parametrize("members,rows,bad", [
+    (2, [np.arange(3), np.arange(3, 8)], "member 1: 5 rows, member 0 has 3"),
+    (1, [np.arange(4)], "member 1: a stack of 2 given 1 features arrays"),
+    (3, [np.arange(2)] * 3, "member 2: a stack of 2 given 3 features arrays"),
+], ids=["unequal-rows", "too-few-members", "too-many-members"])
+def test_forward_rejects_rows_that_do_not_fit_the_loaded_stack(members, rows,
+                                                               bad):
+    """A stack of 2 takes exactly one features array and one row set per
+    member, with equal row counts; anything else names the member instead
+    of handing one member's rows to another."""
+    bb = small_backbone()
+    bb.load_trainable(bb.member_params(0), bb.member_params(0))
+    f = np.random.default_rng(60).normal(size=(8, 8, 6))
+    with pytest.raises(DimensionError, match=bad):
+        bb.forward([f] * members, rows=rows)
+    logits = bb.forward([f, f], rows=[np.arange(4), np.arange(4, 8)])
+    assert logits.shape == (2, 4, 4)
 
 
 def test_zero_adapters_match_adapter_free_oracle():
@@ -183,7 +207,7 @@ def test_every_model_pass_is_a_stack_of_members(trainable_head):
                                           "trainable_head": trainable_head}))
     params = bb.trainable_parameters()
     assert all(p.shape[0] == 1 for p in params)
-    lora = MoEAdapter.from_lora(np.ones((2, 4)), np.ones((4, 2)), [1, 1])
+    lora = lora_adapter(np.ones((2, 4)), np.ones((4, 2)), [1, 1])
     assert all(p.shape[0] == 1 for p in lora.parameters())
 
     rng = np.random.default_rng(50)
@@ -337,8 +361,8 @@ def block_case(name, seed=40):
     shape, adapter_cfg, k = BLOCK_CASES[name]
     rng = np.random.default_rng(seed)
     dim = shape[-1]
-    block = TransformerBlock(dim, 4, MoEAdapter(dim, adapter_cfg, k=k, rng=rng),
-                             rng)
+    block = TransformerBlock(dim, 4, MoEAdapter(dim, adapter_cfg, rng), rng)
+    block.adapter.set_budget(k)
     for t in block.adapter.parameters():
         t.values[...] = rng.normal(0.0, 0.5, size=t.shape)
     return block, rng.normal(size=shape), rng.normal(size=shape)

@@ -467,8 +467,7 @@ class TestCheckpoint:
         save_checkpoint(names, server.global_params, path)
         loaded = load_checkpoint(path)
         for client in clients:
-            for adapter in backbone.adapters:
-                adapter.k = client.k_n
+            backbone.set_budget(client.k_n)
             backbone.load_trainable(
                 [loaded[n] for n in backbone.parameter_names()])
             got = backbone.trainable_parameters()

@@ -387,39 +387,3 @@ def test_adam_missing_grad_raises():
         opt.step()
     np.testing.assert_array_equal(params[0].values, np.ones(2))
     assert opt.t == 0 and not opt.m[0].any()
-
-
-def test_adam_state_roundtrip():
-    p = parameter(np.array([1.0, 2.0]))
-    opt = Adam([p], lr=0.01)
-    p.grad = np.array([0.1, -0.2])
-    opt.step()
-    state = opt.state_dict()
-
-    q = parameter(p.values.copy())
-    twin = Adam([q], lr=0.01)
-    twin.load_state_dict(state)
-    p.grad = np.array([-0.3, 0.4])
-    q.grad = np.array([-0.3, 0.4])
-    opt.step()
-    twin.step()
-    np.testing.assert_array_equal(p.values, q.values)
-
-
-def test_adam_state_with_a_misshapen_moment_names_the_parameter():
-    params = [parameter(np.ones(2)), parameter(np.ones((3, 2)))]
-    state = Adam(params).state_dict()
-    state["m"][1] = np.zeros(2)
-    with pytest.raises(UsageError, match=r"parameter 1: m has shape \(2,\), "
-                                         r"expected \(3, 2\)"):
-        Adam(params).load_state_dict(state)
-
-
-def test_adam_state_with_a_non_finite_moment_names_the_parameter():
-    params = [parameter(np.ones(2)), parameter(np.ones((3, 2)))]
-    state = Adam(params).state_dict()
-    state["v"][0][1] = np.nan
-    opt = Adam(params)
-    with pytest.raises(UsageError, match="parameter 0: v is not finite"):
-        opt.load_state_dict(state)
-    assert np.isfinite(opt.v[0]).all()
