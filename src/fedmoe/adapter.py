@@ -22,9 +22,12 @@ with one budget K per member.  The inputs are ``[G, tokens, d]`` and every
 matmul runs per member over that member's own tokens, so a member's values
 and gradients are bit for bit those of the same client loaded alone.
 
-``forward`` returns its routing with its output: the dense softmax the
-auxiliary loss reads and the top-K mask the expert-load counts read.  The
-adapter stores neither; the backbone keeps the books, and loads parameters.
+``forward`` returns its routing with its output: the token mean of the
+dense softmax, which the auxiliary loss reads, and the softmax and top-K
+mask the expert-load counts read.  The adapter stores none of them; the
+backbone keeps the books, and places parameters.  The router's matmul and
+the dense softmax with its token mean are one tape op each, with the bits
+of the generic ops they replaced.
 """
 
 from __future__ import annotations
@@ -75,17 +78,31 @@ def topk_mask(logits: np.ndarray, k) -> np.ndarray:
     broadcasts against the rows (one K per stacked member).
 
     Ties are broken toward the lowest index: a stable argsort of the negated
-    logits keeps earlier entries ahead of equal later ones.
+    logits keeps earlier entries ahead of equal later ones.  The ranks are
+    that order's inverse permutation, its own argsort.
     """
     order = np.argsort(-logits, axis=-1, kind="stable")
-    rank = np.empty_like(order)
-    np.put_along_axis(rank, order, np.arange(logits.shape[-1]), axis=-1)
-    return rank < k
+    return np.argsort(order, axis=-1) < k
 
 
 def _t(a: np.ndarray) -> np.ndarray:
     """The transposed view of each matrix in ``a`` (``a.T`` for a matrix)."""
     return np.swapaxes(a, -1, -2)
+
+
+def _mean_softmax(logits: Tensor) -> tuple[Tensor, np.ndarray]:
+    """The token mean [G, M] of the dense softmax of [G, tokens, M] logits
+    as one op, plus the softmax's values.  Its backward has the bits of the
+    softmax and token-mean ops it replaced."""
+    y = tz._softmax_values(logits.values)
+    tokens = y.shape[-2]
+    mean = np.add.reduce(y, axis=-2) / tokens
+
+    def back(g: np.ndarray) -> None:
+        tz._accumulate(logits,
+                       tz._softmax_back(np.expand_dims(g, -2) / tokens, y))
+
+    return tz._emit(mean, (logits,), back), y
 
 
 class ExpertNetwork:
@@ -127,7 +144,6 @@ class MoEAdapter:
         rng = rng or np.random.default_rng(0)
         self.dim = dim
         self.n_experts = cfg.experts
-        self.set_budget(cfg.experts)
         self.gating_mode = cfg.gating_mode
         m, r = cfg.experts, cfg.rank
         self.E1 = parameter(rng.normal(0.0, EXPERT_INIT_STD,
@@ -135,18 +151,24 @@ class MoEAdapter:
         self.E2 = parameter(np.zeros((1, m, dim, r)))
         self.WR = parameter(np.zeros((1, m, dim)))
         self.experts = ExpertNetwork(self.E1, self.E2, cfg.activation)
+        self.set_budget(cfg.experts)
 
     # -- routing ---------------------------------------------------------------
 
     def set_budget(self, k) -> None:
-        """The budget: one K per member, or one K for them all, each an
-        integer in [1, M]; a rejected budget leaves the old one in place."""
+        """The budget: one K per loaded member, or one K for them all, each
+        an integer in [1, M]; a rejected budget leaves the old one in place."""
         k = np.reshape(k, (-1, 1, 1))  # against [G, tokens, M] ranks
-        for i, ki in enumerate(k.ravel()):
-            if not (float(ki).is_integer() and 1 <= ki <= self.n_experts):
-                raise ConfigurationError(
-                    f"member {i}: budget K = {ki} is not an integer in "
-                    f"[1, {self.n_experts}]")
+        members = self.WR.shape[0]
+        if len(k) not in (1, members):
+            raise ConfigurationError(
+                f"{len(k)} budgets given for a stack of {members}")
+        bad = ~((k >= 1) & (k <= self.n_experts) & (k % 1 == 0))
+        if bad.any():
+            i = int(np.argmax(bad.ravel()))
+            raise ConfigurationError(
+                f"member {i}: budget K = {k.ravel()[i]} is not an integer in "
+                f"[1, {self.n_experts}]")
         self.k = k.astype(np.int64)
 
     def _gate(self, logits: Tensor) -> tuple[Tensor, np.ndarray]:
@@ -155,17 +177,35 @@ class MoEAdapter:
             selected = np.ones(logits.shape, dtype=bool)
             return Tensor(np.ones(logits.shape)), selected
         selected = topk_mask(logits.values, self.k)
-        return tz.masked_softmax(logits, selected), selected
+        return tz._masked_softmax(logits, selected), selected
+
+    def _route(self, x: Tensor) -> Tensor:
+        """The routing logits ``x @ WR^T`` [G, tokens, M] as one op.  Its
+        backward adds into ``x``, then ``WR``, with the bits of the
+        transpose and matmul ops it replaced."""
+        wr = self.WR
+        out = x.values @ _t(wr.values)
+        if not tz._recording((x, wr)):
+            return Tensor(out)
+
+        def back(g: np.ndarray) -> None:
+            if x.requires_grad:
+                tz._accumulate(x, g @ wr.values)
+            if wr.requires_grad:
+                tz._accumulate(wr, _t(_t(x.values) @ g))
+
+        return tz._emit(out, (x, wr), back)
 
     # -- forward ----------------------------------------------------------------
 
     def forward(self, backbone_out: Tensor, x: Tensor) -> tuple[
-            Tensor, Tensor, np.ndarray]:
+            Tensor, Tensor, np.ndarray, np.ndarray]:
         """``backbone_out + sum_m w_m(x) * E_m(x)`` for [G, tokens, d]
         inputs, member g's tokens against member g's parameters.
 
-        Returns ``(out, dense, selected)``: the output, the differentiable
-        [G, tokens, M] dense softmax of the routing logits, and the boolean
+        Returns ``(out, probs, dense, selected)``: the output, the
+        differentiable [G, M] token mean of the routing logits' dense
+        softmax, that softmax's [G, tokens, M] values, and the boolean
         [G, tokens, M] mask of the experts the gate selected.  The adapter
         keeps no record of the call; the caller keeps the books.
         """
@@ -177,10 +217,10 @@ class MoEAdapter:
             raise DimensionError(
                 f"backbone output {backbone_out.shape} != input {x.shape}")
 
-        logits = x @ self.WR.transpose((0, 2, 1))
+        logits = self._route(x)
         weights, selected = self._gate(logits)
-        dense = tz.softmax(logits)
-        return self._mix(backbone_out, x, weights), dense, selected
+        probs, dense = _mean_softmax(logits)
+        return self._mix(backbone_out, x, weights), probs, dense, selected
 
     def _mix(self, backbone_out: Tensor, x: Tensor, weights: Tensor) -> Tensor:
         """``backbone_out + sum_m weights[..., m:m+1] * E_m(x)`` as one op.

@@ -21,19 +21,25 @@ d] gradient from attention's heads is made C-contiguous before its matmul.
 Nothing upstream of block 0's adapter trains, so ``forward([features],
 rows=[rows])`` computes block 0's prefix, ``h1 = LN1(x @ w_in + pos +
 Attention(.))`` and ``f1 = FFN(h1)``, once per features array and caches it:
-n * S * d * 2 float64 values for the backbone's life.  The frozen weights must
-never change, nor a dataset's features once the backbone has read them.
+n * S * d * 2 float64 values for the backbone's life.  A federation passes
+the whole training set's features, so there is one prefix for the training
+set, built at the first training forward, and one for the test set.  The
+frozen weights must never change, nor a dataset's features once the
+backbone has read them.
 
 The backbone keeps the routing books.  Each forward stores every layer's
 token-mean dense routing distribution in ``last_layer_probs`` (the auxiliary
 loss reads it inside the same tape) and, given a ``LoadMatrix``, tallies the
-layer's selections and probabilities into its row.  ``load_trainable`` is the
-one place flat parameter lists are copied into the model.
+layer's selections and probabilities into its row.  Mean-pooling and the
+head are one tape op, with the bits of the generic ops it replaced.
 
 Every trainable tensor carries a leading member axis: the model holds a
-stack of G >= 1 members, G = 1 as built.  ``load_trainable`` given G
-per-client parameter lists loads a stack of G, and ``member_params(i)`` reads
-member i back in per-client shapes; no other module sees the axis.
+stack of G >= 1 members, G = 1 as built.  ``layout`` places the trainable
+tensors side by side in one flat row of P values per member, and ``bind``
+loads a stack of G as views of a [G, P] buffer, with their gradients as
+views of another, so an optimizer step over the buffer updates the model.
+``load_trainable`` given G per-client parameter lists binds a new buffer,
+and ``member_params(i)`` reads member i back in per-client shapes.
 ``forward`` takes one features array and one index array per member.  The
 frozen sublayers run once over the members' concatenated examples, which
 gives each example the bits it gets alone, since their matmuls work one
@@ -45,6 +51,8 @@ layer's routing distribution is ``[G, M]``.
 from __future__ import annotations
 
 import hashlib
+import itertools
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -199,18 +207,56 @@ class TransformerBlock:
         return h, self._ffn(h)
 
     def forward(self, h: Tensor, ffn: Tensor | None = None
-                ) -> tuple[Tensor, Tensor, np.ndarray]:
-        """The block's output plus its adapter's routing: the dense
-        [G, tokens, M] softmax and the boolean top-K mask.  ``h`` holds the
-        G members' examples one after another.  Given ``ffn``, ``h`` and
-        ``ffn`` are the block's :meth:`prefix`, computed ahead."""
+                ) -> tuple[Tensor, Tensor, np.ndarray, np.ndarray]:
+        """The block's output plus its adapter's routing (see
+        :meth:`MoEAdapter.forward`): the [G, M] token-mean dense softmax,
+        the dense [G, tokens, M] values and the boolean top-K mask.  ``h``
+        holds the G members' examples one after another.  Given ``ffn``,
+        ``h`` and ``ffn`` are the block's :meth:`prefix`, computed ahead."""
         if ffn is None:
             h, ffn = self.prefix(h)
         members = self.adapter.WR.shape[0]
-        aug, dense, selected = self.adapter.forward(
+        aug, probs, dense, selected = self.adapter.forward(
             ffn.reshape(members, -1, self.dim),
             h.reshape(members, -1, self.dim))
-        return self._norm2(h, aug.reshape(h.shape)), dense, selected
+        return self._norm2(h, aug.reshape(h.shape)), probs, dense, selected
+
+
+@dataclass(frozen=True)
+class ParameterLayout:
+    """Where each trainable tensor sits in a flat parameter row of width
+    P: its name, its columns and its per-client shape, in
+    :meth:`Backbone.parameter_names` order."""
+
+    names: tuple[str, ...]
+    shapes: tuple[tuple[int, ...], ...]
+    offsets: tuple[int, ...]   # each tensor's first column, then P
+
+    @classmethod
+    def of(cls, names: list[str], shapes: list[tuple[int, ...]]
+           ) -> "ParameterLayout":
+        sizes = (math.prod(s) for s in shapes)
+        return cls(tuple(names), tuple(shapes),
+                   tuple(itertools.accumulate(sizes, initial=0)))
+
+    @property
+    def width(self) -> int:
+        return self.offsets[-1]
+
+    def views(self, rows: np.ndarray) -> list[np.ndarray]:
+        """Each tensor's view of ``rows`` [..., P], in per-client shapes
+        behind the leading axes."""
+        lead = rows.shape[:-1]
+        return [rows[..., a:b].reshape(lead + shape) for a, b, shape in
+                zip(self.offsets, self.offsets[1:], self.shapes)]
+
+    def flatten(self, tensors: list[np.ndarray]) -> np.ndarray:
+        """One client's per-tensor list as a new [P] row."""
+        return np.concatenate([np.ravel(t) for t in tensors])
+
+    def index_at(self, column: int) -> int:
+        """The index of the tensor holding flat ``column``."""
+        return int(np.searchsorted(self.offsets, column, side="right")) - 1
 
 
 class Backbone:
@@ -238,6 +284,9 @@ class Backbone:
         head = rng.normal(0.0, cfg.dim ** -0.5, size=(cfg.dim, classes))
         self.head = (parameter(head[None]) if cfg.trainable_head
                      else Tensor(head))
+        self.layout = ParameterLayout.of(
+            self.parameter_names(),
+            [p.shape[1:] for p in self.trainable_parameters()])
         # Token-mean routing distributions of the latest forward, per layer.
         self.last_layer_probs: list[Tensor] = []
         # id(features) -> (features, h1, f1): block 0's prefix per dataset.
@@ -285,12 +334,34 @@ class Backbone:
             ffn = Tensor(_join([f1[r] for (_, f1), r in zip(prefixes, rows)]))
         self.last_layer_probs = []
         for layer, block in enumerate(self.blocks):
-            h, dense, selected = block.forward(h, ffn if layer == 0 else None)
-            self.last_layer_probs.append(dense.mean(axis=-2))
+            h, probs, dense, selected = block.forward(
+                h, ffn if layer == 0 else None)
+            self.last_layer_probs.append(probs)
             if load is not None:
-                load.record(layer, selected, dense.values)
-        pooled = h.mean(axis=1).reshape(members, -1, self.cfg.dim)
-        return pooled @ self.head  # each member's rows against its own head
+                load.record(layer, selected, dense)
+        return self._pool_head(h, members)
+
+    def _pool_head(self, h: Tensor, members: int) -> Tensor:
+        """Logits [G, batch, C]: ``h`` mean-pooled over tokens, each
+        member's rows against its own head, as one op.  Its backward has
+        the bits of the token-mean, reshape and matmul ops it replaced."""
+        head, hv = self.head, h.values
+        tokens = hv.shape[1]
+        pooled = (np.add.reduce(hv, axis=1) / tokens).reshape(
+            members, -1, self.cfg.dim)
+        out = pooled @ head.values
+        if not tz._recording((h, head)):
+            return Tensor(out)
+
+        def back(g: np.ndarray) -> None:
+            if h.requires_grad:
+                gp = (g @ np.swapaxes(head.values, -1, -2)).reshape(
+                    hv.shape[0], 1, -1)
+                tz._accumulate(h, np.broadcast_to(gp / tokens, hv.shape))
+            if head.requires_grad:
+                tz._accumulate(head, np.swapaxes(pooled, -1, -2) @ g)
+
+        return tz._emit(out, (h, head), back)
 
     def _check_shape(self, what: str, shape: tuple[int, ...]) -> None:
         seq_len, input_dim = self.cfg.seq_len, self.input_dim
@@ -339,27 +410,36 @@ class Backbone:
             names.append("head")
         return names
 
+    def bind(self, values: np.ndarray, grads: np.ndarray | None = None
+             ) -> None:
+        """Load a stack of G members as views: each trainable tensor's
+        values become its columns of ``values`` [G, P] (see ``layout``),
+        and its gradient its columns of ``grads`` when given (the tape then
+        accumulates into them), else None.  The tensors stay the same
+        objects."""
+        grad_views = (self.layout.views(grads) if grads is not None
+                      else [None] * len(self.layout.names))
+        for p, v, g in zip(self.trainable_parameters(),
+                           self.layout.views(values), grad_views):
+            p.values, p.grad = v, g
+
     def load_trainable(self, *members: list[np.ndarray]) -> None:
         """Copy one flat list per member (same order as
-        trainable_parameters, per-client shapes) into place: G lists load a
-        stack of G, each tensor with a leading member axis of G.  The
-        tensors stay the same objects, so optimizer bindings survive."""
-        params = self.trainable_parameters()
+        trainable_parameters, per-client shapes) into a new [G, P] buffer
+        and :meth:`bind` it: G lists load a stack of G."""
+        shapes = self.layout.shapes
         for j, values in enumerate(members):
-            if len(values) != len(params):
-                raise AggregationError(f"member {j}: expected {len(params)} "
+            if len(values) != len(shapes):
+                raise AggregationError(f"member {j}: expected {len(shapes)} "
                                        f"tensors, got {len(values)}")
-            for i, (v, p) in enumerate(zip(values, params)):
-                if np.shape(v) != p.shape[1:]:
+            for i, (v, shape) in enumerate(zip(values, shapes)):
+                if np.shape(v) != shape:
                     raise AggregationError(
                         f"member {j}: parameter {i} "
-                        f"({self.parameter_names()[i]}): shape {np.shape(v)} "
-                        f"does not match {p.shape[1:]}")
-        for i, p in enumerate(params):
-            if p.shape[0] != len(members):
-                p.values = np.empty((len(members),) + p.shape[1:])
-            for g, values in enumerate(members):
-                p.values[g] = values[i]
+                        f"({self.layout.names[i]}): shape {np.shape(v)} "
+                        f"does not match {shape}")
+        self.bind(np.stack([self.layout.flatten(values)
+                            for values in members]))
 
     def member_params(self, i: int) -> list[np.ndarray]:
         """Copies of member i's trainable tensors in per-client shapes, in

@@ -6,22 +6,28 @@ evaluate the new global model on the held-out test set.  Only adapter
 parameters (and the head, when trainable) move over the wire.
 
 An experiment builds one frozen backbone and shares it: clients train on it
-stack by stack and the server evaluates on it.  A client is a record of its
-shard, its budget K_n and its latest parameters.  Clients whose shards have
-the same size form stacks of at most ``STACK_ROWS // batch_size`` members,
-and a stack trains in lock step: each step gathers every member's next
-batch, records one tape, runs one backward and takes one Adam step over the
-stacked parameters.  Each member keeps its own shuffle stream, budget, loss,
-aux gate and Adam moments, and gets the bits it would get training alone;
-the stack owns the moments.  ``local_train`` loads a stack into the shared
-model, trains it, and writes each member's result back.
+lock-step by lock-step and the server evaluates on it.  A client is a record
+of its shard (an index array into the training set) and its budget K_n.
+Its state is one row of the :class:`ClientStore`: its latest parameters, in
+the backbone's flat ``layout``, its Adam moments and its Adam step count.
+``ClientState.params`` and the uploads are views of that row.
+
+The round's :func:`schedule` keys every client's step s (counted across its
+epochs) by its batch's row count r, and cuts each (s, r) group, in
+client-id order, into lock-steps of at most ``STACK_ROWS // r`` members
+(at least one).  A lock-step gathers its members' rows of the store, binds
+the backbone's trainable tensors and their gradients as views of the
+gathered ``[G, P]`` buffers, records one tape, runs one backward, takes one
+Adam step with per-member bias correction, and scatters the rows back.
+Each member keeps its own shuffle stream, budget, loss, aux gate, moments
+and step count, and has the same batch shape as the others, so it gets the
+bits it would get training alone.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-import itertools
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -30,11 +36,11 @@ import numpy as np
 
 from . import tensor as tz
 from . import __version__
-from .backbone import Backbone
+from .backbone import Backbone, ParameterLayout
 from .config import ExperimentConfig
 from .data import LabeledDataset, load_csv, partition, synth_dataset, train_test_split
 from .errors import AggregationError, ConfigurationError, InputError, UsageError
-from .losses import aux_loss_layer, reduce_aux, total_loss
+from .losses import aux_loss_layer, total_loss
 from .metrics import (LoadMatrix, UtilizationReport, evaluate_accuracy,
                       export_heatmap_csv, export_mean_probs_csv,
                       utilization_kl)
@@ -45,7 +51,7 @@ METRICS_COLUMNS = ("round", "client_id", "task_loss", "aux_loss",
 
 CHECKPOINT_MAGIC = "fedmoe-checkpoint 1"
 
-# Example rows one lock-step may hold across a stack's members: the step's
+# Example rows one lock-step may hold across its members: the step's
 # activations, and so peak memory, grow with them.
 STACK_ROWS = 128
 
@@ -55,33 +61,37 @@ STACK_ROWS = 128
 
 
 @dataclass
-class ClientState:
-    """One participant: private shard, sparsity budget, latest parameters.
+class ClientStore:
+    """Every client's state, one row per client id: parameters ``theta``
+    [N, P] in ``layout`` order, Adam moments ``m`` and ``v`` [N, P] and Adam
+    step counts ``t`` [N]; and the training set the shards index."""
 
-    ``params`` is the client's latest upload, or the initial adapter values
-    before its first round.
-    """
-
-    client_id: int
-    shard: LabeledDataset
-    k_n: int
-    params: list[np.ndarray]
-
-    def adapter_params(self) -> list[np.ndarray]:
-        return [v.copy() for v in self.params]
+    layout: ParameterLayout
+    train: LabeledDataset
+    theta: np.ndarray
+    m: np.ndarray
+    v: np.ndarray
+    t: np.ndarray
 
 
 @dataclass
-class ClientStack:
-    """Clients with equal shard sizes that train in lock step.
+class ClientState:
+    """One participant: private shard (rows of ``store.train``), sparsity
+    budget, and its row of the store."""
 
-    ``optimizer`` is bound to the shared backbone's trainable tensors while
-    the stack is loaded; member i's Adam moments are index i of its stacked
-    ``m`` and ``v``.
-    """
+    client_id: int
+    shard: np.ndarray
+    k_n: int
+    store: ClientStore
 
-    members: list[ClientState]
-    optimizer: Adam | None = None
+    @property
+    def params(self) -> list[np.ndarray]:
+        """The client's latest upload, or the initial adapter values before
+        its first round: per-tensor views of its store row."""
+        return self.store.layout.views(self.store.theta[self.client_id])
+
+    def adapter_params(self) -> list[np.ndarray]:
+        return [v.copy() for v in self.params]
 
 
 @dataclass
@@ -115,137 +125,145 @@ class RoundReport:
 
 
 def broadcast(server: ServerState, clients: list[ClientState]) -> None:
-    """Copy the global parameters into every client record (values, not refs)."""
-    for client in clients:
-        client.params = [v.copy() for v in server.global_params]
+    """Copy the global parameters into every client's store row: one row
+    copy."""
+    if clients:
+        store = clients[0].store
+        ids = [c.client_id for c in clients]
+        store.theta[ids] = store.layout.flatten(server.global_params)
 
 
-def stack_clients(clients: list[ClientState],
-                  batch_size: int) -> list[ClientStack]:
-    """Sort the clients by (shard size, client id) and cut each run of equal
-    shard sizes into stacks of at most ``STACK_ROWS // batch_size`` (at
-    least 1) members."""
-    width = max(1, STACK_ROWS // batch_size)
-    ordered = sorted(clients, key=lambda c: (len(c.shard), c.client_id))
-    stacks = []
-    for _, run in itertools.groupby(ordered, key=lambda c: len(c.shard)):
-        run = list(run)
-        stacks.extend(ClientStack(run[i:i + width])
-                      for i in range(0, len(run), width))
-    return stacks
+def schedule(sizes: list[int], batch_size: int, epochs: int
+             ) -> list[tuple[int, int, list[int]]]:
+    """The round's lock-steps for clients with shards of ``sizes``, as
+    ``(step, rows, members)`` with members as positions in ``sizes``.
 
-
-def local_train(stack: ClientStack, backbone: Backbone, cfg: ExperimentConfig,
-                round_index: int
-                ) -> list[tuple[list[np.ndarray], ClientRoundMetrics]]:
-    """One stack's local pass on the shared backbone; returns, per member in
-    stack order, copies of its updated params (also written back to
-    ``params``) and its loss averages.
-
-    Each member's shuffle stream is seeded by (run seed, round, client id),
-    so a replay of the same experiment revisits identical batches, in a
-    stack or alone.
+    Client i's step s (counted across epochs) takes ``rows`` examples.
+    Lock-steps run in (step, rows) order, so each client's steps come in
+    order; each (step, rows) group is cut, in position order, into
+    lock-steps of at most ``max(1, STACK_ROWS // rows)`` members.
     """
-    members = stack.members
-    n = len(members[0].shard)
-    for client in members:
+    groups: dict[tuple[int, int], list[int]] = {}
+    for i, n in enumerate(sizes):
+        epoch = [min(batch_size, n - start) for start in range(0, n, batch_size)]
+        for s, r in enumerate(epoch * epochs):
+            groups.setdefault((s, r), []).append(i)
+    steps = []
+    for (s, r), members in sorted(groups.items()):
+        width = max(1, STACK_ROWS // r)
+        steps.extend((s, r, members[i:i + width])
+                     for i in range(0, len(members), width))
+    return steps
+
+
+def local_train(clients: list[ClientState], backbone: Backbone,
+                cfg: ExperimentConfig, round_index: int
+                ) -> list[ClientRoundMetrics]:
+    """One round's local pass of ``clients`` on the shared backbone, as the
+    :func:`schedule`'s lock-steps; each client's parameters, moments and
+    step count are updated in its store row.  Returns each client's loss
+    averages, in the order given.
+
+    Each client's shuffle stream is seeded by (run seed, round, client id),
+    so a replay of the same experiment revisits identical batches, in any
+    lock-step or alone.  A non-finite loss stops the round before its
+    lock-step's update, naming the client, the round and the client's step.
+    """
+    for client in clients:
         if len(client.shard) == 0:
             raise ConfigurationError(
                 f"client {client.client_id}: empty shard cannot train")
-        if len(client.shard) != n:
-            raise UsageError(
-                f"client {client.client_id}: shard size {len(client.shard)} "
-                f"differs from its stack's {n}")
+    store = clients[0].store
     fed, aux_cfg = cfg.federation, cfg.aux
-    backbone.load_trainable(*(c.params for c in members))
-    backbone.set_budget([c.k_n for c in members])
+    ids = np.array([c.client_id for c in clients])
+    if fed.reset_optimizer:
+        store.m[ids] = store.v[ids] = 0.0
+        store.t[ids] = 0
+    budgets = np.array([c.k_n for c in clients])
+    features, labels = store.train.features, store.train.labels
+    # each client's visiting order over the round's epochs, as training rows
+    orders = []
+    for client in clients:
+        rng = np.random.default_rng((cfg.seeds.run, round_index,
+                                     client.client_id))
+        n = len(client.shard)
+        orders.append(client.shard[np.concatenate(
+            [rng.permutation(n) for _ in range(fed.epochs)])])
+    cursor = np.zeros(len(clients), dtype=np.int64)
+    task_sum = np.zeros(len(clients))
+    aux_sum = np.zeros(len(clients))
+    steps = np.zeros(len(clients), dtype=np.int64)
+    for s, r, members in schedule([len(c.shard) for c in clients],
+                                  fed.batch_size, fed.epochs):
+        rows = np.stack([orders[i][cursor[i]:cursor[i] + r] for i in members])
+        rows_of = ids[members]
+        theta = tz.parameter(store.theta[rows_of])
+        theta.grad = np.zeros_like(theta.values)
+        backbone.bind(theta.values, theta.grad)
+        backbone.set_budget(budgets[members])
+        with tz.Tape() as tape:
+            logits = backbone.forward([features] * len(members), rows=rows)
+            task = tz.cross_entropy(logits, labels[rows])
+            terms = ([aux_loss_layer(p, aux_cfg)
+                      for p in backbone.last_layer_probs]
+                     if aux_cfg.lam > 0.0 else [])
+            loss, aux = total_loss(task, terms, aux_cfg)
+            tape.backward(loss)
+        task_values = task.values
+        if not (np.isfinite(task_values).all() and np.isfinite(aux).all()):
+            g = int(np.argmin(np.isfinite(task_values) & np.isfinite(aux)))
+            raise AggregationError(
+                f"client {rows_of[g]}, round {round_index}, step {s}: loss "
+                f"is not finite (task {task_values[g]}, aux {aux[g]})")
+        opt = Adam([theta], lr=fed.lr, weight_decay=fed.weight_decay,
+                   m=[store.m[rows_of]], v=[store.v[rows_of]],
+                   t=store.t[rows_of])
+        opt.step()
+        store.theta[rows_of] = theta.values
+        store.m[rows_of], store.v[rows_of] = opt.m[0], opt.v[0]
+        store.t[rows_of] = opt.t
+        cursor[members] += r
+        task_sum[members] += task_values
+        aux_sum[members] += aux
+        steps[members] += 1
+    return [ClientRoundMetrics(c.client_id, float(task_sum[i] / steps[i]),
+                               float(aux_sum[i] / steps[i]), int(steps[i]))
+            for i, c in enumerate(clients)]
 
-    trainable = backbone.trainable_parameters()
-    if stack.optimizer is None or fed.reset_optimizer:
-        stack.optimizer = Adam(trainable, lr=fed.lr,
-                               weight_decay=fed.weight_decay)
-    opt = stack.optimizer
 
-    rngs = [np.random.default_rng((cfg.seeds.run, round_index, c.client_id))
-            for c in members]
-    features = [c.shard.features for c in members]
-    task_sum = np.zeros(len(members))
-    aux_sum = np.zeros(len(members))
-    steps = 0
-    for _ in range(fed.epochs):
-        orders = [rng.permutation(n) for rng in rngs]
-        for start in range(0, n, fed.batch_size):
-            rows = [order[start:start + fed.batch_size] for order in orders]
-            labels = [c.shard.labels[r] for c, r in zip(members, rows)]
-            opt.zero_grad()
-            with tz.Tape() as tape:
-                logits = backbone.forward(features, rows=rows)
-                task = tz.cross_entropy(logits, np.stack(labels))
-                aux = None
-                if aux_cfg.lam > 0.0:
-                    aux = reduce_aux([aux_loss_layer(p, aux_cfg)
-                                      for p in backbone.last_layer_probs],
-                                     aux_cfg)
-                tape.backward(total_loss(task, aux, aux_cfg).sum())
-            task_values = task.values
-            aux_values = (aux.values if aux is not None
-                          else np.zeros(len(members)))
-            for client, t, a in zip(members, task_values, aux_values):
-                if not (math.isfinite(t) and math.isfinite(a)):
-                    raise AggregationError(
-                        f"client {client.client_id}, round {round_index}, "
-                        f"step {steps}: loss is not finite (task {t}, aux "
-                        f"{a})")
-            opt.step()
-            task_sum += task_values
-            aux_sum += aux_values
-            steps += 1
-    results = []
-    for i, client in enumerate(members):
-        client.params = backbone.member_params(i)
-        metrics = ClientRoundMetrics(client.client_id,
-                                     float(task_sum[i] / steps),
-                                     float(aux_sum[i] / steps), steps)
-        results.append((client.adapter_params(), metrics))
-    return results
+def aggregate(rows: np.ndarray, sizes: list[int], layout: ParameterLayout
+              ) -> list[np.ndarray]:
+    """Shard-size-weighted average of the upload ``rows`` [N, P], client n's
+    at row n, as per-tensor views of one flat vector.
 
-
-def aggregate(uploads: list[tuple[list[np.ndarray], int]]) -> list[np.ndarray]:
-    """Shard-size-weighted average of parameter uploads.
-
-    Anchored on the first upload (out = v0 + sum_n w_n (v_n - v0)) so a
-    consensus round reproduces the upload bit for bit.
+    Anchored on the first row (out = v0 + sum_n w_n (v_n - v0)), summed in
+    row order, so a consensus round reproduces the upload bit for bit.
     """
-    if not uploads:
+    if len(rows) == 0:
         raise UsageError("aggregate requires at least one upload")
-    ref, _ = uploads[0]
-    total = 0
-    for n, (params, size) in enumerate(uploads):
+    if len(sizes) != len(rows):
+        raise UsageError(f"aggregate given {len(rows)} uploads and "
+                         f"{len(sizes)} shard sizes")
+    for n, size in enumerate(sizes):
         if size <= 0:
             raise AggregationError(
                 f"client {n}: shard size {size} is not positive")
-        if len(params) != len(ref):
-            raise AggregationError(
-                f"client {n}: uploaded {len(params)} tensors, expected "
-                f"{len(ref)}")
-        for j, (p, r) in enumerate(zip(params, ref)):
-            if p.shape != r.shape:
-                raise AggregationError(
-                    f"client {n}: parameter {j} shape {p.shape} does not "
-                    f"match {r.shape}")
-            if not np.isfinite(p).all():
-                raise AggregationError(
-                    f"client {n}: parameter {j} is not finite")
-        total += size
-    weights = [size / total for (_, size) in uploads]
+    finite = np.isfinite(rows)
+    if not finite.all():
+        n, column = np.argwhere(~finite)[0]
+        j = layout.index_at(column)
+        raise AggregationError(f"client {n}: parameter {j} "
+                               f"({layout.names[j]}) is not finite")
+    total = sum(sizes)
+    weights = [size / total for size in sizes]
     drift = abs(sum(weights) - 1.0)
     if drift > 1e-12:
         raise AggregationError(f"aggregation weights sum off by {drift:.3g}")
-    out = [np.array(r, dtype=np.float64, copy=True) for r in ref]
-    for w, (params, _) in zip(weights[1:], uploads[1:]):
-        for j, p in enumerate(params):
-            out[j] += w * (p - ref[j])
-    return out
+    ref = rows[0]
+    out = ref.copy()
+    for w, row in zip(weights[1:], rows[1:]):
+        out += w * (row - ref)
+    return layout.views(out)
 
 
 def resolve_eval_k(cfg: ExperimentConfig, clients: list[ClientState]) -> int:
@@ -255,29 +273,26 @@ def resolve_eval_k(cfg: ExperimentConfig, clients: list[ClientState]) -> int:
     return max(c.k_n for c in clients)
 
 
-def run_round(server: ServerState, stacks: list[ClientStack],
+def run_round(server: ServerState, clients: list[ClientState],
               backbone: Backbone, test: LabeledDataset,
               cfg: ExperimentConfig) -> RoundReport:
-    """broadcast -> local training, stack by stack -> aggregate -> evaluate,
-    all on the one shared backbone.  Uploads reach ``aggregate`` in client-id
-    order, since its anchor is the first upload."""
+    """broadcast -> local training -> aggregate -> evaluate, all on the one
+    shared backbone.  ``clients`` are every client of their store, in
+    client-id order, so the store's rows are the uploads in the order
+    ``aggregate`` anchors on."""
     round_index = server.round_index
-    clients = sorted((c for s in stacks for c in s.members),
-                     key=lambda c: c.client_id)
+    store = clients[0].store
+    if [c.client_id for c in clients] != list(range(len(store.theta))):
+        raise UsageError("run_round needs every client of the store, in "
+                         "client-id order")
     broadcast(server, clients)
-    trained = {}
-    for stack in stacks:
-        for client, result in zip(stack.members,
-                                  local_train(stack, backbone, cfg,
-                                              round_index)):
-            trained[client.client_id] = result
-    uploads = [(trained[c.client_id][0], len(c.shard)) for c in clients]
-    fragments = [trained[c.client_id][1] for c in clients]
-    server.global_params = aggregate(uploads)
+    fragments = local_train(clients, backbone, cfg, round_index)
+    sizes = [len(c.shard) for c in clients]
+    server.global_params = aggregate(store.theta, sizes, store.layout)
     server.round_index = round_index + 1
 
-    sizes = np.array([len(c.shard) for c in clients], dtype=np.float64)
-    weights = sizes / sizes.sum()
+    weights = np.array(sizes, dtype=np.float64)
+    weights /= weights.sum()
     task = float(np.dot(weights, [f.task_loss for f in fragments]))
     aux = float(np.dot(weights, [f.aux_loss for f in fragments]))
 
@@ -428,14 +443,20 @@ def _load_dataset(cfg: ExperimentConfig) -> LabeledDataset:
 
 def build_clients(cfg: ExperimentConfig, train: LabeledDataset,
                   backbone: Backbone) -> list[ClientState]:
-    """Partition the training set into client records that start from the
-    backbone's initial adapter values, with K_n from
-    ``SparsitySection.budgets``."""
+    """Partition the training set into client records, with K_n from
+    ``SparsitySection.budgets``, over one new store whose every row holds
+    the backbone's initial adapter values."""
     shards = partition(train, cfg.data, cfg.federation.clients, cfg.seeds.data)
     budgets = cfg.sparsity.budgets(len(shards))
-    initial = backbone.member_params(0)
-    return [ClientState(client_id=i, shard=train.subset(indices), k_n=k_n,
-                        params=[v.copy() for v in initial])
+    layout = backbone.layout
+    initial = layout.flatten(backbone.member_params(0))
+    shape = (len(shards), layout.width)
+    store = ClientStore(layout=layout, train=train,
+                        theta=np.broadcast_to(initial, shape).copy(),
+                        m=np.zeros(shape), v=np.zeros(shape),
+                        t=np.zeros(len(shards), dtype=np.int64))
+    return [ClientState(client_id=i, shard=np.asarray(indices), k_n=k_n,
+                        store=store)
             for i, (indices, k_n) in enumerate(zip(shards, budgets))]
 
 
@@ -455,12 +476,11 @@ def run_experiment(cfg: ExperimentConfig,
                         input_dim=cfg.data.input_dim,
                         frozen_seed=cfg.seeds.frozen)
     clients = build_clients(cfg, train, backbone)
-    stacks = stack_clients(clients, cfg.federation.batch_size)
     server = ServerState(global_params=backbone.member_params(0))
 
     reports = []
     for _ in range(cfg.federation.rounds):
-        reports.append(run_round(server, stacks, backbone, test, cfg))
+        reports.append(run_round(server, clients, backbone, test, cfg))
 
     out = Path(run_dir) if run_dir is not None else None
     if out is not None:

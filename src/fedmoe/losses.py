@@ -6,7 +6,8 @@ distribution concentrates past a threshold (its max entry reaching
 that pushes routing back toward balance; below the threshold the layer
 contributes exactly zero.  Clients that train as a stack give one P per
 member, as rows, and every term is then per member.  The total objective is
-``task + lam * reduce_aux(per_layer_terms)``.
+``task + lam * aux``, with ``aux`` the per-layer terms' sum or mean, summed
+over members by :func:`total_loss`.
 """
 
 from __future__ import annotations
@@ -96,23 +97,40 @@ def aux_loss_layer(p_local, cfg: AuxLossConfig) -> Tensor:
     return kl if fires.all() else kl * fires
 
 
-def reduce_aux(per_layer_aux: list[Tensor], cfg: AuxLossConfig) -> Tensor:
-    """The per-layer aux terms combined by ``cfg.layer_reduction``: their
-    sum, or their mean (the sum times ``1 / layers``)."""
-    if not per_layer_aux:
-        raise UsageError("aux weighting is on but no per-layer terms were given")
-    aux = per_layer_aux[0]
-    for term in per_layer_aux[1:]:
-        aux = aux + term
-    if cfg.layer_reduction == "mean":
-        aux = aux * (1.0 / len(per_layer_aux))
-    return aux
+def total_loss(task: Tensor, aux_terms: list[Tensor], cfg: AuxLossConfig
+               ) -> tuple[Tensor, np.ndarray]:
+    """The scalar a step differentiates, ``sum_g task_g + lam * aux_g``, as
+    one op, and ``aux``: the per-layer terms combined by
+    ``cfg.layer_reduction``, their sum or their mean (the sum times
+    ``1 / layers``), one value per member.  At lam = 0 the loss is the sum
+    of ``task``, ``aux`` is zero and no terms are read.
 
-
-def total_loss(task: Tensor, aux: Tensor | None, cfg: AuxLossConfig) -> Tensor:
-    """``task + lam * aux`` for the reduced aux term; ``task`` itself at lam=0."""
+    Values and gradients have the bits of the chain of generic ops the op
+    replaced: the layer adds, the ``1 / layers`` and ``lam`` products, the
+    ``task`` add and the sum over members.
+    """
     if cfg.lam == 0.0:
-        return task
-    if aux is None:
-        raise UsageError("aux weighting is on but no aux term was given")
-    return task + cfg.lam * aux
+        return task.sum(), np.zeros(task.shape)
+    if not aux_terms:
+        raise UsageError("aux weighting is on but no per-layer terms were given")
+    aux = aux_terms[0].values
+    for term in aux_terms[1:]:
+        aux = aux + term.values
+    scale = 1.0 / len(aux_terms) if cfg.layer_reduction == "mean" else None
+    if scale is not None:
+        aux = aux * scale
+    loss = np.asarray((task.values + aux * cfg.lam).sum())
+    inputs = [task, *aux_terms]
+
+    def back(g: np.ndarray) -> None:
+        gt = np.broadcast_to(g, task.shape)
+        if task.requires_grad:
+            tz._accumulate(task, gt)
+        ga = gt * cfg.lam
+        if scale is not None:
+            ga = ga * scale
+        for term in aux_terms:
+            if term.requires_grad:
+                tz._accumulate(term, ga)
+
+    return tz._emit(loss, inputs, back), aux

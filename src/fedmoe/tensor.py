@@ -399,6 +399,12 @@ def masked_softmax(a: Tensor, mask: np.ndarray) -> Tensor:
             f"masked_softmax: mask shape {mask.shape} != logits shape {a.shape}")
     if not mask.any(axis=-1).all():
         raise InputError("masked_softmax: a row selects no entries")
+    return _masked_softmax(a, mask)
+
+
+def _masked_softmax(a: Tensor, mask: np.ndarray) -> Tensor:
+    """:func:`masked_softmax` for a boolean ``mask`` already known to fit
+    ``a`` and to select in every row, such as a top-K mask."""
     z = np.where(mask, a.values, -np.inf)
     m = z.max(axis=-1, keepdims=True)
     e = np.where(mask, np.exp(a.values - m), 0.0)
@@ -414,10 +420,13 @@ def _layer_norm_values(x: np.ndarray, gain: np.ndarray, bias: np.ndarray,
                        eps: float = 1e-5) -> tuple[np.ndarray, np.ndarray,
                                                    np.ndarray]:
     """Layer norm of an array over its last axis: the output, the normalized
-    input ``xhat`` and the inverse deviation ``inv`` its backward reads."""
-    mu = x.mean(axis=-1, keepdims=True)
+    input ``xhat`` and the inverse deviation ``inv`` its backward reads.
+    Its means are ``np.add.reduce(...) / d``, the bits of ``.mean`` without
+    its Python."""
+    d = x.shape[-1]
+    mu = np.add.reduce(x, axis=-1, keepdims=True) / d
     xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    var = np.add.reduce(xc * xc, axis=-1, keepdims=True) / d
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     return xhat * gain + bias, xhat, inv
@@ -427,9 +436,10 @@ def _layer_norm_back(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray,
                      inv: np.ndarray) -> np.ndarray:
     """Gradient of layer norm with respect to its input, given the output
     gradient ``g`` and the ``xhat`` and ``inv`` of its forward."""
+    d = g.shape[-1]
     gx = g * gain
-    term = gx - gx.mean(axis=-1, keepdims=True) \
-        - xhat * (gx * xhat).mean(axis=-1, keepdims=True)
+    term = gx - np.add.reduce(gx, axis=-1, keepdims=True) / d \
+        - xhat * (np.add.reduce(gx * xhat, axis=-1, keepdims=True) / d)
     return term * inv
 
 
@@ -520,14 +530,17 @@ class Adam:
 
     The decay step ``theta -= lr * wd * theta`` is applied outside the moment
     estimates, so a parameter with zero gradient still shrinks by exactly
-    ``lr * wd`` per step.  Every update is elementwise, so Adam over a stack
-    of G members' tensors (leading member axis) gives each member the bits
-    of its own Adam, with its moments at index i of ``m`` and ``v``.
+    ``lr * wd`` per step.  Every update is elementwise, so Adam over the rows
+    of a ``[G, P]`` parameter gives each row the bits of its own Adam.  The
+    moments ``m`` and ``v`` and the step count ``t`` start at zero unless
+    given; ``t`` may be one count per row of ``[G, P]`` parameters, and each
+    row then gets its own bias correction.
     """
 
     def __init__(self, params: Sequence[Tensor], lr: float = 3e-4,
                  weight_decay: float = 0.0, betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8):
+                 eps: float = 1e-8, *, m: list[np.ndarray] | None = None,
+                 v: list[np.ndarray] | None = None, t=0):
         self.params = list(params)
         for p in self.params:
             if not p.requires_grad:
@@ -536,13 +549,22 @@ class Adam:
         self.weight_decay = weight_decay
         self.beta1, self.beta2 = betas
         self.eps = eps
-        self.t = 0
-        self.m = [np.zeros_like(p.values) for p in self.params]
-        self.v = [np.zeros_like(p.values) for p in self.params]
+        self.t = t
+        self.m = m if m is not None else [np.zeros_like(p.values)
+                                          for p in self.params]
+        self.v = v if v is not None else [np.zeros_like(p.values)
+                                          for p in self.params]
 
     def zero_grad(self) -> None:
         for p in self.params:
             p.grad = None
+
+    def _corrections(self, beta: float):
+        """``1 - beta**t`` as a Python float, or as a [G, 1] array of them
+        for per-row counts."""
+        if np.ndim(self.t) == 0:
+            return 1.0 - beta ** self.t
+        return np.array([[1.0 - beta ** int(t)] for t in self.t])
 
     def step(self) -> None:
         """One update of every parameter; if any has no gradient, nothing
@@ -553,8 +575,8 @@ class Adam:
                     f"Adam.step: parameter {i} of {len(self.params)} has no "
                     f"gradient")
         self.t += 1
-        b1t = 1.0 - self.beta1 ** self.t
-        b2t = 1.0 - self.beta2 ** self.t
+        b1t = self._corrections(self.beta1)
+        b2t = self._corrections(self.beta2)
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad
             m *= self.beta1

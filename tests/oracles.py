@@ -10,9 +10,21 @@ import math
 import numpy as np
 
 from fedmoe.adapter import AdapterConfig, MoEAdapter
+from fedmoe.backbone import ParameterLayout
 from fedmoe.config import ExperimentConfig
 from fedmoe.errors import ConfigurationError, DimensionError, UsageError
 from fedmoe.tensor import Tensor
+
+
+def aggregate_uploads(uploads):
+    """``aggregate`` over ``[(per-tensor list, shard size)]`` uploads: each
+    list flattened into one row of a layout named ``t0``, ``t1``, ..."""
+    from fedmoe.federation import aggregate
+
+    shapes = [np.shape(p) for p in uploads[0][0]]
+    layout = ParameterLayout.of([f"t{j}" for j in range(len(shapes))], shapes)
+    rows = np.stack([layout.flatten(params) for params, _ in uploads])
+    return aggregate(rows, [size for _, size in uploads], layout)
 
 
 def finite_difference_grads(f, arrays, step=1e-5):

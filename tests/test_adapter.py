@@ -472,11 +472,12 @@ def test_last_mean_probs_is_batch_mean_dense_softmax():
     adapter = make_adapter(5, 3, 1, k=1, rng=rng)
     adapter.WR.values[...] = rng.normal(size=(3, 5))
     x = rng.normal(size=(7, 5))
-    _, dense, selected = adapter.forward(Tensor(np.zeros((1, 7, 5))),
-                                         Tensor(x[None]))
+    _, probs, dense, selected = adapter.forward(Tensor(np.zeros((1, 7, 5))),
+                                                Tensor(x[None]))
     logits = x @ adapter.WR.values[0].T
     want = np.mean([softmax_direct(row) for row in logits], axis=0)
-    np.testing.assert_allclose(dense.mean(axis=1).values[0], want, atol=1e-12)
+    np.testing.assert_allclose(probs.values[0], want, atol=1e-12)
+    assert np.array_equal(probs.values, dense.mean(axis=1))
     for row, mask in zip(logits, selected[0]):
         assert list(np.flatnonzero(mask)) == brute_force_topk(row, 1)
 
@@ -554,9 +555,9 @@ def test_routing_accumulates_into_load_matrix_over_two_batches():
     want = np.zeros(4, dtype=np.int64)
     for tokens in (10, 5):
         x = rng.normal(size=(tokens, 6))
-        _, dense, selected = adapter.forward(Tensor(np.zeros((1, tokens, 6))),
-                                             Tensor(x[None]))
-        load.record(0, selected, dense.values)
+        _, _, dense, selected = adapter.forward(
+            Tensor(np.zeros((1, tokens, 6))), Tensor(x[None]))
+        load.record(0, selected, dense)
         for row in x @ adapter.WR.values[0].T:
             want[brute_force_topk(row, 2)] += 1
     assert load.tokens[0] == 15

@@ -6,12 +6,13 @@ import pytest
 from scipy.special import erf
 
 from fedmoe import tensor as tz
-from fedmoe.adapter import AdapterConfig, MoEAdapter
+from fedmoe.adapter import AdapterConfig, MoEAdapter, topk_mask
 from fedmoe.backbone import Backbone, BackboneConfig, TransformerBlock
 from fedmoe.config import ExperimentConfig
 from fedmoe.data import synth_dataset
 from fedmoe.errors import AggregationError, ConfigurationError, DimensionError
 from fedmoe.federation import run_experiment
+from fedmoe.losses import AuxLossConfig, aux_loss_layer, total_loss
 from fedmoe.metrics import LoadMatrix, evaluate_accuracy
 from fedmoe.tensor import Adam, Tape, Tensor
 
@@ -88,20 +89,27 @@ def test_indivisible_heads_rejected():
         BackboneConfig(dim=16, heads=3)
 
 
-@pytest.mark.parametrize("budget,bad", [
-    (0, "member 0: budget K = 0 "), (5, "member 0: budget K = 5 "),
-    (2.5, r"member 0: budget K = 2\.5 "), ([2, 4, 0, 1], "member 2: budget K = 0 ")])
-def test_set_budget_rejects_k_outside_one_to_m(budget, bad):
-    """M = 4: a budget must be an integer in [1, 4] for every member, and a
-    rejected one leaves the adapters' budgets as they were, in a backbone
-    and in a standalone adapter, which starts at K = M."""
+@pytest.mark.parametrize("budget,members,bad", [
+    (0, 1, "member 0: budget K = 0 "), (5, 1, "member 0: budget K = 5 "),
+    (2.5, 1, r"member 0: budget K = 2\.5 "),
+    ([2, 4, 0, 1], 4, "member 2: budget K = 0 "),
+    ([1, 2, 3], 1, "3 budgets given for a stack of 1$"),
+    ([1, 2], 3, "2 budgets given for a stack of 3$")])
+def test_set_budget_rejects_k_outside_one_to_m(budget, members, bad):
+    """M = 4: a budget must be an integer in [1, 4] for every member, one
+    per loaded member or one for them all, and a rejected one leaves the
+    adapters' budgets as they were, in a backbone and in a standalone
+    adapter, which starts at K = M."""
     bb = small_backbone()
+    bb.load_trainable(*[bb.member_params(0)] * members)
     with pytest.raises(ConfigurationError, match=bad):
         bb.set_budget(budget)
     assert all(np.array_equal(a.k, [[[2]]]) for a in bb.adapters)
     bb.set_budget(4.0)  # an integral float is an integer
     assert all(a.k.dtype == np.int64 and a.k.item() == 4 for a in bb.adapters)
     adapter = MoEAdapter(SMALL.dim, SMALL_ADAPTER)
+    for p in adapter.parameters():
+        p.values = np.repeat(p.values, members, axis=0)
     with pytest.raises(ConfigurationError, match=bad):
         adapter.set_budget(budget)
     assert adapter.k.dtype == np.int64 and np.array_equal(adapter.k, [[[4]]])
@@ -233,6 +241,37 @@ def test_every_model_pass_is_a_stack_of_members(trainable_head):
         assert np.array_equal(g, w)
 
 
+def test_bind_places_views_of_the_value_and_gradient_buffers():
+    """``bind`` makes every trainable tensor a view of its columns of a
+    [G, P] buffer, its gradient a view of the same columns of another, so
+    the tape's accumulation fills the gradient buffer in place."""
+    bb = small_backbone(BackboneConfig(**{**SMALL.__dict__,
+                                          "trainable_head": True}))
+    layout = bb.layout
+    assert layout.names == tuple(bb.parameter_names())
+    rng = np.random.default_rng(52)
+    values = rng.normal(size=(3, layout.width))
+    grads = np.zeros_like(values)
+    bb.bind(values, grads)
+    for p, a, b in zip(bb.trainable_parameters(), layout.offsets,
+                       layout.offsets[1:]):
+        assert p.shape == (3,) + layout.shapes[layout.index_at(a)]
+        assert np.shares_memory(p.values, values)
+        assert np.shares_memory(p.grad, grads)
+        assert np.array_equal(p.values.reshape(3, -1), values[:, a:b])
+        assert layout.index_at(b - 1) == layout.index_at(a)
+    features = rng.normal(size=(6, 8, 6))
+    with Tape() as tape:
+        logits = bb.forward([features] * 3, rows=[[0, 1], [2, 3], [4, 5]])
+        tape.backward(tz.cross_entropy(logits, np.zeros((3, 2), int)).sum())
+    assert np.any(grads != 0.0)
+    for p in bb.trainable_parameters():
+        assert np.shares_memory(p.grad, grads)
+    bb.load_trainable(bb.member_params(1))
+    assert all(p.grad is None and p.shape[0] == 1
+               for p in bb.trainable_parameters())
+
+
 def test_trainable_head_is_exposed_and_loadable():
     bb = small_backbone(BackboneConfig(**{**SMALL.__dict__,
                                           "trainable_head": True}))
@@ -330,8 +369,8 @@ def per_op_block(block, h):
     ctx = (tz.softmax(scores) @ v).transpose((0, 2, 1, 3)).reshape(b, s, d)
     h = tz.layer_norm(h + ctx @ block.wo, block.ln1_gain, block.ln1_bias)
     ffn = tz.gelu(h @ block.w1) @ block.w2
-    aug, _, _ = block.adapter.forward(ffn.reshape(1, b * s, d),
-                                      h.reshape(1, b * s, d))
+    aug = block.adapter.forward(ffn.reshape(1, b * s, d),
+                                h.reshape(1, b * s, d))[0]
     aug = aug.reshape(b, s, d)
     return tz.layer_norm(h + aug, block.ln2_gain, block.ln2_bias), aug
 
@@ -342,8 +381,8 @@ def one_op_block(block, h):
     b, s, d = h.shape
     h = block._attend(h)
     ffn = block._ffn(h)
-    aug, _, _ = block.adapter.forward(ffn.reshape(1, b * s, d),
-                                      h.reshape(1, b * s, d))
+    aug = block.adapter.forward(ffn.reshape(1, b * s, d),
+                                h.reshape(1, b * s, d))[0]
     aug = aug.reshape(b, s, d)
     return block._norm2(h, aug), aug
 
@@ -491,6 +530,93 @@ def test_zero_round_experiment_leaves_prefix_cache_empty():
         "backbone.seq_len": "4", "backbone.heads": "2",
         "federation.clients": "4", "federation.rounds": "0"})
     assert run_experiment(cfg).eval_backbone._prefixes == {}
+
+
+def per_op_forward(bb, features, rows):
+    """``Backbone.forward`` with the router, the dense softmax and its token
+    mean, and the pooled head as the generic tape ops they replaced.
+    Returns the logits and each layer's token-mean routing."""
+    h1, f1 = bb._cached_prefix(features)
+    h = Tensor(np.concatenate([h1[r] for r in rows]))
+    ffn = Tensor(np.concatenate([f1[r] for r in rows]))
+    members, d = len(rows), bb.cfg.dim
+    dense_by_layer = []
+    for layer, block in enumerate(bb.blocks):
+        if layer:
+            h, ffn = block.prefix(h)
+        adapter = block.adapter
+        out = ffn.reshape(members, -1, d)
+        x = h.reshape(members, -1, d)
+        logits = x @ adapter.WR.transpose((0, 2, 1))
+        weights = tz.masked_softmax(logits, topk_mask(logits.values,
+                                                      adapter.k))
+        dense = tz.softmax(logits)
+        aug = adapter._mix(out, x, weights)
+        h = block._norm2(h, aug.reshape(h.shape))
+        dense_by_layer.append(dense)
+    probs = [dense.mean(axis=-2) for dense in dense_by_layer]
+    return h.mean(axis=1).reshape(members, -1, d) @ bb.head, probs
+
+
+def per_op_loss(task, terms, cfg):
+    """The layer reduction, ``lam``, total and member sum as generic ops."""
+    aux = terms[0]
+    for term in terms[1:]:
+        aux = aux + term
+    if cfg.layer_reduction == "mean":
+        aux = aux * (1.0 / len(terms))
+    return (task + cfg.lam * aux).sum()
+
+
+@pytest.mark.parametrize("reduction", ["mean", "sum"])
+@pytest.mark.parametrize("trainable_head", [False, True])
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_fused_step_is_bit_identical_to_the_generic_op_chain(
+        case, trainable_head, reduction):
+    """A taped step of two members, with the aux gate open for some
+    (layer, member) pairs and shut for others: the fused router, routing
+    mean, head and total loss give the logits, routing and every trainable
+    gradient of the generic chain bit for bit."""
+    (batch, seq_len, dim), adapter_cfg, k = BLOCK_CASES[case]
+    bb = Backbone(BackboneConfig(layers=2, dim=dim, heads=4, seq_len=seq_len,
+                                 trainable_head=trainable_head),
+                  adapter_cfg, classes=4, input_dim=6, frozen_seed=42)
+    rng = np.random.default_rng(42)
+    members = [[rng.normal(0.0, 0.5, size=p.shape[1:])
+                for p in bb.trainable_parameters()] for _ in range(2)]
+    bb.load_trainable(*members)
+    bb.set_budget([k, 1])
+    features = rng.normal(size=(300, seq_len, 6))
+    labels = rng.integers(0, 4, size=300)
+    idx = rng.permutation(300)[:2 * 24]
+    rows = [idx[:24], idx[24:]]
+    maxima = [p.values.max(axis=-1) for p in per_op_forward(
+        bb, features, rows)[1]]
+    lo, hi = min(m.min() for m in maxima), max(m.max() for m in maxima)
+    cfg = AuxLossConfig(lam=0.01, theta_th=(lo + hi) / 2,
+                        layer_reduction=reduction)
+    runs = []
+    for fused in (True, False):
+        for p in bb.trainable_parameters():
+            p.grad = None
+        with Tape() as tape:
+            if fused:
+                logits = bb.forward([features] * 2, rows=rows)
+                probs = bb.last_layer_probs
+            else:
+                logits, probs = per_op_forward(bb, features, rows)
+            task = tz.cross_entropy(logits, labels[np.stack(rows)])
+            terms = [aux_loss_layer(p, cfg) for p in probs]
+            loss = (total_loss(task, terms, cfg)[0] if fused
+                    else per_op_loss(task, terms, cfg))
+            tape.backward(loss)
+        runs.append([logits.values, loss.values]
+                    + [p.values for p in probs]
+                    + [p.grad for p in bb.trainable_parameters()])
+    fired = [~(m < cfg.theta_th) for m in maxima]
+    assert any(f.any() for f in fired) and not all(f.all() for f in fired)
+    for got, want in zip(*runs):
+        assert np.array_equal(got, want)
 
 
 def test_training_step_tape_is_freed_without_cyclic_collector():

@@ -7,15 +7,16 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from fedmoe.backbone import Backbone
+from fedmoe.backbone import Backbone, ParameterLayout
 from fedmoe.config import ExperimentConfig, parse_config_file
+from fedmoe.data import LabeledDataset
 from fedmoe.errors import AggregationError, InputError, UsageError
-from fedmoe.federation import (STACK_ROWS, ClientStack, ServerState,
-                               aggregate, broadcast, build_clients,
-                               load_checkpoint, local_train, resolve_eval_k,
-                               run_experiment, run_round, save_checkpoint,
-                               stack_clients, write_metrics_csv)
+from fedmoe.federation import (STACK_ROWS, ServerState, aggregate, broadcast,
+                               build_clients, load_checkpoint, local_train,
+                               resolve_eval_k, run_experiment, run_round,
+                               save_checkpoint, schedule, write_metrics_csv)
 from fedmoe.errors import ConfigurationError
+from oracles import aggregate_uploads
 from regenerate_golden import GOLDEN, RUNS
 
 SMALL = {
@@ -51,13 +52,18 @@ def make_world(cfg):
     return clients, backbone, server, test
 
 
-def stacks_of(cfg, clients):
-    return stack_clients(clients, cfg.federation.batch_size)
-
-
 def train_alone(client, backbone, cfg, round_index):
-    """``local_train`` on a stack of one: the client's (params, metrics)."""
-    return local_train(ClientStack([client]), backbone, cfg, round_index)[0]
+    """``local_train`` of one client: copies of its params, and its
+    metrics."""
+    [metrics] = local_train([client], backbone, cfg, round_index)
+    return client.adapter_params(), metrics
+
+
+def store_state(clients):
+    """Copies of the clients' rows of theta, m, v and t."""
+    store = clients[0].store
+    ids = [c.client_id for c in clients]
+    return [a[ids].copy() for a in (store.theta, store.m, store.v, store.t)]
 
 
 def random_upload(rng, shapes):
@@ -65,6 +71,7 @@ def random_upload(rng, shapes):
 
 
 SHAPES = [(2, 3), (4,), (3, 2, 2)]
+LAYOUT = ParameterLayout.of(["a", "b", "c"], SHAPES)
 
 
 class TestAggregate:
@@ -72,20 +79,20 @@ class TestAggregate:
         rng = np.random.default_rng(0)
         params = random_upload(rng, SHAPES)
         uploads = [([p.copy() for p in params], size) for size in (1, 3, 5)]
-        out = aggregate(uploads)
+        out = aggregate_uploads(uploads)
         for got, want in zip(out, params):
             np.testing.assert_array_equal(got, want)
 
     def test_two_client_scalar_example(self):
         uploads = [([np.array([0.0])], 1), ([np.array([4.0])], 3)]
-        out = aggregate(uploads)
+        out = aggregate_uploads(uploads)
         assert out[0][0] == 3.0
 
     def test_matches_direct_weighted_average(self):
         rng = np.random.default_rng(1)
         sizes = [7, 2, 11, 5]
         uploads = [(random_upload(rng, SHAPES), s) for s in sizes]
-        out = aggregate(uploads)
+        out = aggregate_uploads(uploads)
         total = sum(sizes)
         for j in range(len(SHAPES)):
             direct = sum((s / total) * u[j] for u, s in uploads)
@@ -99,44 +106,84 @@ class TestAggregate:
         alpha, beta = 1.7, -0.4
         mixed = [([alpha * pa + beta * pb for pa, pb in zip(a, b)], s)
                  for (a, s), (b, _) in zip(ups_a, ups_b)]
-        combined = aggregate(mixed)
+        combined = aggregate_uploads(mixed)
         separate = [alpha * x + beta * y
-                    for x, y in zip(aggregate(ups_a), aggregate(ups_b))]
+                    for x, y in zip(aggregate_uploads(ups_a),
+                                    aggregate_uploads(ups_b))]
         for got, want in zip(combined, separate):
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
     def test_single_upload_is_exact_copy(self):
         rng = np.random.default_rng(3)
         params = random_upload(rng, SHAPES)
-        out = aggregate([(params, 17)])
+        out = aggregate_uploads([(params, 17)])
         for got, want in zip(out, params):
             np.testing.assert_array_equal(got, want)
         out[0][0, 0] += 1.0
         assert params[0][0, 0] != out[0][0, 0]
 
-    def test_shape_mismatch_names_client(self):
-        good = [np.zeros((2, 3)), np.zeros(4)]
-        bad = [np.zeros((2, 3)), np.zeros(5)]
-        with pytest.raises(AggregationError, match="client 1"):
-            aggregate([(good, 10), (bad, 10)])
-
-    def test_count_mismatch_names_client(self):
-        with pytest.raises(AggregationError, match="client 2"):
-            aggregate([([np.zeros(2)], 1), ([np.zeros(2)], 1),
-                       ([np.zeros(2), np.zeros(2)], 1)])
+    def test_uploads_and_sizes_must_agree(self):
+        with pytest.raises(UsageError, match="2 uploads and 3 shard sizes"):
+            aggregate(np.zeros((2, LAYOUT.width)), [1, 2, 3], LAYOUT)
 
     def test_nonpositive_size_rejected(self):
         with pytest.raises(AggregationError, match="client 0"):
-            aggregate([([np.zeros(2)], 0), ([np.zeros(2)], 4)])
+            aggregate_uploads([([np.zeros(2)], 0), ([np.zeros(2)], 4)])
 
     def test_empty_uploads_is_usage_error(self):
         with pytest.raises(UsageError):
-            aggregate([])
+            aggregate(np.zeros((0, LAYOUT.width)), [], LAYOUT)
 
     def test_non_finite_upload_names_client_and_parameter(self):
         bad = [np.zeros(2), np.array([0.0, np.nan])]
-        with pytest.raises(AggregationError, match="client 1: parameter 1 "):
-            aggregate([([np.zeros(2), np.zeros(2)], 3), (bad, 5)])
+        with pytest.raises(AggregationError,
+                           match=r"client 1: parameter 1 \(t1\) is not finite"):
+            aggregate_uploads([([np.zeros(2), np.zeros(2)], 3), (bad, 5)])
+
+    @pytest.mark.parametrize("column", [0, 5, 6, 9, 10, 21])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_column_maps_back_to_its_parameter_name(self, column,
+                                                               value):
+        """Columns 0-5 hold ``a``, 6-9 ``b`` and 10-21 ``c``; the first
+        non-finite value in row order names its client and tensor."""
+        rows = np.zeros((3, LAYOUT.width))
+        rows[2, column] = value
+        rows[2, -1] = np.nan  # a later column of the same row
+        name = LAYOUT.names[LAYOUT.index_at(column)]
+        assert LAYOUT.index_at(column) == (0 if column < 6 else
+                                           1 if column < 10 else 2)
+        with pytest.raises(AggregationError,
+                           match=f"client 2: parameter "
+                                 f"{LAYOUT.index_at(column)} \\({name}\\)"):
+            aggregate(rows, [1, 1, 1], LAYOUT)
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data())
+    def test_rows_match_the_per_tensor_anchored_formula_bit_for_bit(self,
+                                                                    data):
+        """Over store rows, the anchored sum gives the bits of the
+        per-tensor formula ``out_j = v0_j + sum_n w_n (v_n_j - v0_j)``."""
+        shapes = data.draw(st.lists(
+            st.lists(st.integers(1, 3), min_size=0, max_size=3).map(tuple),
+            min_size=1, max_size=4), label="shapes")
+        sizes = data.draw(st.lists(st.integers(1, 500), min_size=1,
+                                   max_size=7), label="sizes")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+        uploads = [random_upload(rng, shapes) for _ in sizes]
+        layout = ParameterLayout.of([f"p{j}" for j in range(len(shapes))],
+                                    shapes)
+        rows = np.stack([layout.flatten(u) for u in uploads])
+        got = aggregate(rows, sizes, layout)
+        total = sum(sizes)
+        weights = [n / total for n in sizes]
+        ref = uploads[0]
+        want = [r.copy() for r in ref]
+        for w, params in zip(weights[1:], uploads[1:]):
+            for j, p in enumerate(params):
+                want[j] += w * (p - ref[j])
+        assert [g.shape for g in got] == [w.shape for w in want]
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 class TestBroadcastAndSparsity:
@@ -145,10 +192,12 @@ class TestBroadcastAndSparsity:
         clients, _, server, _ = make_world(cfg)
         server.global_params = [v + 1.0 for v in server.global_params]
         broadcast(server, clients)
+        theta = clients[0].store.theta
         for client in clients:
             for got, want in zip(client.params, server.global_params):
                 np.testing.assert_array_equal(got, want)
                 assert got is not want
+                assert np.shares_memory(got, theta[client.client_id])
         assert clients[0].params[0] is not clients[1].params[0]
         server.global_params[0][...] = -99.0
         assert not any(np.any(c.params[0] == -99.0) for c in clients)
@@ -223,18 +272,23 @@ class TestLocalTrain:
         train_alone(clients[0], backbone, cfg, round_index=0)
         assert backbone.frozen_checksum() == checksum
 
-    def test_result_is_written_back_and_returned_as_copies(self):
+    def test_result_lands_in_the_store_row_and_params_are_views(self):
         cfg = small_config()
         clients, backbone, _, _ = make_world(cfg)
-        before = clients[0].adapter_params()
+        store = clients[0].store
+        before = store_state(clients)
         params, _ = train_alone(clients[0], backbone, cfg, round_index=0)
         trained = [p.values[0] for p in backbone.trainable_parameters()]
-        for got, record, live, old in zip(params, clients[0].params, trained,
-                                          before):
+        for got, record, live in zip(params, clients[0].params, trained):
             np.testing.assert_array_equal(got, record)
             np.testing.assert_array_equal(got, live)
-            assert got is not record and record is not live
-        assert any(not np.array_equal(a, b) for a, b in zip(params, before))
+            assert np.shares_memory(record, store.theta[0])
+            assert not np.shares_memory(got, store.theta)
+        after = store_state(clients)
+        assert not np.array_equal(after[0][0], before[0][0])
+        assert after[3][0] == 2  # Adam steps: 48-sample shard, batch 32
+        for a, b in zip(after, before):  # the other clients' rows
+            np.testing.assert_array_equal(a[1:], b[1:])
         params[0][...] = -99.0
         assert not np.any(clients[0].params[0] == -99.0)
 
@@ -248,66 +302,71 @@ class TestLocalTrain:
                 out.append(train_alone(clients[0], backbone, cfg,
                                        round_index)[0])
                 if others:  # other clients train on the same tensors between
-                    for stack in stacks_of(cfg, clients[1:]):
-                        local_train(stack, backbone, cfg, round_index)
+                    local_train(clients[1:], backbone, cfg, round_index)
         for a, b in zip(alone, interleaved):
             for x, y in zip(a, b):
                 np.testing.assert_array_equal(x, y)
 
-    def test_optimizer_persists_across_rounds_by_default(self):
+    def test_optimizer_state_persists_across_rounds_by_default(self):
         cfg = small_config()
         clients, backbone, _, _ = make_world(cfg)
-        stack = ClientStack([clients[0]])
-        [(_, frag0)] = local_train(stack, backbone, cfg, round_index=0)
-        opt = stack.optimizer
-        local_train(stack, backbone, cfg, round_index=1)
-        assert stack.optimizer is opt
-        assert opt.t == 2 * frag0.steps
+        store = clients[0].store
+        _, frag0 = train_alone(clients[0], backbone, cfg, round_index=0)
+        m = store.m[0].copy()
+        assert np.any(m != 0.0) and store.t[0] == frag0.steps
+        train_alone(clients[0], backbone, cfg, round_index=1)
+        assert store.t[0] == 2 * frag0.steps
+        assert not np.array_equal(store.m[0], m)
 
     def test_reset_optimizer_flag_gives_fresh_moments(self):
+        """With the flag, round 1 starts from zero moments and step count,
+        whatever the row held: it matches a twin whose row held stale
+        ones."""
         cfg = small_config(**{"federation.reset_optimizer": "true"})
         clients, backbone, _, _ = make_world(cfg)
-        stack = ClientStack([clients[0]])
-        [(_, frag0)] = local_train(stack, backbone, cfg, round_index=0)
-        opt = stack.optimizer
-        local_train(stack, backbone, cfg, round_index=1)
-        assert stack.optimizer is not opt
-        assert stack.optimizer.t == frag0.steps
+        twins, twin_backbone, _, _ = make_world(cfg)
+        _, frag0 = train_alone(clients[0], backbone, cfg, round_index=0)
+        twins[0].store.theta[0] = clients[0].store.theta[0]
+        twins[0].store.m[0] = twins[0].store.v[0] = 1.0
+        twins[0].store.t[0] = 7
+        train_alone(clients[0], backbone, cfg, round_index=1)
+        train_alone(twins[0], twin_backbone, cfg, round_index=1)
+        assert clients[0].store.t[0] == frag0.steps
+        for a, b in zip(store_state(clients[:1]), store_state(twins[:1])):
+            np.testing.assert_array_equal(a, b)
 
     def test_non_finite_loss_names_client_and_round(self):
         cfg = small_config()
         clients, backbone, _, _ = make_world(cfg)
-        clients[2].shard.features[0, 0, 0] = np.nan
+        store = clients[2].store
+        store.train.features[clients[2].shard[0], 0, 0] = np.nan
         train_alone(clients[1], backbone, cfg, round_index=3)
         with pytest.raises(AggregationError, match="client 2, round 3"):
             train_alone(clients[2], backbone, cfg, round_index=3)
 
-        # in a stack, the second member goes non-finite at round 1's step 0
+        # in a lock-step, the second member goes non-finite at round 1's
+        # step 0, and no member's row moves
         cfg = small_config(**STACKED)
         clients, backbone, _, _ = make_world(cfg)
-        stack = ClientStack(clients)
-        local_train(stack, backbone, cfg, round_index=0)
-        bad = clients[1].shard.subset(np.arange(len(clients[1].shard)))
-        bad.features[:, 0, 0] = np.nan  # a fresh array: a fresh prefix
-        clients[1].shard = bad
-        params = [c.adapter_params() for c in clients]
-        opt = stack.optimizer
-        t, m, v = opt.t, [a.copy() for a in opt.m], [a.copy() for a in opt.v]
+        local_train(clients, backbone, cfg, round_index=0)
+        store = clients[0].store
+        train = store.train
+        features = train.features.copy()  # a fresh array: a fresh prefix
+        features[clients[1].shard, 0, 0] = np.nan
+        store.train = LabeledDataset(features, train.labels, train.class_count)
+        before = store_state(clients)
+        assert list(before[3]) == [4, 4, 4]
         with pytest.raises(AggregationError,
                            match=f"client {clients[1].client_id}, round 1, "
                                  "step 0: loss is not finite"):
-            local_train(stack, backbone, cfg, round_index=1)
-        assert stack.optimizer is opt and opt.t == t
-        for got, want in zip(opt.m + opt.v, m + v):
+            local_train(clients, backbone, cfg, round_index=1)
+        for got, want in zip(store_state(clients), before):
             np.testing.assert_array_equal(got, want)
-        for client, before in zip(clients, params):
-            for got, want in zip(client.params, before):
-                np.testing.assert_array_equal(got, want)
 
 
-# Three equal iid shards of 64, budgets 4, 4 and 1, a trainable head, aux on:
-# the K=4 members' aux gates open and shut step by step, the K=1 member's
-# router gets no gradient and its gate stays shut.
+# Three iid shards, budgets 4, 4 and 1, a trainable head, aux on: the K=4
+# members' aux gates open and shut step by step, the K=1 member's router gets
+# no gradient and its gate stays shut.
 STACKED = {"federation.clients": "3", "data.partition": "iid",
            "data.n": "240", "federation.batch_size": "16",
            "federation.lr": "0.01",
@@ -316,56 +375,69 @@ STACKED = {"federation.clients": "3", "data.partition": "iid",
            "aux.lambda": "0.01", "aux.theta_th": "0.26"}
 
 
-class TestStacks:
-    def test_stack_members_train_bit_for_bit_as_alone(self):
-        cfg = small_config(**STACKED)
-        clients, backbone, _, _ = make_world(cfg)
-        assert [len(c.shard) for c in clients] == [64] * 3
+def mixed_world(cfg, sizes=(40, 50, 70)):
+    """``make_world`` with the clients' shards cut to ``sizes`` examples,
+    disjoint runs of the training set."""
+    clients, backbone, server, test = make_world(cfg)
+    starts = np.cumsum((0,) + sizes)
+    for client, a, b in zip(clients, starts, starts[1:]):
+        client.shard = np.arange(a, b)
+    return clients, backbone, server, test
+
+
+class TestSchedule:
+    def test_mixed_lock_step_members_train_bit_for_bit_as_alone(self):
+        """Shards of 40, 50 and 70 at batch size 32: all three share the
+        first 32-row step; then 8, 18 and 32 rows apart, and the third
+        takes a 6-row step.  From round 2 on the third's Adam step count
+        differs from the others' inside their shared lock-step; each member
+        still gets the params, losses, moments and step count of training
+        alone."""
+        cfg = small_config(**{**STACKED, "federation.batch_size": "32"})
+        clients, backbone, _, _ = mixed_world(cfg)
         assert [c.k_n for c in clients] == [4, 4, 1]
-        [stack] = stacks_of(cfg, clients)
-        assert stack.members == clients
-        together = [local_train(stack, backbone, cfg, r) for r in (0, 1)]
-        aux = [frag.aux_loss for _, frag in together[1]]
+        assert schedule([40, 50, 70], 32, 1) == [
+            (0, 32, [0, 1, 2]), (1, 8, [0]), (1, 18, [1]), (1, 32, [2]),
+            (2, 6, [2])]
+        together = [local_train(clients, backbone, cfg, r) for r in (0, 1)]
+        assert list(clients[0].store.t) == [4, 4, 6]
+        aux = [frag.aux_loss for frag in together[1]]
         assert aux[0] > 0.0 and aux[1] > 0.0 and aux[0] != aux[1]
         assert aux[2] == 0.0
         for i, client in enumerate(clients):
-            twins, twin_backbone, _, _ = make_world(cfg)
-            alone = ClientStack([twins[i]])
+            twins, twin_backbone, _, _ = mixed_world(cfg)
             for r, results in enumerate(together):
-                [(want_params, want)] = local_train(alone, twin_backbone,
-                                                    cfg, r)
-                got_params, got = results[i]
-                assert (got.client_id, got.task_loss, got.aux_loss,
-                        got.steps) == (want.client_id, want.task_loss,
-                                       want.aux_loss, want.steps)
-                for a, b in zip(got_params, want_params):
-                    assert np.array_equal(a, b)
-            assert stack.optimizer.t == alone.optimizer.t == 8
-            for stacked, single in zip(stack.optimizer.m + stack.optimizer.v,
-                                       alone.optimizer.m + alone.optimizer.v):
-                assert np.array_equal(stacked[i], single[0])
-            for a, b in zip(client.params, twins[i].params):
-                assert np.array_equal(a, b)
+                [want] = local_train([twins[i]], twin_backbone, cfg, r)
+                assert results[i] == want
+            for got, want in zip(store_state([client]),
+                                 store_state([twins[i]])):
+                assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("run", RUNS)
-    def test_grouping_rule_on_the_golden_configs(self, run):
+    def test_schedule_on_the_golden_configs(self, run):
+        """Each client's steps come in order, each lock-step has one row
+        count and at most ``max(rows, STACK_ROWS)`` rows, its members in
+        client-id order; ``crowd`` takes at most 96 lock-steps a round."""
         cfg = ExperimentConfig.resolve(
             parse_config_file(GOLDEN / run / "config.txt"))
         clients = make_world(cfg)[0]
-        stacks = stacks_of(cfg, clients)
-        batch = cfg.federation.batch_size
+        fed = cfg.federation
+        sizes = [len(c.shard) for c in clients]
+        steps = schedule(sizes, fed.batch_size, fed.epochs)
+        seen = [[] for _ in clients]
+        for s, r, members in steps:
+            assert members == sorted(members)
+            assert len(members) * r <= max(r, STACK_ROWS)
+            for i in members:
+                start = (s % -(-sizes[i] // fed.batch_size)) * fed.batch_size
+                assert r == min(fed.batch_size, sizes[i] - start)
+                seen[i].append(s)
+        for i, n in enumerate(sizes):
+            assert seen[i] == list(range(-(-n // fed.batch_size) * fed.epochs))
         if run.startswith("grid"):
-            assert [len(s.members) for s in stacks] == [4]
-        if run.startswith("wide"):
-            assert [len(s.members) for s in stacks] == [1] * 10
-        members = [c.client_id for s in stacks for c in s.members]
-        assert sorted(members) == list(range(len(clients)))
-        for stack in stacks:
-            sizes = {len(c.shard) for c in stack.members}
-            assert len(sizes) == 1
-            assert len(stack.members) * min(batch, sizes.pop()) <= STACK_ROWS
-        keys = [(len(c.shard), c.client_id) for s in stacks for c in s.members]
-        assert keys == sorted(keys)
+            assert [len(m) for _, _, m in steps] == [4] * 32
+        if run.startswith("crowd"):
+            assert len(steps) <= 96
 
 
 class TestRunRound:
@@ -373,8 +445,7 @@ class TestRunRound:
         cfg = small_config(**{"federation.lr": "0"})
         clients, backbone, server, test = make_world(cfg)
         before = [v.copy() for v in server.global_params]
-        report = run_round(server, stacks_of(cfg, clients), backbone,
-                           test, cfg)
+        report = run_round(server, clients, backbone, test, cfg)
         for got, want in zip(server.global_params, before):
             np.testing.assert_array_equal(got, want)
         assert report.round_index == 0 and server.round_index == 1
@@ -387,16 +458,21 @@ class TestRunRound:
         broadcast(twin_server, twin_clients)
         expected, _ = train_alone(twin_clients[0], twin_backbone, cfg,
                                   round_index=0)
-        run_round(server, stacks_of(cfg, clients), backbone,
-                  test, cfg)
+        run_round(server, clients, backbone, test, cfg)
         for got, want in zip(server.global_params, expected):
             np.testing.assert_array_equal(got, want)
+
+    def test_round_needs_every_client_of_the_store_in_id_order(self):
+        cfg = small_config()
+        clients, backbone, server, test = make_world(cfg)
+        for bad in (clients[1:], clients[::-1]):
+            with pytest.raises(UsageError, match="client-id order"):
+                run_round(server, bad, backbone, test, cfg)
 
     def test_report_fields_are_sane(self):
         cfg = small_config()
         clients, backbone, server, test = make_world(cfg)
-        report = run_round(server, stacks_of(cfg, clients), backbone,
-                           test, cfg)
+        report = run_round(server, clients, backbone, test, cfg)
         assert 0.0 <= report.accuracy <= 1.0
         assert report.utilization.mean_kl >= 0.0
         assert {f.client_id for f in report.clients} == {0, 1, 2, 3}
@@ -408,8 +484,7 @@ class TestRunRound:
                               "sparsity.k_high": "4", "sparsity.k_low": "1"})
         clients, backbone, server, test = make_world(cfg)
         assert sorted({c.k_n for c in clients}) == [1, 4]
-        report = run_round(server, stacks_of(cfg, clients), backbone,
-                           test, cfg)
+        report = run_round(server, clients, backbone, test, cfg)
         assert report.eval_k == 4
 
     def test_replay_reports_are_identical(self):
@@ -417,8 +492,7 @@ class TestRunRound:
         results = []
         for _ in range(2):
             clients, backbone, server, test = make_world(cfg)
-            report = run_round(server, stacks_of(cfg, clients), backbone,
-                               test, cfg)
+            report = run_round(server, clients, backbone, test, cfg)
             results.append(report)
         a, b = results
         assert a.accuracy == b.accuracy
@@ -460,8 +534,7 @@ class TestCheckpoint:
         cfg = small_config(**{"sparsity.mode": "capability",
                               "sparsity.k_high": "4", "sparsity.k_low": "1"})
         clients, backbone, server, test = make_world(cfg)
-        run_round(server, stacks_of(cfg, clients), backbone,
-                  test, cfg)
+        run_round(server, clients, backbone, test, cfg)
         path = tmp_path / "ck.bin"
         names = backbone.parameter_names()
         save_checkpoint(names, server.global_params, path)
@@ -621,7 +694,7 @@ class TestRunExperiment:
         sizes = [len(c.shard) for c in result.clients]
         direct = [sum(s / sum(sizes) * u[j] for u, s in zip(uploads, sizes))
                   for j in range(len(uploads[0]))]
-        for got, want, avg in zip(aggregate(list(zip(uploads, sizes))),
+        for got, want, avg in zip(aggregate_uploads(list(zip(uploads, sizes))),
                                   result.server.global_params, direct):
             np.testing.assert_array_equal(got, want)
             np.testing.assert_allclose(avg, want, rtol=0, atol=1e-12)
@@ -640,8 +713,7 @@ class TestRunExperiment:
 def test_metrics_csv_uses_stable_float_format(tmp_path):
     cfg = small_config(**{"federation.rounds": "1"})
     clients, backbone, server, test = make_world(cfg)
-    report = run_round(server, stacks_of(cfg, clients), backbone,
-                       test, cfg)
+    report = run_round(server, clients, backbone, test, cfg)
     path = tmp_path / "m.csv"
     write_metrics_csv([report], path)
     again = tmp_path / "m2.csv"

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from fedmoe import tensor as tz
 from fedmoe.errors import ConfigurationError, InputError, UsageError
 from fedmoe.losses import (AuxLossConfig, aux_loss_layer, kl_divergence,
-                           reduce_aux, total_loss, uniform_target)
+                           total_loss, uniform_target)
 from fedmoe.tensor import Tape, Tensor, parameter
 
 from oracles import finite_difference_grads, kl_direct
@@ -135,25 +135,26 @@ def test_gated_off_layer_contributes_no_gradient():
 # -- total_loss ------------------------------------------------------------------
 
 
-def test_total_loss_lam_zero_returns_task_itself():
-    task = Tensor(np.array(0.7))
-    out = total_loss(task, Tensor(np.array(9.9)), AuxLossConfig(lam=0.0))
-    assert out is task
+def test_total_loss_lam_zero_is_the_task_sum_and_reads_no_terms():
+    task = Tensor(np.array([0.7, 0.2]))
+    out, aux = total_loss(task, [Tensor(np.array([9.9, np.nan]))],
+                          AuxLossConfig(lam=0.0))
+    assert out.item() == 0.7 + 0.2
+    assert np.array_equal(aux, [0.0, 0.0])
 
 
 def test_total_loss_hand_arithmetic():
     cfg = AuxLossConfig(lam=1e-4, layer_reduction="mean")
     task = Tensor(np.array(1.0))
     aux = [Tensor(np.array(0.2)), Tensor(np.array(0.0))]
-    assert abs(total_loss(task, reduce_aux(aux, cfg), cfg).item() - 1.00001) \
-        < 1e-12
+    assert abs(total_loss(task, aux, cfg)[0].item() - 1.00001) < 1e-12
 
 
 def test_total_loss_sum_reduction():
     cfg = AuxLossConfig(lam=0.5, layer_reduction="sum")
     task = Tensor(np.array(2.0))
     aux = [Tensor(np.array(0.2)), Tensor(np.array(0.6))]
-    assert abs(total_loss(task, reduce_aux(aux, cfg), cfg).item() - 2.4) < 1e-12
+    assert abs(total_loss(task, aux, cfg)[0].item() - 2.4) < 1e-12
 
 
 def test_total_loss_backpropagates_to_both_sources():
@@ -162,8 +163,7 @@ def test_total_loss_backpropagates_to_both_sources():
     cfg = AuxLossConfig(lam=0.1, theta_th=0.01)
     with Tape() as tape:
         p = tz.softmax(z)
-        aux = reduce_aux([aux_loss_layer(p, cfg)], cfg)
-        loss = total_loss(task_leaf * 1.0, aux, cfg)
+        loss, _ = total_loss(task_leaf * 1.0, [aux_loss_layer(p, cfg)], cfg)
     tape.backward(loss)
     assert task_leaf.grad is not None and float(task_leaf.grad) == 1.0
     assert z.grad is not None and np.any(z.grad != 0.0)
@@ -172,20 +172,56 @@ def test_total_loss_backpropagates_to_both_sources():
 def test_total_loss_requires_terms_when_weighted():
     cfg = AuxLossConfig(lam=0.1)
     with pytest.raises(UsageError):
-        total_loss(Tensor(np.array(1.0)), reduce_aux([], cfg), cfg)
+        total_loss(Tensor(np.array(1.0)), [], cfg)
     with pytest.raises(UsageError):
         total_loss(Tensor(np.array(1.0)), None, cfg)
 
 
 def test_reduce_aux_mean_of_two_layers_is_the_halved_sum_exactly():
     rng = np.random.default_rng(11)
+    task = Tensor(np.array(0.0))
     for _ in range(100):
         a, b = rng.random(2)
         terms = [Tensor(np.array(a)), Tensor(np.array(b))]
-        mean = reduce_aux(terms, AuxLossConfig(layer_reduction="mean")).item()
+        mean = total_loss(task, terms, AuxLossConfig(layer_reduction="mean"))[1]
         assert mean == (a + b) / 2
-        assert reduce_aux(terms, AuxLossConfig(layer_reduction="sum")).item() \
-            == a + b
+        assert total_loss(task, terms,
+                          AuxLossConfig(layer_reduction="sum"))[1] == a + b
+
+
+@pytest.mark.parametrize("reduction", ["mean", "sum"])
+@pytest.mark.parametrize("layers", [1, 2, 3])
+def test_total_loss_is_bit_identical_to_the_generic_op_chain(reduction, layers):
+    """The one op against the chain it replaced (layer adds, ``1 / layers``,
+    ``lam``, the task add and the sum over members): the same loss and the
+    same gradient bits in every input, with a constant (shut-gate) term."""
+    cfg = AuxLossConfig(lam=0.0123, layer_reduction=reduction)
+    rng = np.random.default_rng(12 + layers)
+    values = [rng.random(3) for _ in range(layers + 1)]
+    runs = []
+    for fused in (True, False):
+        leaves = [parameter(v.copy()) for v in values]
+        terms = [leaf * 1.0 for leaf in leaves[1:]]
+        if layers > 1:
+            terms[-1] = Tensor(np.zeros(3))
+        with Tape() as tape:
+            task = leaves[0] * 1.0
+            if fused:
+                loss, aux = total_loss(task, terms, cfg)
+            else:
+                aux = terms[0]
+                for term in terms[1:]:
+                    aux = aux + term
+                if reduction == "mean":
+                    aux = aux * (1.0 / len(terms))
+                loss = (task + cfg.lam * aux).sum()
+                aux = aux.values
+            tape.backward(loss)
+        runs.append([loss.values, aux] + [leaf.grad for leaf in leaves
+                                          if leaf.grad is not None])
+    assert len(runs[0]) == len(runs[1])
+    for got, want in zip(*runs):
+        assert np.array_equal(got, want)
 
 
 # -- config validation ----------------------------------------------------------

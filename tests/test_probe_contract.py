@@ -64,3 +64,33 @@ def test_every_declared_per_layer_metric_is_measured(workload, tmp_path):
     measured = probes.measure(tracer.summary())
     assert [name for name in DECLARED if name not in measured] == []
     assert all(math.isfinite(value) for value, _ in measured.values())
+
+
+# Tape records per lock-step: per adapter the router, the masked softmax,
+# the dense softmax's token mean, the mixture and its reshape, then LN2 (6);
+# block 1's attention, FFN and two input reshapes (4); the pooled head, the
+# cross-entropy and the total loss (3).  No aux gate opens in these runs.
+RECORDS_PER_LOCK_STEP = 2 * 6 + 4 + 3
+
+
+@pytest.mark.parametrize("workload", ["grid", "crowd"])
+def test_every_lock_step_records_a_pinned_number_of_tape_entries(
+        workload, monkeypatch):
+    """``tensor.ops_per_step`` counts only the generic ops the probes see,
+    so this counts what ``Tape.backward`` replays: an un-fused op would
+    raise it."""
+    from fedmoe.tensor import Tape
+
+    replayed = []
+    backward = Tape.backward
+
+    def counting(tape, loss):
+        replayed.append(len(tape._ops))
+        return backward(tape, loss)
+
+    monkeypatch.setattr(Tape, "backward", counting)
+    cfg = ExperimentConfig.resolve(
+        workloads.WORKLOADS[workload].config_items(SEED, quick=True))
+    run_experiment(cfg)
+    assert len(replayed) == {"grid": 4, "crowd": 27}[workload]
+    assert set(replayed) == {RECORDS_PER_LOCK_STEP}
