@@ -1,10 +1,9 @@
 """Sparse mixture-of-experts adapter: stacked experts, router, top-K gating.
 
 The adapter computes a residual correction to a frozen layer's output:
-``out = backbone_out + sum_m w_m(x) * E_m(x)``.  In ``topk_softmax`` mode the
-weights are a softmax over the K largest routing logits (others exactly
-zero); in ``uniform_one`` mode every expert contributes with weight exactly 1,
-which makes a linear adapter equal to a dense low-rank update ``B @ A``.
+``out = backbone_out + sum_m w_m(x) * E_m(x)``.  The gate, ``topk_softmax``,
+weighs the experts by a softmax over the K largest routing logits; the
+others get exactly zero.
 
 The M experts live in two stacked tensors, ``E1 [G, M, r, d]`` and
 ``E2 [G, M, d, r]``, beside the router's ``WR [G, M, d]``: three parameters
@@ -40,7 +39,7 @@ from . import tensor as tz
 from .errors import ConfigurationError, DimensionError
 from .tensor import Tensor, parameter
 
-GATING_MODES = ("topk_softmax", "uniform_one")
+GATING_MODES = ("topk_softmax",)
 ACTIVATIONS = ("linear", "gelu")
 
 EXPERT_INIT_STD = 0.02  # down-projections start small; up-projections start at 0
@@ -135,16 +134,15 @@ class ExpertNetwork:
 
 class MoEAdapter:
     """M stacked experts plus a router ``WR [G, M, d]``, gated by top-K
-    softmax or uniform weights; built as a stack of one.  ``k`` is the
-    budget, always ``[G, 1, 1]`` int64 (one K per member, or one K for
-    them all), set by :meth:`set_budget`; a new adapter routes to all M."""
+    softmax; built as a stack of one.  ``k`` is the budget, always
+    ``[G, 1, 1]`` int64 (one K per member, or one K for them all), set by
+    :meth:`set_budget`; a new adapter routes to all M."""
 
     def __init__(self, dim: int, cfg: AdapterConfig,
                  rng: np.random.Generator | None = None):
         rng = rng or np.random.default_rng(0)
         self.dim = dim
         self.n_experts = cfg.experts
-        self.gating_mode = cfg.gating_mode
         m, r = cfg.experts, cfg.rank
         self.E1 = parameter(rng.normal(0.0, EXPERT_INIT_STD,
                                        size=(1, m, r, dim)))
@@ -172,10 +170,8 @@ class MoEAdapter:
         self.k = k.astype(np.int64)
 
     def _gate(self, logits: Tensor) -> tuple[Tensor, np.ndarray]:
-        """Differentiable [G, tokens, M] weights plus the boolean selection."""
-        if self.gating_mode == "uniform_one":
-            selected = np.ones(logits.shape, dtype=bool)
-            return Tensor(np.ones(logits.shape)), selected
+        """Differentiable [G, tokens, M] top-K softmax weights plus the
+        boolean selection."""
         selected = topk_mask(logits.values, self.k)
         return tz._masked_softmax(logits, selected), selected
 

@@ -18,14 +18,14 @@ since the weights never train.  Each gradient is its plain expression, bit
 for bit the chain of per-op tape ops it replaced, on one condition: a [b, s,
 d] gradient from attention's heads is made C-contiguous before its matmul.
 
-Nothing upstream of block 0's adapter trains, so ``forward([features],
-rows=[rows])`` computes block 0's prefix, ``h1 = LN1(x @ w_in + pos +
+Nothing upstream of block 0's adapter trains, so ``forward(features,
+rows)`` computes block 0's prefix, ``h1 = LN1(x @ w_in + pos +
 Attention(.))`` and ``f1 = FFN(h1)``, once per features array and caches it:
-n * S * d * 2 float64 values for the backbone's life.  A federation passes
-the whole training set's features, so there is one prefix for the training
-set, built at the first training forward, and one for the test set.  The
-frozen weights must never change, nor a dataset's features once the
-backbone has read them.
+n * S * d * 2 float64 values for the backbone's life, built 128 rows at a
+time.  A federation passes the whole training set's features, so there is
+one prefix for the training set, built at the first training forward, and
+one for the test set.  The frozen weights must never change, nor a
+dataset's features once the backbone has read them.
 
 The backbone keeps the routing books.  Each forward stores every layer's
 token-mean dense routing distribution in ``last_layer_probs`` (the auxiliary
@@ -38,13 +38,14 @@ stack of G >= 1 members, G = 1 as built.  ``layout`` places the trainable
 tensors side by side in one flat row of P values per member, and ``bind``
 loads a stack of G as views of a [G, P] buffer, with their gradients as
 views of another, so an optimizer step over the buffer updates the model.
-``load_trainable`` given G per-client parameter lists binds a new buffer,
-and ``member_params(i)`` reads member i back in per-client shapes.
-``forward`` takes one features array and one index array per member.  The
-frozen sublayers run once over the members' concatenated examples, which
-gives each example the bits it gets alone, since their matmuls work one
-example at a time.  The adapters and the head work member by member, each
-over that member's own rows, so the logits are ``[G, batch, C]`` and each
+``load_trainable`` binds one client's parameter list as a stack of one, and
+``member_params(i)`` reads member i back in per-client shapes.  ``forward``
+takes one features array and ``rows``, a [G, batch] index array (or a
+slice, read from the cache as a view, for a stack of one).  The frozen
+sublayers run once over the members' rows one after another, which gives
+each example the bits it gets alone, since their matmuls work one example
+at a time.  The adapters and the head work member by member, each over
+that member's own rows, so the logits are ``[G, batch, C]`` and each
 layer's routing distribution is ``[G, M]``.
 """
 
@@ -85,12 +86,6 @@ class BackboneConfig:
             raise ConfigurationError(
                 f"backbone.dim = {self.dim} not divisible by "
                 f"backbone.heads = {self.heads}")
-
-
-def _join(parts: list[np.ndarray]) -> np.ndarray:
-    """The parts concatenated along axis 0; a lone part is returned as it
-    is, so a stack of one keeps a slice of the prefix cache as a view."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
 
 class TransformerBlock:
@@ -302,36 +297,26 @@ class Backbone:
         for adapter in self.adapters:
             adapter.set_budget(k)
 
-    def forward(self, batch, load: LoadMatrix | None = None,
-                rows=None) -> Tensor:
-        """Logits [G, batch, C] for the loaded stack of G members.  Each
-        layer's token-mean dense routing, [G, M], goes to
-        ``last_layer_probs``; a given ``load`` also tallies the routing.
-
-        ``batch`` is a list of features arrays and ``rows`` a list of index
-        arrays or slices, one each per member with equal row counts; block
-        0's prefix of each ``batch[g][rows[g]]`` comes from the cache.
-        Without ``rows``, ``batch`` is one [G * batch, S, in] array holding
-        the members' examples one after another, and nothing is cached."""
+    def forward(self, features: np.ndarray, rows,
+                load: LoadMatrix | None = None) -> Tensor:
+        """Logits [G, batch, C] of the loaded stack of G members over
+        ``features[rows]``: ``rows`` is a [G, batch] index array, member g's
+        rows in row g, or a slice for a stack of one.  Block 0's prefix
+        comes from the cache.  Each layer's token-mean dense routing,
+        [G, M], goes to ``last_layer_probs``; a given ``load`` also tallies
+        the routing."""
         members = self.adapters[0].WR.shape[0]
-        if rows is None:
-            x = batch if isinstance(batch, Tensor) else Tensor(batch)
-            self._check_shape("batch", x.shape)
-            h, ffn = self._prefix(x)
-        else:
-            if not len(batch) == len(rows) == members:
+        if not isinstance(rows, slice):
+            rows = np.asarray(rows)
+            if rows.ndim != 2 or len(rows) != members:
                 raise DimensionError(
-                    f"member {min(len(batch), len(rows), members)}: a stack "
-                    f"of {members} given {len(batch)} features arrays and "
-                    f"{len(rows)} row sets")
-            prefixes = [self._cached_prefix(f) for f in batch]
-            h1s = [h1[r] for (h1, _), r in zip(prefixes, rows)]
-            for g, part in enumerate(h1s):
-                if len(part) != len(h1s[0]):
-                    raise DimensionError(f"member {g}: {len(part)} rows, "
-                                         f"member 0 has {len(h1s[0])}")
-            h = Tensor(_join(h1s))
-            ffn = Tensor(_join([f1[r] for (_, f1), r in zip(prefixes, rows)]))
+                    f"rows of shape {rows.shape}, expected ({members}, batch):"
+                    f" one row of indices per member of the stack")
+            rows = rows.reshape(-1)
+        elif members != 1:
+            raise DimensionError(f"a slice is for a stack of one, not {members}")
+        h1, f1 = self._cached_prefix(features)
+        h, ffn = Tensor(h1[rows]), Tensor(f1[rows])
         self.last_layer_probs = []
         for layer, block in enumerate(self.blocks):
             h, probs, dense, selected = block.forward(
@@ -363,29 +348,25 @@ class Backbone:
 
         return tz._emit(out, (h, head), back)
 
-    def _check_shape(self, what: str, shape: tuple[int, ...]) -> None:
-        seq_len, input_dim = self.cfg.seq_len, self.input_dim
-        if len(shape) != 3 or shape[1] != seq_len or shape[2] != input_dim:
-            raise DimensionError(
-                f"{what} shape {shape}, expected (*, {seq_len}, {input_dim})")
-
-    def _prefix(self, x: Tensor) -> tuple[Tensor, Tensor]:
-        """Block 0's frozen prefix of ``x`` [b, S, in]: ``h1`` and ``f1``."""
-        return self.blocks[0].prefix(x @ self.w_in + self.pos)
-
     def _cached_prefix(self, features: np.ndarray
                        ) -> tuple[np.ndarray, np.ndarray]:
         """``h1`` and ``f1`` [n, S, d] for every row of ``features``, read-only,
-        built in chunks of 512 rows on first use.  The entry holds the array
-        itself, so its id cannot be reused while the entry lives."""
+        built in chunks of 128 rows on first use: each example's prefix is
+        computed alone, so the chunk size bounds the temporaries and moves no
+        bit.  The entry holds the array itself, so its id cannot be reused
+        while the entry lives."""
         entry = self._prefixes.get(id(features))
         if entry is None:
-            self._check_shape("features", features.shape)
-            n, s = features.shape[:2]
-            h1, f1 = (np.empty((n, s, self.cfg.dim)) for _ in range(2))
-            for start in range(0, n, 512):
-                chunk = slice(start, start + 512)
-                h, ffn = self._prefix(Tensor(features[chunk]))
+            seq_len, input_dim = self.cfg.seq_len, self.input_dim
+            if features.shape[1:] != (seq_len, input_dim):
+                raise DimensionError(f"features shape {features.shape}, "
+                                     f"expected (*, {seq_len}, {input_dim})")
+            n = len(features)
+            h1, f1 = (np.empty((n, seq_len, self.cfg.dim)) for _ in range(2))
+            for start in range(0, n, 128):
+                chunk = slice(start, start + 128)
+                x = Tensor(features[chunk]) @ self.w_in + self.pos
+                h, ffn = self.blocks[0].prefix(x)
                 h1[chunk], f1[chunk] = h.values, ffn.values
             h1.flags.writeable = f1.flags.writeable = False
             entry = self._prefixes[id(features)] = (features, h1, f1)
@@ -423,23 +404,20 @@ class Backbone:
                            self.layout.views(values), grad_views):
             p.values, p.grad = v, g
 
-    def load_trainable(self, *members: list[np.ndarray]) -> None:
-        """Copy one flat list per member (same order as
-        trainable_parameters, per-client shapes) into a new [G, P] buffer
-        and :meth:`bind` it: G lists load a stack of G."""
+    def load_trainable(self, values: list[np.ndarray]) -> None:
+        """Copy one client's flat list (same order as trainable_parameters,
+        per-client shapes) into a new [1, P] buffer and :meth:`bind` it as
+        a stack of one."""
         shapes = self.layout.shapes
-        for j, values in enumerate(members):
-            if len(values) != len(shapes):
-                raise AggregationError(f"member {j}: expected {len(shapes)} "
-                                       f"tensors, got {len(values)}")
-            for i, (v, shape) in enumerate(zip(values, shapes)):
-                if np.shape(v) != shape:
-                    raise AggregationError(
-                        f"member {j}: parameter {i} "
-                        f"({self.layout.names[i]}): shape {np.shape(v)} "
-                        f"does not match {shape}")
-        self.bind(np.stack([self.layout.flatten(values)
-                            for values in members]))
+        if len(values) != len(shapes):
+            raise AggregationError(
+                f"expected {len(shapes)} tensors, got {len(values)}")
+        for i, (v, shape) in enumerate(zip(values, shapes)):
+            if np.shape(v) != shape:
+                raise AggregationError(
+                    f"parameter {i} ({self.layout.names[i]}): shape "
+                    f"{np.shape(v)} does not match {shape}")
+        self.bind(self.layout.flatten(values)[None])
 
     def member_params(self, i: int) -> list[np.ndarray]:
         """Copies of member i's trainable tensors in per-client shapes, in

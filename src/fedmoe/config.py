@@ -159,8 +159,10 @@ def _format(value) -> str:
 
 
 def parse_config_file(path) -> dict[str, str]:
-    """Read ``key = value`` lines; unknown keys fail with the key named."""
+    """Read ``key = value`` lines; an unknown key, or one set twice, fails
+    with the key and its lines named."""
     out: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     try:
         with open(path) as fh:
             lines = fh.readlines()
@@ -176,7 +178,11 @@ def parse_config_file(path) -> dict[str, str]:
         key = key.strip()
         if key not in _FIELDS:
             raise ConfigurationError(f"{path}:{lineno}: unknown key {key!r}")
-        out[key] = raw.strip()
+        if key in out:
+            raise ConfigurationError(
+                f"{path}:{lineno}: key {key!r} set again (first on line "
+                f"{first_line[key]})")
+        out[key], first_line[key] = raw.strip(), lineno
     return out
 
 
@@ -251,10 +257,6 @@ class ExperimentConfig:
         if spr.eval_k != 0 and not 1 <= spr.eval_k <= adp.experts:
             raise ConfigurationError(
                 f"sparsity.eval_k = {spr.eval_k} outside [1, {adp.experts}]")
-        if adp.gating_mode == "uniform_one" and fed.rounds > 0:
-            raise ConfigurationError(
-                "adapter.gating_mode = uniform_one cannot train: its router "
-                "gets no gradient (use it with federation.rounds = 0)")
         # the threshold can only ever release the gate if it exceeds 1/M
         if self.aux.lam > 0.0 and self.aux.theta_th <= 1.0 / adp.experts:
             raise ConfigurationError(

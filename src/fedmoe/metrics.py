@@ -140,7 +140,7 @@ def evaluate_accuracy(backbone: Backbone, params: list[np.ndarray],
     correct = 0
     for start in range(0, len(test), batch_size):
         rows = slice(start, start + batch_size)
-        logits = backbone.forward([test.features], load, rows=[rows])
+        logits = backbone.forward(test.features, rows, load)
         labels = test.labels[rows]
         correct += int((logits.values[0].argmax(axis=1) == labels).sum())
     return correct / len(test)

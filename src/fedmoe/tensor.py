@@ -555,10 +555,6 @@ class Adam:
         self.v = v if v is not None else [np.zeros_like(p.values)
                                           for p in self.params]
 
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
-
     def _corrections(self, beta: float):
         """``1 - beta**t`` as a Python float, or as a [G, 1] array of them
         for per-row counts."""

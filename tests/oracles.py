@@ -12,7 +12,7 @@ import numpy as np
 from fedmoe.adapter import AdapterConfig, MoEAdapter
 from fedmoe.backbone import ParameterLayout
 from fedmoe.config import ExperimentConfig
-from fedmoe.errors import ConfigurationError, DimensionError, UsageError
+from fedmoe.errors import AggregationError, ConfigurationError, DimensionError
 from fedmoe.tensor import Tensor
 
 
@@ -96,8 +96,6 @@ def route(adapter, x):
     K largest router logits (ties toward the lowest index) share a softmax,
     every other expert gets exactly zero.
     """
-    if adapter.gating_mode != "topk_softmax":
-        raise UsageError("route() applies only to topk_softmax gating")
     x = np.asarray(x, dtype=np.float64)
     if x.shape != (adapter.dim,):
         raise DimensionError(f"token shape {x.shape}, expected ({adapter.dim},)")
@@ -120,8 +118,8 @@ def lora_adapter(a, b, ranks):
 
     Expert m takes the m-th row block of A and column block of B, in the
     leading ``ranks[m]`` rows of ``E1[0, m]`` and columns of ``E2[0, m]``;
-    the rest is zero.  With uniform unit gating the adapter's correction
-    equals ``B @ A @ x``.
+    the rest is zero.  Mixed with unit weights (:func:`unit_mix`), the
+    adapter's correction equals ``B @ A @ x``.
     """
     a = a.values if isinstance(a, Tensor) else np.asarray(a)
     b = b.values if isinstance(b, Tensor) else np.asarray(b)
@@ -134,7 +132,7 @@ def lora_adapter(a, b, ranks):
     if r > d:
         raise ConfigurationError(f"LoRA rank {r} exceeds width {d}")
     cfg = AdapterConfig(experts=len(ranks), rank=max(ranks),
-                        gating_mode="uniform_one", activation="linear")
+                        activation="linear")
     adapter = MoEAdapter(d, cfg)
     adapter.E1.values[...] = 0.0
     offset = 0
@@ -143,6 +141,32 @@ def lora_adapter(a, b, ranks):
         adapter.E2.values[0, m, :, :rm] = b[:, offset:offset + rm]
         offset += rm
     return adapter
+
+
+def unit_gate(logits):
+    """Gate [G, tokens, M] ``logits`` as ``MoEAdapter._gate`` does, but with
+    every expert selected at weight exactly 1: a constant, so the router
+    gets no gradient."""
+    return Tensor(np.ones(logits.shape)), np.ones(logits.shape, dtype=bool)
+
+
+def unit_mix(adapter, backbone_out, x):
+    """``adapter``'s mixture of [G, tokens, d] tensors with every expert at
+    weight exactly 1."""
+    weights = Tensor(np.ones(x.shape[:-1] + (adapter.n_experts,)))
+    return adapter._mix(backbone_out, x, weights)
+
+
+def load_members(backbone, *members):
+    """Load per-client parameter lists as a stack of G members: each list
+    is checked as ``load_trainable`` checks one (an error names the member),
+    then their flat rows are stacked and bound."""
+    for j, values in enumerate(members):
+        try:
+            backbone.load_trainable(values)
+        except AggregationError as exc:
+            raise AggregationError(f"member {j}: {exc}") from None
+    backbone.bind(np.stack([backbone.layout.flatten(v) for v in members]))
 
 
 def with_overrides(cfg, overrides):

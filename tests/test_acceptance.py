@@ -24,7 +24,7 @@ from fedmoe.losses import (AuxLossConfig, aux_loss_layer, kl_divergence,
 from fedmoe.tensor import Tensor
 
 from oracles import (aggregate_uploads, finite_difference_grads, kl_direct,
-                     lora_adapter, route)
+                     lora_adapter, route, unit_mix)
 
 
 # ---------------------------------------------------------------------------
@@ -57,7 +57,7 @@ def test_criterion_01_lora_split_equivalence():
         want = base + x @ a.T @ b.T
         for ranks in splits:
             adapter = lora_adapter(a, b, list(ranks))
-            out = adapter.forward(Tensor(base[None]), Tensor(x[None]))[0]
+            out = unit_mix(adapter, Tensor(base[None]), Tensor(x[None]))
             got = out.values[0]
             worst = max(worst, float(np.max(np.abs(got - want))))
     elapsed = time.monotonic() - start
@@ -126,13 +126,13 @@ def test_criterion_03_end_to_end_gradients():
     params = backbone.trainable_parameters()
 
     def loss_value(_perturbed_in_place) -> float:
-        logits = backbone.forward(batch)
+        logits = backbone.forward(batch, slice(None))
         task = tz.cross_entropy(logits, labels)
         terms = [aux_loss_layer(p, cfg) for p in backbone.last_layer_probs]
         return total_loss(task, terms, cfg)[0].item()
 
     with tz.Tape() as tape:
-        logits = backbone.forward(batch)
+        logits = backbone.forward(batch, slice(None))
         task = tz.cross_entropy(logits, labels)
         terms = [aux_loss_layer(p, cfg) for p in backbone.last_layer_probs]
         tape.backward(total_loss(task, terms, cfg)[0])

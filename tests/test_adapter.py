@@ -4,13 +4,12 @@ import pytest
 from fedmoe import tensor as tz
 from fedmoe.adapter import AdapterConfig, MoEAdapter, topk_mask
 from fedmoe.backbone import Backbone, BackboneConfig
-from fedmoe.errors import (AggregationError, ConfigurationError, DimensionError,
-                           UsageError)
+from fedmoe.errors import AggregationError, ConfigurationError, DimensionError
 from fedmoe.metrics import LoadMatrix
 from fedmoe.tensor import Adam, Tape, Tensor, parameter
 
 from oracles import (finite_difference_grads, lora_adapter, route,
-                     softmax_direct)
+                     softmax_direct, unit_gate, unit_mix)
 
 
 def brute_force_topk(logits, k):
@@ -79,12 +78,6 @@ def test_route_contract_on_random_tokens():
         logits = adapter.WR.values[0] @ x
         assert selected == brute_force_topk(logits, 3)
         assert sorted(nonzero.tolist()) == selected
-
-
-def test_route_rejects_uniform_mode():
-    adapter = make_adapter(4, 2, 2, k=2, gating_mode="uniform_one")
-    with pytest.raises(UsageError):
-        route(adapter, np.zeros(4))
 
 
 def test_topk_mask_selects_per_row():
@@ -205,8 +198,8 @@ def test_from_lora_forward_equals_lora_update(ranks):
     for _ in range(10):
         x = rng.normal(size=8)
         base = rng.normal(size=8)
-        out = adapter.forward(Tensor(base[None, None]),
-                              Tensor(x[None, None]))[0]
+        out = unit_mix(adapter, Tensor(base[None, None]),
+                       Tensor(x[None, None]))
         np.testing.assert_allclose(out.values[0, 0], base + b @ (a @ x),
                                    atol=1e-9)
 
@@ -215,8 +208,7 @@ def test_from_lora_zero_factor_is_zero_map():
     b = np.random.default_rng(14).normal(size=(6, 3))
     adapter = lora_adapter(Tensor(np.zeros((3, 6))), Tensor(b), [1, 2])
     x = np.ones(6)
-    out = adapter.forward(Tensor(np.zeros((1, 1, 6))),
-                          Tensor(x[None, None]))[0]
+    out = unit_mix(adapter, Tensor(np.zeros((1, 1, 6))), Tensor(x[None, None]))
     np.testing.assert_array_equal(out.values[0, 0], np.zeros(6))
 
 
@@ -258,9 +250,9 @@ def test_ragged_lora_split_pads_with_exact_zeros_that_never_train():
     np.testing.assert_array_equal(lora_factors()[0], a)
     opt = Adam([adapter.E1, adapter.E2], lr=0.05, weight_decay=0.1)
     for _ in range(5):
-        opt.zero_grad()
+        adapter.E1.grad = adapter.E2.grad = None
         with Tape() as tape:
-            out = adapter.forward(Tensor(base[None]), Tensor(x[None]))[0]
+            out = unit_mix(adapter, Tensor(base[None]), Tensor(x[None]))
             loss = tz.mul(out, Tensor(w[None])).sum()
         a_now, b_now = lora_factors()
         np.testing.assert_allclose(out.values[0], base + x @ a_now.T @ b_now.T,
@@ -340,12 +332,11 @@ def per_expert_mix(adapter, backbone_out, x, weights):
 MIXED_RANKS = (2, 1, 3, 2)
 
 
-def mixture_case(activation, gating_mode, k, seed=24):
+def mixture_case(activation, k, seed=24):
     """A random 4-expert adapter with mixed ranks 2, 1, 3, 2 (zero-padded to
     3), inputs and a loss weight."""
     rng = np.random.default_rng(seed)
-    adapter = make_adapter(6, 4, 3, k=k, rng=rng, gating_mode=gating_mode,
-                           activation=activation)
+    adapter = make_adapter(6, 4, 3, k=k, rng=rng, activation=activation)
     adapter.WR.values[...] = rng.normal(size=(4, 6))
     adapter.E1.values[...] = rng.normal(size=adapter.E1.shape)
     adapter.E2.values[...] = rng.normal(size=adapter.E2.shape)
@@ -357,18 +348,19 @@ def mixture_case(activation, gating_mode, k, seed=24):
     return adapter, {key: a[None] for key, a in arrays.items()}
 
 
-def run_mix(adapter, arrays, inputs_grad, chain=None):
-    """Loss ``sum(w * mix(...))`` under a tape, mixing with the one-op
-    ``_mix`` or with a ``chain`` (``per_op_mix`` or ``per_expert_mix``);
-    returns the output and the gradients of x, backbone_out, router
-    logits, E1 and E2 (per-expert leaves' gradients stacked in expert
-    order)."""
+def run_mix(adapter, arrays, inputs_grad, chain=None, gate=None):
+    """Loss ``sum(w * mix(...))`` under a tape, gating the router logits
+    with ``gate`` (the adapter's top-K softmax when None) and mixing with
+    the one-op ``_mix`` or with a ``chain`` (``per_op_mix`` or
+    ``per_expert_mix``); returns the output and the gradients of x,
+    backbone_out, router logits, E1 and E2 (per-expert leaves' gradients
+    stacked in expert order)."""
     x = Tensor(arrays["x"], requires_grad=inputs_grad)
     base = Tensor(arrays["base"], requires_grad=inputs_grad)
     logits = Tensor(arrays["logits"], requires_grad=True)
     adapter.E1.grad = adapter.E2.grad = None
     with Tape() as tape:
-        weights, _ = adapter._gate(logits)
+        weights, _ = (gate or adapter._gate)(logits)
         if chain is per_expert_mix:
             out, pairs = per_expert_mix(adapter, base, x, weights)
         else:
@@ -383,7 +375,8 @@ def run_mix(adapter, arrays, inputs_grad, chain=None):
     return out.values, [x.grad, base.grad, logits.grad] + experts
 
 
-# activation, gating mode, K, whether x and backbone_out need gradients
+# activation, gating mode, K, whether x and backbone_out need gradients;
+# "uniform_one" feeds every expert weight exactly 1 (``unit_gate``)
 MIX_CASES = [(activation, mode, k, inputs_grad)
              for activation in ("gelu", "linear")
              for mode, k in (("topk_softmax", 1), ("topk_softmax", 2),
@@ -394,9 +387,11 @@ MIX_CASES = [(activation, mode, k, inputs_grad)
 @pytest.mark.parametrize("activation,gating_mode,k,inputs_grad", MIX_CASES)
 def test_one_op_mixture_is_bit_identical_to_per_op_chain(activation, gating_mode,
                                                          k, inputs_grad):
-    adapter, arrays = mixture_case(activation, gating_mode, k)
-    out, grads = run_mix(adapter, arrays, inputs_grad)
-    want_out, want_grads = run_mix(adapter, arrays, inputs_grad, per_op_mix)
+    adapter, arrays = mixture_case(activation, k)
+    gate = unit_gate if gating_mode == "uniform_one" else None
+    out, grads = run_mix(adapter, arrays, inputs_grad, gate=gate)
+    want_out, want_grads = run_mix(adapter, arrays, inputs_grad, per_op_mix,
+                                   gate)
     np.testing.assert_array_equal(out, want_out)
     assert len(grads) == len(want_grads) == 5
     for got, want in zip(grads, want_grads):
@@ -413,9 +408,11 @@ def test_folded_mixture_matches_per_expert_chain_up_to_rounding(
     """Folding the experts into two products only reorders the sum over
     experts: output and gradients agree with the per-expert chain to 1e-12
     relative."""
-    adapter, arrays = mixture_case(activation, gating_mode, k)
-    out, grads = run_mix(adapter, arrays, inputs_grad)
-    want_out, want_grads = run_mix(adapter, arrays, inputs_grad, per_expert_mix)
+    adapter, arrays = mixture_case(activation, k)
+    gate = unit_gate if gating_mode == "uniform_one" else None
+    out, grads = run_mix(adapter, arrays, inputs_grad, gate=gate)
+    want_out, want_grads = run_mix(adapter, arrays, inputs_grad,
+                                   per_expert_mix, gate)
     np.testing.assert_allclose(out, want_out, rtol=1e-12)
     for got, want in zip(grads, want_grads):
         assert (got is None) == (want is None)
@@ -424,7 +421,7 @@ def test_folded_mixture_matches_per_expert_chain_up_to_rounding(
 
 
 def test_mixture_records_one_tape_op_and_matches_evaluation():
-    adapter, arrays = mixture_case("gelu", "topk_softmax", 2)
+    adapter, arrays = mixture_case("gelu", 2)
     x, base = Tensor(arrays["x"], requires_grad=True), Tensor(arrays["base"])
     weights = Tensor(arrays["logits"])
     with Tape() as tape:
@@ -436,7 +433,7 @@ def test_mixture_records_one_tape_op_and_matches_evaluation():
 
 
 def test_mixture_input_gradients_match_finite_differences():
-    adapter, arrays = mixture_case("gelu", "topk_softmax", 2)
+    adapter, arrays = mixture_case("gelu", 2)
     keys = ["x", "base", "logits"]
 
     def loss_value(_arrays):
@@ -527,11 +524,11 @@ def test_adapters_with_different_k_interoperate():
     second = small_backbone(k=2, seed=21)
     second.load_trainable(first.member_params(0))
     x = np.random.default_rng(22).normal(size=(3, 4, 5))
-    first.forward(x)
-    second.forward(x)
+    first.forward(x, slice(None))
+    second.forward(x, slice(None))
     second.set_budget(1)
-    np.testing.assert_array_equal(second.forward(x).values,
-                                  first.forward(x).values)
+    np.testing.assert_array_equal(second.forward(x, slice(None)).values,
+                                  first.forward(x, slice(None)).values)
 
 
 def test_load_keeps_tensor_identity_for_optimizer_state():

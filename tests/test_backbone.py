@@ -16,7 +16,7 @@ from fedmoe.losses import AuxLossConfig, aux_loss_layer, total_loss
 from fedmoe.metrics import LoadMatrix, evaluate_accuracy
 from fedmoe.tensor import Adam, Tape, Tensor
 
-from oracles import finite_difference_grads, lora_adapter
+from oracles import finite_difference_grads, load_members, lora_adapter
 
 SMALL = BackboneConfig(layers=2, dim=16, heads=2, seq_len=8)
 SMALL_ADAPTER = AdapterConfig(experts=4, rank=2)
@@ -78,7 +78,7 @@ def test_same_seed_builds_bit_identical_frozen_weights():
 def test_smoke_forward_shape_and_finiteness():
     bb = small_backbone()
     batch = np.random.default_rng(0).normal(size=(5, 8, 6))
-    logits = bb.forward(batch)
+    logits = bb.forward(batch, slice(None))
     assert logits.shape == (1, 5, 4)
     assert np.isfinite(logits.values).all()
     assert len(bb.last_layer_probs) == 2
@@ -101,7 +101,7 @@ def test_set_budget_rejects_k_outside_one_to_m(budget, members, bad):
     adapters' budgets as they were, in a backbone and in a standalone
     adapter, which starts at K = M."""
     bb = small_backbone()
-    bb.load_trainable(*[bb.member_params(0)] * members)
+    load_members(bb, *[bb.member_params(0)] * members)
     with pytest.raises(ConfigurationError, match=bad):
         bb.set_budget(budget)
     assert all(np.array_equal(a.k, [[[2]]]) for a in bb.adapters)
@@ -115,29 +115,31 @@ def test_set_budget_rejects_k_outside_one_to_m(budget, members, bad):
     assert adapter.k.dtype == np.int64 and np.array_equal(adapter.k, [[[4]]])
 
 
-@pytest.mark.parametrize("members,rows,bad", [
-    (2, [np.arange(3), np.arange(3, 8)], "member 1: 5 rows, member 0 has 3"),
-    (1, [np.arange(4)], "member 1: a stack of 2 given 1 features arrays"),
-    (3, [np.arange(2)] * 3, "member 2: a stack of 2 given 3 features arrays"),
-], ids=["unequal-rows", "too-few-members", "too-many-members"])
-def test_forward_rejects_rows_that_do_not_fit_the_loaded_stack(members, rows,
-                                                               bad):
-    """A stack of 2 takes exactly one features array and one row set per
-    member, with equal row counts; anything else names the member instead
-    of handing one member's rows to another."""
+@pytest.mark.parametrize("rows,bad", [
+    (np.arange(4).reshape(1, 4), r"rows of shape \(1, 4\), expected \(2, batch\)"),
+    (np.arange(6).reshape(3, 2), r"rows of shape \(3, 2\), expected \(2, batch\)"),
+    (np.arange(8), r"rows of shape \(8,\), expected \(2, batch\)"),
+    (slice(0, 4), "a slice is for a stack of one, not 2"),
+], ids=["too-few-members", "too-many-members", "flat-rows", "slice"])
+def test_forward_rejects_rows_that_do_not_fit_the_loaded_stack(rows, bad):
+    """A stack of 2 takes one row of indices per member, a [2, batch]
+    array; rows for another count of members, flat rows or a slice name
+    both counts instead of handing one member's rows to another, and build
+    no prefix."""
     bb = small_backbone()
-    bb.load_trainable(bb.member_params(0), bb.member_params(0))
+    load_members(bb, bb.member_params(0), bb.member_params(0))
     f = np.random.default_rng(60).normal(size=(8, 8, 6))
     with pytest.raises(DimensionError, match=bad):
-        bb.forward([f] * members, rows=rows)
-    logits = bb.forward([f, f], rows=[np.arange(4), np.arange(4, 8)])
+        bb.forward(f, rows)
+    assert not bb._prefixes
+    logits = bb.forward(f, np.arange(8).reshape(2, 4))
     assert logits.shape == (2, 4, 4)
 
 
 def test_zero_adapters_match_adapter_free_oracle():
     bb = small_backbone()  # E2 = 0 at init
     batch = np.random.default_rng(1).normal(size=(4, 8, 6))
-    logits = bb.forward(batch)
+    logits = bb.forward(batch, slice(None))
     np.testing.assert_allclose(logits.values[0],
                                frozen_forward_oracle(bb, batch),
                                rtol=0, atol=1e-12)
@@ -147,7 +149,7 @@ def test_stats_count_conservation():
     bb = small_backbone()  # M=4, K=2
     batch = np.random.default_rng(2).normal(size=(1, 8, 6))
     load = LoadMatrix.zeros(2, 4)
-    bb.forward(batch, load)
+    bb.forward(batch, slice(None), load)
     for layer in range(2):
         assert load.tokens[layer] == 8
         assert load.counts[layer].sum() == 16
@@ -168,12 +170,12 @@ def test_adapter_gradients_match_fd_through_full_stack():
 
     params = bb.trainable_parameters()
     with Tape() as tape:
-        logits = bb.forward(batch)
+        logits = bb.forward(batch, slice(None))
         loss = tz.cross_entropy(logits, labels)
     tape.backward(loss)
 
     def loss_value(_arrays):
-        logits = bb.forward(batch)
+        logits = bb.forward(batch, slice(None))
         return tz.cross_entropy(logits, labels).item()
 
     fd = finite_difference_grads(loss_value, [p.values for p in params])
@@ -209,8 +211,9 @@ def test_trainable_parameters_are_three_stacked_tensors_per_layer(trainable_head
 @pytest.mark.parametrize("trainable_head", [False, True])
 def test_every_model_pass_is_a_stack_of_members(trainable_head):
     """Built, every trainable tensor is a stack of one; ``load_trainable``
-    with G lists loads G members, ``member_params(i)`` reads member i back
-    as per-client copies, and evaluation leaves a stack of one loaded."""
+    loads one, ``load_members`` binds G lists as G members,
+    ``member_params(i)`` reads member i back as per-client copies, and
+    evaluation leaves a stack of one loaded."""
     bb = small_backbone(BackboneConfig(**{**SMALL.__dict__,
                                           "trainable_head": trainable_head}))
     params = bb.trainable_parameters()
@@ -223,7 +226,7 @@ def test_every_model_pass_is_a_stack_of_members(trainable_head):
                for _ in range(3)]
     bb.load_trainable(members[0])
     assert all(p.shape[0] == 1 for p in params)
-    bb.load_trainable(*members)
+    load_members(bb, *members)
     assert all(p.shape[0] == 3 for p in params)
     assert all(a is b for a, b in zip(bb.trainable_parameters(), params))
     for i, want in enumerate(members):
@@ -262,7 +265,7 @@ def test_bind_places_views_of_the_value_and_gradient_buffers():
         assert layout.index_at(b - 1) == layout.index_at(a)
     features = rng.normal(size=(6, 8, 6))
     with Tape() as tape:
-        logits = bb.forward([features] * 3, rows=[[0, 1], [2, 3], [4, 5]])
+        logits = bb.forward(features, [[0, 1], [2, 3], [4, 5]])
         tape.backward(tz.cross_entropy(logits, np.zeros((3, 2), int)).sum())
     assert np.any(grads != 0.0)
     for p in bb.trainable_parameters():
@@ -291,9 +294,10 @@ def test_frozen_weights_survive_training_steps():
     for _ in range(3):
         batch = rng.normal(size=(4, 8, 6))
         labels = rng.integers(0, 4, size=4)[None]  # a stack of one member
-        opt.zero_grad()
+        for p in opt.params:
+            p.grad = None
         with Tape() as tape:
-            logits = bb.forward(batch)
+            logits = bb.forward(batch, slice(None))
             loss = tz.cross_entropy(logits, labels)
         tape.backward(loss)
         opt.step()
@@ -314,13 +318,13 @@ def test_load_trainable_stacks_members_and_names_a_bad_one():
     bb = small_backbone()
     one = bb.member_params(0)
     two = [v + 1.0 for v in one]
-    bb.load_trainable(one, two)
+    load_members(bb, one, two)
     for p, a, b in zip(bb.trainable_parameters(), one, two):
         assert p.shape == (2,) + a.shape
         assert np.array_equal(p.values[0], a) and np.array_equal(p.values[1], b)
     with pytest.raises(AggregationError,
                        match=r"member 1: parameter 2 \(layer0\.router\.WR\)"):
-        bb.load_trainable(one, two[:2] + [two[2].T] + two[3:])
+        load_members(bb, one, two[:2] + [two[2].T] + two[3:])
     bb.load_trainable(two)
     for p, b in zip(bb.trainable_parameters(), two):
         assert np.array_equal(p.values[0], b)
@@ -339,14 +343,14 @@ def test_load_trainable_names_a_bad_head_by_global_index():
 def test_forward_rejects_wrong_batch_shape():
     bb = small_backbone()
     with pytest.raises(DimensionError):
-        bb.forward(np.zeros((2, 8, 7)))
+        bb.forward(np.zeros((2, 8, 7)), slice(None))
     with pytest.raises(DimensionError):
-        bb.forward(np.zeros((2, 4, 6)))
+        bb.forward(np.zeros((2, 4, 6)), slice(None))
 
 
 def test_layer_probs_are_per_layer_distributions():
     bb = small_backbone()
-    bb.forward(np.random.default_rng(7).normal(size=(3, 8, 6)))
+    bb.forward(np.random.default_rng(7).normal(size=(3, 8, 6)), slice(None))
     assert len(bb.last_layer_probs) == 2
     for p in bb.last_layer_probs:
         assert p.shape == (1, 4)
@@ -454,8 +458,8 @@ def test_block_records_one_op_per_frozen_sublayer():
 
 def prefix_case(name, n=700, seed=41):
     """A 2-layer, 4-head backbone with live random adapter weights at one
-    workload's shapes, a features array of ``n`` rows (more than one
-    512-row prefix chunk), labels, and one batch of fancy-index rows."""
+    workload's shapes, a features array of ``n`` rows (several 128-row
+    prefix chunks), labels, and one batch of fancy-index rows."""
     (batch, seq_len, dim), adapter_cfg, k = BLOCK_CASES[name]
     bb = Backbone(BackboneConfig(layers=2, dim=dim, heads=4, seq_len=seq_len),
                   adapter_cfg, classes=4, input_dim=6, frozen_seed=seed)
@@ -468,17 +472,17 @@ def prefix_case(name, n=700, seed=41):
     return bb, features, labels, rng.permutation(n)[:batch]
 
 
-def taped_step(bb, features, labels, rows, cached):
+def taped_step(bb, features, labels, rows):
     """One taped forward and backward of the task loss plus a weighted sum
-    of ``last_layer_probs``; returns everything the two paths must share."""
+    of ``last_layer_probs`` for a stack of one; returns the logits, the
+    routing, the load tallies and the trainable gradients."""
     for t in bb.trainable_parameters():
         t.grad = None
     experts = bb.trainable_parameters()[0].shape[1]  # E1 is [G, M, r, d]
     load = LoadMatrix.zeros(len(bb.blocks), experts)
     with Tape() as tape:
-        logits = (bb.forward([features], load, rows=[rows]) if cached
-                  else bb.forward(features[rows], load))
-        loss = tz.cross_entropy(logits, labels[rows][None])
+        logits = bb.forward(features, rows, load)
+        loss = tz.cross_entropy(logits, labels[rows].reshape(1, -1))
         for i, p in enumerate(bb.last_layer_probs):
             loss = loss + (p * float(i + 1)).sum()
         tape.backward(loss)
@@ -487,27 +491,42 @@ def taped_step(bb, features, labels, rows, cached):
             + [t.grad for t in bb.trainable_parameters()])
 
 
-@pytest.mark.parametrize("kind", ["fancy", "slice"])
 @pytest.mark.parametrize("case", sorted(BLOCK_CASES))
-def test_cached_prefix_forward_is_bit_identical_to_uncached(case, kind):
+def test_slice_rows_are_bit_identical_to_the_equal_index_rows(case):
+    """A slice, which evaluation reads from the cache as a view, gives the
+    bits of the same rows as a [1, batch] index array: on the miss that
+    fills the cache and on a hit, and across a 128-row chunk boundary."""
     bb, features, labels, idx = prefix_case(case)
-    rows = idx if kind == "fancy" else slice(500, 500 + len(idx))
-    want = taped_step(bb, features, labels, rows, cached=False)
-    assert not bb._prefixes
+    span = slice(500, 500 + len(idx))
+    want = taped_step(bb, features, labels, np.arange(len(features))[span][None])
+    assert len(bb._prefixes) == 1
+    bb._prefixes.clear()
     for _ in range(2):  # the miss that fills the cache, then a hit
-        got = taped_step(bb, features, labels, rows, cached=True)
+        got = taped_step(bb, features, labels, span)
         assert len(got) == len(want) == 12
         for g, w in zip(got, want):
             assert np.array_equal(g, w)
-    assert np.array_equal(bb.forward([features], rows=[rows]).values, want[0])
+    assert np.array_equal(bb.forward(features, span).values, want[0])
+
+
+@pytest.mark.parametrize("case", sorted(BLOCK_CASES))
+def test_cached_prefix_is_bit_identical_to_the_prefix_of_the_rows_alone(case):
+    """Each example's cached prefix has the bits of block 0's prefix of a
+    batch of shuffled rows computed on its own, so neither the 128-row
+    chunks nor the rows a step gathers move a bit."""
+    bb, features, _, idx = prefix_case(case)
+    h1, f1 = bb._cached_prefix(features)
+    h, ffn = bb.blocks[0].prefix(Tensor(features[idx]) @ bb.w_in + bb.pos)
+    assert np.array_equal(h1[idx], h.values)
+    assert np.array_equal(f1[idx], ffn.values)
 
 
 def test_prefix_cache_is_read_only_with_one_entry_per_features_array():
     bb, features, _, idx = prefix_case("grid")
     other = features[:100].copy()
-    bb.forward([features], rows=[idx])
-    bb.forward([features], rows=[slice(0, 64)])
-    bb.forward([other], rows=[slice(0, 64)])
+    bb.forward(features, idx[None])
+    bb.forward(features, slice(0, 64))
+    bb.forward(other, slice(0, 64))
     assert [id(e[0]) for e in bb._prefixes.values()] == [id(features), id(other)]
     for feats, h1, f1 in bb._prefixes.values():
         assert h1.shape == f1.shape == (len(feats), 2, 32)
@@ -520,7 +539,7 @@ def test_prefix_cache_is_read_only_with_one_entry_per_features_array():
 def test_rows_forward_rejects_wrong_features_shape():
     bb = small_backbone()
     with pytest.raises(DimensionError, match=r"features shape \(5, 8, 7\)"):
-        bb.forward([np.zeros((5, 8, 7))], rows=[slice(0, 2)])
+        bb.forward(np.zeros((5, 8, 7)), slice(0, 2))
     assert not bb._prefixes
 
 
@@ -584,7 +603,7 @@ def test_fused_step_is_bit_identical_to_the_generic_op_chain(
     rng = np.random.default_rng(42)
     members = [[rng.normal(0.0, 0.5, size=p.shape[1:])
                 for p in bb.trainable_parameters()] for _ in range(2)]
-    bb.load_trainable(*members)
+    load_members(bb, *members)
     bb.set_budget([k, 1])
     features = rng.normal(size=(300, seq_len, 6))
     labels = rng.integers(0, 4, size=300)
@@ -601,7 +620,7 @@ def test_fused_step_is_bit_identical_to_the_generic_op_chain(
             p.grad = None
         with Tape() as tape:
             if fused:
-                logits = bb.forward([features] * 2, rows=rows)
+                logits = bb.forward(features, np.stack(rows))
                 probs = bb.last_layer_probs
             else:
                 logits, probs = per_op_forward(bb, features, rows)
@@ -626,7 +645,7 @@ def test_training_step_tape_is_freed_without_cyclic_collector():
     gc.disable()
     try:
         with Tape() as tape:
-            logits = bb.forward([features], rows=[idx])
+            logits = bb.forward(features, idx[None])
             loss = tz.cross_entropy(logits, labels[idx][None])
             tape.backward(loss)
         opt.step()

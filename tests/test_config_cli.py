@@ -146,11 +146,6 @@ class TestValidation:
             ExperimentConfig.resolve({"sparsity.mode": "capability",
                                       "sparsity.k_low": "0"})
 
-    def test_uniform_one_gating_is_accepted_without_training(self):
-        cfg = ExperimentConfig.resolve({"adapter.gating_mode": "uniform_one",
-                                        "federation.rounds": "0"})
-        assert cfg.adapter.gating_mode == "uniform_one"
-
     def test_threshold_must_exceed_uniform_mass(self):
         with pytest.raises(ConfigurationError, match="theta_th"):
             ExperimentConfig.resolve({"adapter.experts": "4",
@@ -198,6 +193,16 @@ class TestConfigFile:
         with pytest.raises(ConfigurationError, match=r"c.txt:2.*bogus"):
             parse_config_file(path)
 
+    def test_key_set_twice_reports_both_lines(self, tmp_path):
+        """A file that sets a key twice is an error, not last-wins: the
+        message names the file, the key and both lines."""
+        path = tmp_path / "c.txt"
+        path.write_text("federation.lr = 0.1\n# again\nfederation.lr = 0.2\n")
+        with pytest.raises(ConfigurationError,
+                           match=r"c.txt:3: key 'federation.lr' set again "
+                                 r"\(first on line 1\)"):
+            parse_config_file(path)
+
     def test_missing_equals_rejected(self, tmp_path):
         path = tmp_path / "c.txt"
         path.write_text("federation.rounds 3\n")
@@ -210,6 +215,11 @@ class TestFlagParsing:
         got = cli.parse_override_flags(
             ["--federation.rounds", "3", "--aux.lambda=1e-5"])
         assert got == {"federation.rounds": "3", "aux.lambda": "1e-5"}
+
+    def test_repeated_flag_keeps_the_last_value(self):
+        got = cli.parse_override_flags(
+            ["--federation.lr", "0.1", "--federation.lr=0.2"])
+        assert got == {"federation.lr": "0.2"}
 
     def test_missing_value_rejected(self):
         with pytest.raises(ConfigurationError, match="missing a value"):
@@ -304,7 +314,8 @@ class TestRunCommand:
 
     def test_config_file_plus_flag_precedence(self, tmp_path, capsys):
         config = tmp_path / "exp.txt"
-        config.write_text("".join(f"{k} = {v}\n" for k, v in TINY.items())
+        config.write_text("".join(f"{k} = {v}\n" for k, v in TINY.items()
+                                  if k != "federation.rounds")
                           + "federation.rounds = 5\n")
         code = cli.main(["run", "--config", str(config), "--out",
                          str(tmp_path / "out"), "--federation.rounds", "1"])

@@ -10,7 +10,7 @@ from fedmoe.errors import InputError
 from fedmoe.metrics import (LoadMatrix, evaluate_accuracy, export_heatmap_csv,
                             export_mean_probs_csv, utilization_kl)
 
-from oracles import kl_direct
+from oracles import kl_direct, load_members
 
 
 def load_from_counts(counts):
@@ -220,18 +220,20 @@ def test_load_matrix_tallies_a_stack_as_the_sum_of_its_members_alone():
     members = [[rng.normal(size=p.shape[1:])
                 for p in bb.trainable_parameters()] for _ in range(3)]
     budgets = [1, 2, 3]
-    features = [synth_dataset(20, 4, 6, 5, separation=1.0, seed=s).features
-                for s in (33, 34, 35)]
-    rows = [rng.permutation(20)[:8] for _ in range(3)]
-    bb.load_trainable(*members)
+    # three datasets in one features array; member g reads rows of the g-th
+    features = np.concatenate([
+        synth_dataset(20, 4, 6, 5, separation=1.0, seed=s).features
+        for s in (33, 34, 35)])
+    rows = np.stack([20 * g + rng.permutation(20)[:8] for g in range(3)])
+    load_members(bb, *members)
     bb.set_budget(budgets)
     stacked = LoadMatrix.zeros(3, 4)
-    bb.forward(features, stacked, rows=rows)
+    bb.forward(features, rows, stacked)
     alone = LoadMatrix.zeros(3, 4)
-    for params, k, f, r in zip(members, budgets, features, rows):
+    for params, k, r in zip(members, budgets, rows):
         bb.load_trainable(params)
         bb.set_budget(k)
-        bb.forward([f], alone, rows=[r])
+        bb.forward(features, r[None], alone)
     np.testing.assert_array_equal(stacked.counts, alone.counts)
     np.testing.assert_array_equal(stacked.tokens, alone.tokens)
     np.testing.assert_array_equal(stacked.tokens, [3 * 8 * 6] * 3)
