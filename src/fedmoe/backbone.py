@@ -307,11 +307,14 @@ class Backbone:
         the routing."""
         members = self.adapters[0].WR.shape[0]
         if not isinstance(rows, slice):
-            rows = np.asarray(rows)
+            expected = (f"expected ({members}, batch): one row of indices "
+                        f"per member of the stack")
+            try:
+                rows = np.asarray(rows)
+            except ValueError:  # rows of unequal lengths
+                raise DimensionError(f"ragged rows, {expected}") from None
             if rows.ndim != 2 or len(rows) != members:
-                raise DimensionError(
-                    f"rows of shape {rows.shape}, expected ({members}, batch):"
-                    f" one row of indices per member of the stack")
+                raise DimensionError(f"rows of shape {rows.shape}, {expected}")
             rows = rows.reshape(-1)
         elif members != 1:
             raise DimensionError(f"a slice is for a stack of one, not {members}")

@@ -4,6 +4,21 @@ configured by the ``data.*`` section (``DataConfig``).
 Partitioning supports the three client-skew regimes used throughout: a
 per-class Dirichlet split (lower alpha = more skew), the one-label extreme
 (each client sees a single class), and a uniform IID split.
+
+Each function draws from its own ``default_rng(seed)`` in a fixed order,
+which the golden run hashes depend on.  ``synth_dataset`` draws the class
+means, then each class's noise, class 0 first, then one permutation of the
+examples.  ``train_test_split`` draws a permutation of each class's indices;
+its first ``round(test_fraction * count)``, kept in [1, count - 1], go to
+test.  ``partition`` draws for ``iid`` one permutation of all indices, cut as
+``np.array_split`` cuts; for the other schemes, per class, a permutation of
+its indices, then for ``dirichlet`` a ``dirichlet(alpha * ones(clients))``
+draw p, cut at ``floor(cumsum(p)[:-1] * count)``, while ``one_label`` cuts it
+as ``np.array_split`` does over the clients i with i % C == c.  Client i takes
+piece i, class by class.  Then each empty shard, lowest id first, takes one
+example from the largest shard (the lowest id wins ties): the one at position
+``integers(len(donor))`` in the order the donor received what it still holds.
+Every shard comes back sorted ascending.
 """
 
 from __future__ import annotations
@@ -105,18 +120,22 @@ def synth_dataset(n: int, classes: int, seq_len: int, input_dim: int,
                                  f"({n} examples, {classes} classes)")
     rng = np.random.default_rng(seed)
     means = rng.normal(size=(classes, seq_len, input_dim))
-    counts = [n // classes + (1 if c < n % classes else 0)
-              for c in range(classes)]
+    counts = _even_counts(n, classes)
     features = np.empty((n, seq_len, input_dim))
-    labels = np.empty(n, dtype=np.int64)
-    row = 0
-    for c, count in enumerate(counts):
-        noise = rng.normal(size=(count, seq_len, input_dim)) / separation
-        features[row:row + count] = means[c] + noise
-        labels[row:row + count] = c
-        row += count
+    for block, mean in zip(np.split(features, np.cumsum(counts)[:-1]), means):
+        rng.standard_normal(out=block)  # the values normal(size=...) draws
+        block /= separation
+        block += mean
     order = rng.permutation(n)
+    labels = np.repeat(np.arange(classes), counts)
     return LabeledDataset(features[order], labels[order], classes)
+
+
+def _even_counts(total: int, parts: int) -> np.ndarray:
+    """The sizes of ``np.array_split``'s ``parts`` pieces of ``total``."""
+    counts = np.full(parts, total // parts)
+    counts[:total % parts] += 1
+    return counts
 
 
 def load_csv(path, seq_len: int, input_dim: int) -> LabeledDataset:
@@ -172,53 +191,66 @@ def train_test_split(ds: LabeledDataset, test_fraction: float, seed: int
         raise ConfigurationError(
             f"test_fraction must be in (0, 1), got {test_fraction}")
     rng = np.random.default_rng(seed)
-    train_idx, test_idx = [], []
+    is_test = np.zeros(len(ds), dtype=bool)
     for c in range(ds.class_count):
         idx = rng.permutation(np.flatnonzero(ds.labels == c))
         n_test = int(round(test_fraction * len(idx)))
-        n_test = min(max(n_test, 1), len(idx) - 1)
-        test_idx.extend(idx[:n_test])
-        train_idx.extend(idx[n_test:])
-    return ds.subset(np.sort(train_idx)), ds.subset(np.sort(test_idx))
+        is_test[idx[:min(max(n_test, 1), len(idx) - 1)]] = True
+    return (ds.subset(np.flatnonzero(~is_test)),
+            ds.subset(np.flatnonzero(is_test)))
 
 
 def partition(ds: LabeledDataset, cfg: DataConfig, clients: int,
               seed: int) -> list[np.ndarray]:
-    """Disjoint index shards covering the dataset, one per client, split by
-    ``cfg.partition`` (with ``cfg.alpha`` for dirichlet)."""
+    """Disjoint index shards covering the dataset, one per client, drawn by
+    ``cfg.partition`` as the module docstring sets out."""
     n = len(ds)
     if not 1 <= clients <= n:
         raise ConfigurationError(
             f"cannot spread {n} examples over {clients} clients")
+    if cfg.partition == "one_label" and clients < ds.class_count:
+        raise ConfigurationError(
+            f"one_label needs at least {ds.class_count} clients to cover "
+            f"every class, got {clients}")
     rng = np.random.default_rng(seed)
+    # Example order[k] goes to client takers[k]; each client receives its
+    # examples in the order they stand here.
     if cfg.partition == "iid":
-        shards = [list(s) for s in np.array_split(rng.permutation(n), clients)]
-    elif cfg.partition == "dirichlet":
-        shards = [[] for _ in range(clients)]
+        order = rng.permutation(n)
+        takers = np.repeat(np.arange(clients), _even_counts(n, clients))
+    else:
+        class_orders, class_takers = [], []
         for c in range(ds.class_count):
             idx = rng.permutation(np.flatnonzero(ds.labels == c))
-            props = rng.dirichlet(np.full(clients, cfg.alpha))
-            cuts = (np.cumsum(props)[:-1] * len(idx)).astype(int)
-            for shard, piece in zip(shards, np.split(idx, cuts)):
-                shard.extend(piece)
-    else:  # one_label
-        if clients < ds.class_count:
-            raise ConfigurationError(
-                f"one_label needs at least {ds.class_count} clients to cover "
-                f"every class, got {clients}")
-        shards = [[] for _ in range(clients)]
-        for c in range(ds.class_count):
-            owners = [i for i in range(clients) if i % ds.class_count == c]
-            idx = rng.permutation(np.flatnonzero(ds.labels == c))
-            for owner, piece in zip(owners, np.array_split(idx, len(owners))):
-                shards[owner].extend(piece)
+            if cfg.partition == "dirichlet":
+                p = rng.dirichlet(np.full(clients, cfg.alpha))
+                cuts = (np.cumsum(p)[:-1] * len(idx)).astype(int)
+                taker = np.searchsorted(cuts, np.arange(len(idx)), "right")
+            else:  # one_label
+                ids = np.arange(c, clients, ds.class_count)
+                taker = np.repeat(ids, _even_counts(len(idx), len(ids)))
+            class_orders.append(idx)
+            class_takers.append(taker)
+        order = np.concatenate(class_orders)
+        takers = np.concatenate(class_takers)
+    # owner[e] is example e's client; a small unsigned dtype makes the
+    # stable argsort below a radix sort.
+    owner = np.empty(n, dtype=np.min_scalar_type(clients - 1))
+    owner[order] = takers
+    sizes = np.bincount(owner, minlength=clients)
 
-    # Re-seed empty shards with one sample pulled from the largest shard.
-    for i in range(clients):
-        while not shards[i]:
-            donor = max(range(clients), key=lambda j: len(shards[j]))
-            if len(shards[donor]) <= 1:
-                raise ConfigurationError("not enough data to fill every client")
-            moved = shards[donor].pop(int(rng.integers(len(shards[donor]))))
-            shards[i].append(moved)
-    return [np.sort(np.asarray(s, dtype=np.int64)) for s in shards]
+    # Re-seed empty shards with one example pulled from the largest shard.
+    # The sizes sum to n >= clients, so the donor always has two or more.
+    received = {}
+    for i in np.flatnonzero(sizes == 0):
+        donor = int(np.argmax(sizes))
+        if donor not in received:
+            received[donor] = list(order[takers == donor])
+        shard = received[donor]
+        moved = shard.pop(int(rng.integers(len(shard))))
+        owner[moved] = i
+        sizes[donor] -= 1
+        sizes[i] += 1
+    grouped = np.argsort(owner, kind="stable")
+    ends = np.cumsum(sizes).tolist()
+    return [grouped[a:b] for a, b in zip([0] + ends[:-1], ends)]

@@ -12,6 +12,7 @@ import numpy as np
 from fedmoe.adapter import AdapterConfig, MoEAdapter
 from fedmoe.backbone import ParameterLayout
 from fedmoe.config import ExperimentConfig
+from fedmoe.data import LabeledDataset
 from fedmoe.errors import AggregationError, ConfigurationError, DimensionError
 from fedmoe.tensor import Tensor
 
@@ -182,3 +183,85 @@ def export_partition_csv(shards, path):
         writer = csv.writer(fh)
         writer.writerow(["index", "client_id"])
         writer.writerows(pairs)
+
+
+# -- the data pipeline one example at a time --------------------------------------
+# The loop forms of ``fedmoe.data``'s synth_dataset, train_test_split and
+# partition, kept as references: the array forms must draw the same random
+# numbers in the same order and return the same arrays.
+
+
+def synth_dataset_loop(n, classes, seq_len, input_dim, separation, seed):
+    if min(n, classes, seq_len, input_dim) < 1 or separation <= 0.0:
+        raise ConfigurationError("all synthetic-data parameters must be positive")
+    if n < classes:
+        raise ConfigurationError(f"need at least one example per class "
+                                 f"({n} examples, {classes} classes)")
+    rng = np.random.default_rng(seed)
+    means = rng.normal(size=(classes, seq_len, input_dim))
+    counts = [n // classes + (1 if c < n % classes else 0)
+              for c in range(classes)]
+    features = np.empty((n, seq_len, input_dim))
+    labels = np.empty(n, dtype=np.int64)
+    row = 0
+    for c, count in enumerate(counts):
+        noise = rng.normal(size=(count, seq_len, input_dim)) / separation
+        features[row:row + count] = means[c] + noise
+        labels[row:row + count] = c
+        row += count
+    order = rng.permutation(n)
+    return LabeledDataset(features[order], labels[order], classes)
+
+
+def train_test_split_loop(ds, test_fraction, seed):
+    if not 0.0 < test_fraction < 1.0:
+        raise ConfigurationError(
+            f"test_fraction must be in (0, 1), got {test_fraction}")
+    rng = np.random.default_rng(seed)
+    train_idx, test_idx = [], []
+    for c in range(ds.class_count):
+        idx = rng.permutation(np.flatnonzero(ds.labels == c))
+        n_test = int(round(test_fraction * len(idx)))
+        n_test = min(max(n_test, 1), len(idx) - 1)
+        test_idx.extend(idx[:n_test])
+        train_idx.extend(idx[n_test:])
+    return ds.subset(np.sort(train_idx)), ds.subset(np.sort(test_idx))
+
+
+def partition_loop(ds, cfg, clients, seed):
+    n = len(ds)
+    if not 1 <= clients <= n:
+        raise ConfigurationError(
+            f"cannot spread {n} examples over {clients} clients")
+    rng = np.random.default_rng(seed)
+    if cfg.partition == "iid":
+        shards = [list(s) for s in np.array_split(rng.permutation(n), clients)]
+    elif cfg.partition == "dirichlet":
+        shards = [[] for _ in range(clients)]
+        for c in range(ds.class_count):
+            idx = rng.permutation(np.flatnonzero(ds.labels == c))
+            props = rng.dirichlet(np.full(clients, cfg.alpha))
+            cuts = (np.cumsum(props)[:-1] * len(idx)).astype(int)
+            for shard, piece in zip(shards, np.split(idx, cuts)):
+                shard.extend(piece)
+    else:  # one_label
+        if clients < ds.class_count:
+            raise ConfigurationError(
+                f"one_label needs at least {ds.class_count} clients to cover "
+                f"every class, got {clients}")
+        shards = [[] for _ in range(clients)]
+        for c in range(ds.class_count):
+            owners = [i for i in range(clients) if i % ds.class_count == c]
+            idx = rng.permutation(np.flatnonzero(ds.labels == c))
+            for owner, piece in zip(owners, np.array_split(idx, len(owners))):
+                shards[owner].extend(piece)
+
+    # Re-seed empty shards with one sample pulled from the largest shard.
+    for i in range(clients):
+        while not shards[i]:
+            donor = max(range(clients), key=lambda j: len(shards[j]))
+            if len(shards[donor]) <= 1:
+                raise ConfigurationError("not enough data to fill every client")
+            moved = shards[donor].pop(int(rng.integers(len(shards[donor]))))
+            shards[i].append(moved)
+    return [np.sort(np.asarray(s, dtype=np.int64)) for s in shards]

@@ -120,7 +120,9 @@ def test_set_budget_rejects_k_outside_one_to_m(budget, members, bad):
     (np.arange(6).reshape(3, 2), r"rows of shape \(3, 2\), expected \(2, batch\)"),
     (np.arange(8), r"rows of shape \(8,\), expected \(2, batch\)"),
     (slice(0, 4), "a slice is for a stack of one, not 2"),
-], ids=["too-few-members", "too-many-members", "flat-rows", "slice"])
+    ([np.arange(3), np.arange(3, 8)], r"ragged rows, expected \(2, batch\)"),
+], ids=["too-few-members", "too-many-members", "flat-rows", "slice",
+        "ragged-list"])
 def test_forward_rejects_rows_that_do_not_fit_the_loaded_stack(rows, bad):
     """A stack of 2 takes one row of indices per member, a [2, batch]
     array; rows for another count of members, flat rows or a slice name

@@ -1,14 +1,18 @@
 import csv
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from fedmoe.data import (DataConfig, LabeledDataset, load_csv, partition,
-                         synth_dataset, train_test_split)
+from fedmoe.data import (PARTITION_SCHEMES, DataConfig, LabeledDataset,
+                         load_csv, partition, synth_dataset, train_test_split)
 from fedmoe.errors import ConfigurationError, InputError
 
-from oracles import export_partition_csv
+from oracles import (export_partition_csv, partition_loop,
+                     synth_dataset_loop, train_test_split_loop)
 
 
 def mean_label_entropy(ds, shards):
@@ -258,3 +262,151 @@ def test_dataset_validation_and_subset():
     sub = ds.subset([2, 3])
     np.testing.assert_array_equal(sub.labels, [0, 1])
     np.testing.assert_allclose(sub.features[0], [[4.0, 5.0]])
+
+
+# -- the array forms against their loop references ----------------------------------
+
+
+def results(f, reference, *args):
+    """``f(*args)`` and ``reference(*args)``; or, when the reference raises,
+    check that ``f`` raises the same error and return ``None, None``."""
+    try:
+        want = reference(*args)
+    except (ConfigurationError, InputError) as exc:
+        with pytest.raises(type(exc)) as raised:
+            f(*args)
+        assert str(raised.value) == str(exc)
+        return None, None
+    return f(*args), want
+
+
+def assert_same_arrays(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(a, b)
+
+
+def arrays_of(datasets):
+    return [a for d in datasets
+            for a in (d.features, d.labels, np.array(d.class_count))]
+
+
+def numbered_dataset(labels, class_count):
+    """Labels as given; example i's one feature is i."""
+    n = len(labels)
+    return LabeledDataset(np.arange(n, dtype=float).reshape(n, 1, 1),
+                          np.asarray(labels), class_count)
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(0, 60), classes=st.integers(0, 6),
+       seq_len=st.integers(1, 3), input_dim=st.integers(1, 3),
+       separation=st.sampled_from([0.0, 0.5, 3.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_synth_dataset_matches_its_loop_reference(n, classes, seq_len,
+                                                  input_dim, separation, seed):
+    got, want = results(synth_dataset, synth_dataset_loop, n, classes,
+                        seq_len, input_dim, separation, seed)
+    if want is not None:
+        assert_same_arrays(arrays_of([got]), arrays_of([want]))
+
+
+labelled = st.integers(2, 5).flatmap(lambda c: st.tuples(
+    st.lists(st.integers(0, c - 1), min_size=1, max_size=60), st.just(c)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=labelled, fraction=st.one_of(st.floats(0.01, 0.99),
+                                         st.sampled_from([0.0, 1.0])),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(data=([0, 0, 0, 2, 2, 2], 3), fraction=0.5, seed=0)  # no class 1
+@example(data=([0, 1, 1], 2), fraction=0.5, seed=0)  # empty test side
+def test_train_test_split_matches_its_loop_reference(data, fraction, seed):
+    got, want = results(train_test_split, train_test_split_loop,
+                        numbered_dataset(*data), fraction, seed)
+    if want is not None:
+        assert_same_arrays(arrays_of(got), arrays_of(want))
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=labelled, scheme=st.sampled_from(PARTITION_SCHEMES),
+       log_alpha=st.floats(-2.0, 1.0), clients=st.integers(0, 61),
+       seed=st.integers(0, 2 ** 32 - 1))
+@example(data=([0, 0, 2, 2, 2, 0], 3), scheme="dirichlet", log_alpha=-2.0,
+         clients=6, seed=0)  # no class 1, empty shards
+@example(data=([0, 1, 1, 1, 1, 1, 1, 1, 1, 1], 2), scheme="one_label",
+         log_alpha=0.0, clients=6, seed=0)  # clients 2 and 4 get nothing
+def test_partition_matches_its_loop_reference(data, scheme, log_alpha,
+                                              clients, seed):
+    cfg = DataConfig(partition=scheme, alpha=10.0 ** log_alpha)
+    got, want = results(partition, partition_loop, numbered_dataset(*data),
+                        cfg, clients, seed)
+    if want is not None:
+        assert_same_arrays(got, want)
+
+
+@pytest.mark.parametrize("n,classes,cfg,clients", [
+    (12, 2, dirichlet(0.01), 12),  # the case of test_empty_shards_are_reseeded
+    (200, 4, dirichlet(0.05), 64),
+    (300, 3, dirichlet(0.3), 150),
+])
+def test_reseeded_partitions_match_the_loop_reference(n, classes, cfg, clients):
+    """Cases with many empty shards, so that a donor gives several times and
+    the draws of the re-seed line up only if each pop takes the same
+    example.  (The one_label re-seed is an explicit example above.)"""
+    for seed in range(5):
+        ds = synth_dataset(n, classes, 2, 2, separation=1.0, seed=15 + seed)
+        assert_same_arrays(partition(ds, cfg, clients, seed=16 + seed),
+                           partition_loop(ds, cfg, clients, seed=16 + seed))
+
+
+# -- a guard against per-example Python ----------------------------------------------
+
+
+def profile_calls(f, *args):
+    """The Python and C calls and the Python lines that ``f(*args)`` runs,
+    and the most pymalloc blocks it held at any of them beyond those held
+    before it began."""
+    events, peak, base = 0, 0, sys.getallocatedblocks()
+
+    def tally(frame, event, arg):
+        nonlocal events, peak
+        if event in ("call", "c_call", "line"):
+            events += 1
+            peak = max(peak, sys.getallocatedblocks() - base)
+        return tally  # as a trace function, also trace the frame's lines
+
+    tracer = sys.gettrace()
+    sys.setprofile(tally)
+    sys.settrace(tally)
+    try:
+        f(*args)
+    finally:
+        sys.settrace(tracer)
+        sys.setprofile(None)
+    return events, peak
+
+
+@pytest.mark.parametrize("step", [
+    "synth", "split", *(f"partition-{scheme}" for scheme in PARTITION_SCHEMES)])
+def test_data_steps_run_no_python_per_example(step):
+    """Ten times the examples, with classes and clients fixed and no shard
+    left empty, make the same calls and run the same lines.  Neither count
+    sees a loop inside one C call, such as ``list.extend`` over an array, so
+    the pymalloc blocks held (one per boxed example) must not grow with the
+    examples either."""
+    n, clients = 400, 8
+    runs = {}
+    for size in (n, 10 * n):
+        ds = synth_dataset(size, 4, 2, 2, separation=1.0, seed=3)
+        steps = {"synth": (synth_dataset, size, 4, 2, 2, 1.0, 3),
+                 "split": (train_test_split, ds, 0.2, 5)}
+        for scheme in PARTITION_SCHEMES:
+            cfg = DataConfig(partition=scheme, alpha=10.0)
+            steps[f"partition-{scheme}"] = (partition, ds, cfg, clients, 5)
+        f, *args = steps[step]
+        f(*args)  # warm: first calls may import or cache
+        runs[size] = profile_calls(f, *args)
+    assert runs[10 * n][0] == runs[n][0]
+    assert runs[10 * n][1] - runs[n][1] < n // 4
