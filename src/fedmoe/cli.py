@@ -115,7 +115,12 @@ def cmd_run(args, overrides: dict[str, str]) -> int:
     cfg = _layered_config(args, overrides)
     run_dir = _claim_dir(_output_root(args.out, cfg),
                          f"{_stamp()}-{cfg.hash_id()}")
-    result = run_experiment(cfg, run_dir)
+    try:
+        result = run_experiment(cfg, run_dir)
+    except BaseException:
+        if not any(run_dir.iterdir()):  # keep any partial artifacts
+            run_dir.rmdir()
+        raise
     for report in result.reports:
         print(f"round {report.round_index}: task {report.task_loss:.4f} "
               f"aux {report.aux_loss:.4f} accuracy {report.accuracy:.4f} "
@@ -206,7 +211,7 @@ def cmd_compare(args) -> int:
         if not metrics.is_file():
             raise FileNotFoundError(f"no metrics.csv under {run_dir}")
         global_rows = read_global_rows(metrics)
-        runs.append((run_dir.name, global_rows))
+        runs.append((dir_text, global_rows))  # basenames can repeat
         rounds_seen.append(set(global_rows))
 
     if len(set(map(frozenset, rounds_seen))) > 1:

@@ -15,13 +15,14 @@ the backbone's flat ``layout``, its Adam moments and its Adam step count.
 The round's :func:`schedule` keys every client's step s (counted across its
 epochs) by its batch's row count r, and cuts each (s, r) group, in
 client-id order, into lock-steps of at most ``STACK_ROWS // r`` members
-(at least one).  A lock-step gathers its members' rows of the store, binds
-the backbone's trainable tensors and their gradients as views of the
-gathered ``[G, P]`` buffers, records one tape, runs one backward, takes one
-Adam step with per-member bias correction, and scatters the rows back.
-Each member keeps its own shuffle stream, budget, loss, aux gate, moments
-and step count, and has the same batch shape as the others, so it gets the
-bits it would get training alone.
+(at least one).  A lock-step gathers its members' ``theta``, ``m``, ``v``
+and ``t`` rows of the store (the only owner of optimizer state), binds the
+backbone's trainable tensors and their gradients as views of ``theta`` and
+a zeroed ``[G, P]`` buffer, records one tape, runs one backward, takes one
+Adam step over the rows with per-member bias correction, and scatters the
+four arrays back.  Each member keeps its own shuffle stream, budget, loss,
+aux gate, moments and step count, and has the same batch shape as the
+others, so it gets the bits it would get training alone.
 """
 
 from __future__ import annotations
@@ -193,13 +194,15 @@ def local_train(clients: list[ClientState], backbone: Backbone,
     task_sum = np.zeros(len(clients))
     aux_sum = np.zeros(len(clients))
     steps = np.zeros(len(clients), dtype=np.int64)
+    opt = Adam(fed.lr, fed.weight_decay)
     for s, r, members in schedule([len(c.shard) for c in clients],
                                   fed.batch_size, fed.epochs):
         rows = np.stack([orders[i][cursor[i]:cursor[i] + r] for i in members])
         rows_of = ids[members]
-        theta = tz.parameter(store.theta[rows_of])
-        theta.grad = np.zeros_like(theta.values)
-        backbone.bind(theta.values, theta.grad)
+        theta, m, v, t = (store.theta[rows_of], store.m[rows_of],
+                          store.v[rows_of], store.t[rows_of])
+        grad = np.zeros_like(theta)
+        backbone.bind(theta, grad)
         backbone.set_budget(budgets[members])
         with tz.Tape() as tape:
             logits = backbone.forward(features, rows)
@@ -215,13 +218,9 @@ def local_train(clients: list[ClientState], backbone: Backbone,
             raise AggregationError(
                 f"client {rows_of[g]}, round {round_index}, step {s}: loss "
                 f"is not finite (task {task_values[g]}, aux {aux[g]})")
-        opt = Adam([theta], lr=fed.lr, weight_decay=fed.weight_decay,
-                   m=[store.m[rows_of]], v=[store.v[rows_of]],
-                   t=store.t[rows_of])
-        opt.step()
-        store.theta[rows_of] = theta.values
-        store.m[rows_of], store.v[rows_of] = opt.m[0], opt.v[0]
-        store.t[rows_of] = opt.t
+        opt.step(theta, grad, m, v, t)
+        store.theta[rows_of], store.m[rows_of] = theta, m
+        store.v[rows_of], store.t[rows_of] = v, t
         cursor[members] += r
         task_sum[members] += task_values
         aux_sum[members] += aux
@@ -266,13 +265,6 @@ def aggregate(rows: np.ndarray, sizes: list[int], layout: ParameterLayout
     return layout.views(out)
 
 
-def resolve_eval_k(cfg: ExperimentConfig, clients: list[ClientState]) -> int:
-    """Evaluation budget: configured value, else the widest client budget."""
-    if cfg.sparsity.eval_k:
-        return cfg.sparsity.eval_k
-    return max(c.k_n for c in clients)
-
-
 def run_round(server: ServerState, clients: list[ClientState],
               backbone: Backbone, test: LabeledDataset,
               cfg: ExperimentConfig) -> RoundReport:
@@ -296,7 +288,7 @@ def run_round(server: ServerState, clients: list[ClientState],
     task = float(np.dot(weights, [f.task_loss for f in fragments]))
     aux = float(np.dot(weights, [f.aux_loss for f in fragments]))
 
-    eval_k = resolve_eval_k(cfg, clients)
+    eval_k = cfg.sparsity.eval_budget(len(clients))
     backbone.set_budget(eval_k)
     load = LoadMatrix.zeros(cfg.backbone.layers, cfg.adapter.experts)
     accuracy = evaluate_accuracy(backbone, server.global_params, test,
@@ -509,7 +501,7 @@ def _write_metadata(cfg: ExperimentConfig, clients: list[ClientState],
     lines = [
         f"version = {__version__}",
         f"config_hash = {cfg.hash_id()}",
-        f"eval_k = {resolve_eval_k(cfg, clients)}",
+        f"eval_k = {cfg.sparsity.eval_budget(len(clients))}",
         "weight_decay_mode = decoupled",
         f"frozen_checksum = {backbone.frozen_checksum()}",
         f"classes = {train.class_count}",

@@ -525,60 +525,39 @@ def rel_entropy(p: Tensor, q: np.ndarray) -> Tensor:
 # -- optimizer ---------------------------------------------------------------
 
 
-class Adam:
-    """Adam with decoupled weight decay.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
 
-    The decay step ``theta -= lr * wd * theta`` is applied outside the moment
-    estimates, so a parameter with zero gradient still shrinks by exactly
-    ``lr * wd`` per step.  Every update is elementwise, so Adam over the rows
-    of a ``[G, P]`` parameter gives each row the bits of its own Adam.  The
-    moments ``m`` and ``v`` and the step count ``t`` start at zero unless
-    given; ``t`` may be one count per row of ``[G, P]`` parameters, and each
-    row then gets its own bias correction.
+
+class Adam:
+    """Adam with decoupled weight decay, as an update rule over rows.
+
+    The optimizer holds no state: :meth:`step` updates ``[G, P]`` parameter
+    rows ``theta`` and moment rows ``m`` and ``v`` in place from gradient
+    rows ``grad``, and adds one to each row's step count in ``t`` [G].  Every
+    update is elementwise and each row gets its own bias correction, so each
+    row gets the bits of its own Adam.  The decay step ``theta -= lr * wd *
+    theta`` is applied outside the moment estimates, so a row with zero
+    gradient still shrinks by exactly ``lr * wd`` per step.
     """
 
-    def __init__(self, params: Sequence[Tensor], lr: float = 3e-4,
-                 weight_decay: float = 0.0, betas: tuple[float, float] = (0.9, 0.999),
-                 eps: float = 1e-8, *, m: list[np.ndarray] | None = None,
-                 v: list[np.ndarray] | None = None, t=0):
-        self.params = list(params)
-        for p in self.params:
-            if not p.requires_grad:
-                raise UsageError("Adam given a tensor that does not require grad")
+    def __init__(self, lr: float, weight_decay: float = 0.0):
         self.lr = lr
         self.weight_decay = weight_decay
-        self.beta1, self.beta2 = betas
-        self.eps = eps
-        self.t = t
-        self.m = m if m is not None else [np.zeros_like(p.values)
-                                          for p in self.params]
-        self.v = v if v is not None else [np.zeros_like(p.values)
-                                          for p in self.params]
 
-    def _corrections(self, beta: float):
-        """``1 - beta**t`` as a Python float, or as a [G, 1] array of them
-        for per-row counts."""
-        if np.ndim(self.t) == 0:
-            return 1.0 - beta ** self.t
-        return np.array([[1.0 - beta ** int(t)] for t in self.t])
-
-    def step(self) -> None:
-        """One update of every parameter; if any has no gradient, nothing
-        changes and the error names the first such parameter's index."""
-        for i, p in enumerate(self.params):
-            if p.grad is None:
-                raise UsageError(
-                    f"Adam.step: parameter {i} of {len(self.params)} has no "
-                    f"gradient")
-        self.t += 1
-        b1t = self._corrections(self.beta1)
-        b2t = self._corrections(self.beta2)
-        for p, m, v in zip(self.params, self.m, self.v):
-            g = p.grad
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            if self.weight_decay:
-                p.values -= self.lr * self.weight_decay * p.values
-            p.values -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)
+    def step(self, theta: np.ndarray, grad: np.ndarray, m: np.ndarray,
+             v: np.ndarray, t: np.ndarray) -> None:
+        """One update of every row; a ``t`` of the wrong length raises
+        before anything changes."""
+        if len(t) != len(theta):
+            raise DimensionError(f"Adam.step: {len(t)} step counts for "
+                                 f"{len(theta)} parameter rows")
+        t += 1
+        b1t = np.array([[1.0 - BETA1 ** int(n)] for n in t])
+        b2t = np.array([[1.0 - BETA2 ** int(n)] for n in t])
+        m *= BETA1
+        m += (1.0 - BETA1) * grad
+        v *= BETA2
+        v += (1.0 - BETA2) * (grad * grad)
+        if self.weight_decay:
+            theta -= self.lr * self.weight_decay * theta
+        theta -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + EPS)

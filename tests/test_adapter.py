@@ -248,7 +248,10 @@ def test_ragged_lora_split_pads_with_exact_zeros_that_never_train():
         return a_now, b_now
 
     np.testing.assert_array_equal(lora_factors()[0], a)
-    opt = Adam([adapter.E1, adapter.E2], lr=0.05, weight_decay=0.1)
+    opt = Adam(lr=0.05, weight_decay=0.1)
+    blocks = (adapter.E1, adapter.E2)
+    state = [(np.zeros((1, p.values.size)), np.zeros((1, p.values.size)),
+              np.zeros(1, dtype=np.int64)) for p in blocks]
     for _ in range(5):
         adapter.E1.grad = adapter.E2.grad = None
         with Tape() as tape:
@@ -261,7 +264,8 @@ def test_ragged_lora_split_pads_with_exact_zeros_that_never_train():
         assert np.all(adapter.E1.grad[pad1] == 0.0)
         assert np.all(adapter.E2.grad[pad2] == 0.0)
         assert np.any(adapter.E1.grad[~pad1] != 0.0)
-        opt.step()
+        for p, (m, v, t) in zip(blocks, state):  # one-row views of each block
+            opt.step(p.values.reshape(1, -1), p.grad.reshape(1, -1), m, v, t)
         assert np.all(adapter.E1.values[pad1] == 0.0)
         assert np.all(adapter.E2.values[pad2] == 0.0)
     assert not np.array_equal(lora_factors()[0], a)  # the blocks did train
@@ -534,10 +538,8 @@ def test_adapters_with_different_k_interoperate():
 def test_load_keeps_tensor_identity_for_optimizer_state():
     bb = small_backbone()
     before = bb.trainable_parameters()
-    opt = Adam(before, lr=1e-3)
     bb.load_trainable([np.ones_like(p.values[0]) for p in before])
     assert all(a is b for a, b in zip(before, bb.trainable_parameters()))
-    assert all(a is b for a, b in zip(before, opt.params))
     assert all((p.values == 1.0).all() for p in before)
 
 

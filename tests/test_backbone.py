@@ -288,21 +288,30 @@ def test_trainable_head_is_exposed_and_loadable():
     np.testing.assert_array_equal(bb.head.values[0], values[-1])
 
 
+def one_row_state(bb):
+    """Member 0's parameters as a flat ``[1, P]`` row with zero Adam
+    moments and step count, as a store row holds them."""
+    theta = bb.layout.flatten(bb.member_params(0))[None]
+    return theta, np.zeros_like(theta), np.zeros_like(theta), \
+        np.zeros(1, dtype=np.int64)
+
+
 def test_frozen_weights_survive_training_steps():
     bb = small_backbone()
     before = bb.frozen_checksum()
     rng = np.random.default_rng(6)
-    opt = Adam(bb.trainable_parameters(), lr=1e-3, weight_decay=0.01)
+    theta, m, v, t = one_row_state(bb)
+    opt = Adam(lr=1e-3, weight_decay=0.01)
     for _ in range(3):
         batch = rng.normal(size=(4, 8, 6))
         labels = rng.integers(0, 4, size=4)[None]  # a stack of one member
-        for p in opt.params:
-            p.grad = None
+        grad = np.zeros_like(theta)
+        bb.bind(theta, grad)
         with Tape() as tape:
             logits = bb.forward(batch, slice(None))
             loss = tz.cross_entropy(logits, labels)
         tape.backward(loss)
-        opt.step()
+        opt.step(theta, grad, m, v, t)
     assert bb.frozen_checksum() == before
 
 
@@ -642,7 +651,10 @@ def test_fused_step_is_bit_identical_to_the_generic_op_chain(
 
 def test_training_step_tape_is_freed_without_cyclic_collector():
     bb, features, labels, idx = prefix_case("grid")
-    opt = Adam(bb.trainable_parameters(), lr=1e-3)
+    theta, m, v, t = one_row_state(bb)
+    grad = np.zeros_like(theta)
+    bb.bind(theta, grad)
+    opt = Adam(lr=1e-3)
     gc.collect()
     gc.disable()
     try:
@@ -650,7 +662,7 @@ def test_training_step_tape_is_freed_without_cyclic_collector():
             logits = bb.forward(features, idx[None])
             loss = tz.cross_entropy(logits, labels[idx][None])
             tape.backward(loss)
-        opt.step()
+        opt.step(theta, grad, m, v, t)
         assert loss.tape is tape
         ref = weakref.ref(tape)
         del tape

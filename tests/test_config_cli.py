@@ -2,6 +2,7 @@
 
 import csv
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -294,6 +295,28 @@ class TestRunCommand:
         assert "seeds.run must be >= 0" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_failed_run_removes_its_empty_dir(self, tmp_path, capsys):
+        code = cli.main(["run", "--out", str(tmp_path / "out"),
+                         *tiny_flags(), "--data.n", "8",
+                         "--data.partition", "iid", "--federation.clients",
+                         "8", "--data.test_fraction", "0.5"])
+        assert code == 1
+        assert "cannot spread 4 examples over 8 clients" \
+            in capsys.readouterr().err
+        assert list((tmp_path / "out").iterdir()) == []
+
+    def test_failed_run_keeps_partial_artifacts(self, tmp_path, capsys,
+                                                monkeypatch):
+        def write_then_fail(cfg, run_dir):
+            (run_dir / "partial.txt").write_text("x")
+            raise RuntimeError("late failure")
+
+        monkeypatch.setattr(cli, "run_experiment", write_then_fail)
+        code = cli.main(["run", "--out", str(tmp_path), *tiny_flags()])
+        assert code == 2
+        assert "late failure" in capsys.readouterr().err
+        assert [p.name for p in tmp_path.glob("*/*")] == ["partial.txt"]
+
     def test_env_var_output_root(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv(ENV_OUTPUT_ROOT, str(tmp_path / "roots"))
         code = cli.main(["run", *tiny_flags()])
@@ -417,7 +440,7 @@ class TestCompareCommand:
         lines = capsys.readouterr().out.splitlines()
         rows = [line.split(",") for line in lines[1:]]
         assert len(rows) == 4  # 2 rounds x 2 runs
-        assert [r[1] for r in rows] == [a.name, b.name, a.name, b.name]
+        assert [r[1] for r in rows] == [str(a), str(b), str(a), str(b)]
         assert all(r[4] != "" for r in rows)
 
     def test_single_run_passthrough(self, tmp_path, capsys):
@@ -443,8 +466,23 @@ class TestCompareCommand:
         captured = capsys.readouterr()
         assert "different rounds" in captured.err
         rows = [line.split(",") for line in captured.out.splitlines()[1:]]
-        blank = [r for r in rows if r[0] == "1" and r[1] == b.name]
+        blank = [r for r in rows if r[0] == "1" and r[1] == str(b)]
         assert blank and blank[0][2:] == ["", "", "", ""]
+
+    def test_runs_sharing_a_basename_are_labelled_by_their_paths(
+            self, tmp_path, capsys, monkeypatch):
+        """The same run directory name under two roots, as the same sweep
+        cell in two sweeps: each row names its run as given."""
+        a = self.run_tiny(tmp_path, "s1", rounds=1)
+        shutil.copytree(a, tmp_path / "s2" / a.name)
+        monkeypatch.chdir(tmp_path)
+        given = [f"s1/{a.name}", f"s2/{a.name}"]
+        capsys.readouterr()
+        assert cli.main(["compare", *given]) == 0
+        rows = [line.split(",")
+                for line in capsys.readouterr().out.splitlines()[1:]]
+        assert [r[1] for r in rows] == given
+        assert rows[0][2:] == rows[1][2:]
 
     def test_missing_dir_exits_two(self, tmp_path, capsys):
         code = cli.main(["compare", str(tmp_path / "nope")])

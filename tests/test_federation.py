@@ -13,8 +13,8 @@ from fedmoe.data import LabeledDataset
 from fedmoe.errors import AggregationError, InputError, UsageError
 from fedmoe.federation import (STACK_ROWS, ServerState, aggregate, broadcast,
                                build_clients, load_checkpoint, local_train,
-                               resolve_eval_k, run_experiment, run_round,
-                               save_checkpoint, schedule, write_metrics_csv)
+                               run_experiment, run_round, save_checkpoint,
+                               schedule, write_metrics_csv)
 from fedmoe.errors import ConfigurationError
 from oracles import aggregate_uploads
 from regenerate_golden import GOLDEN, RUNS
@@ -229,9 +229,9 @@ class TestBroadcastAndSparsity:
         cfg = small_config(**{"sparsity.mode": "capability",
                               "sparsity.k_high": "4", "sparsity.k_low": "1"})
         clients, _, _, _ = make_world(cfg)
-        assert resolve_eval_k(cfg, clients) == 4
+        assert cfg.sparsity.eval_budget(len(clients)) == 4
         pinned = small_config(**{"sparsity.eval_k": "3"})
-        assert resolve_eval_k(pinned, clients) == 3
+        assert pinned.sparsity.eval_budget(len(clients)) == 3
 
 
 class TestLocalTrain:

@@ -336,54 +336,73 @@ def test_layer_norm_rejects_mismatched_gain():
 # -- optimizer --------------------------------------------------------------------
 
 
+def adam_rows(values):
+    """``[G, P]`` parameter rows with zero moments and step counts."""
+    theta = np.array(values, dtype=np.float64)
+    return theta, np.zeros_like(theta), np.zeros_like(theta), \
+        np.zeros(len(theta), dtype=np.int64)
+
+
 def test_adam_zero_lr_leaves_parameters_unchanged():
-    p = parameter(np.array([1.0, -2.0, 3.0]))
-    p.grad = np.array([0.5, 0.5, 0.5])
-    Adam([p], lr=0.0, weight_decay=0.01).step()
-    np.testing.assert_array_equal(p.values, [1.0, -2.0, 3.0])
+    theta, m, v, t = adam_rows([[1.0, -2.0, 3.0]])
+    Adam(lr=0.0, weight_decay=0.01).step(theta, np.full((1, 3), 0.5), m, v, t)
+    np.testing.assert_array_equal(theta, [[1.0, -2.0, 3.0]])
 
 
 def test_adam_single_step_matches_hand_formula():
-    p = parameter(np.array(1.0))
-    p.grad = np.array(0.5)
-    opt = Adam([p], lr=0.1)
-    opt.step()
+    theta, m, v, t = adam_rows([[1.0]])
+    Adam(lr=0.1).step(theta, np.array([[0.5]]), m, v, t)
     want, _, _, _ = adam_single_step(1.0, 0.5, lr=0.1)
-    assert abs(float(p.values) - want) < 1e-12
+    assert abs(float(theta[0, 0]) - want) < 1e-12
 
 
 def test_adam_three_steps_match_hand_formula():
-    p = parameter(np.array(-0.7))
-    opt = Adam([p], lr=3e-4, weight_decay=0.01)
+    rows = adam_rows([[-0.7]])
+    opt = Adam(lr=3e-4, weight_decay=0.01)
     theta, m, v, t = -0.7, 0.0, 0.0, 0
     for grad in (0.3, -0.1, 0.02):
-        p.grad = np.array(grad)
-        opt.step()
+        opt.step(rows[0], np.array([[grad]]), *rows[1:])
         theta, m, v, t = adam_single_step(theta, grad, lr=3e-4,
                                           weight_decay=0.01, m=m, v=v, t=t)
-        assert abs(float(p.values) - theta) < 1e-12
+        assert abs(float(rows[0][0, 0]) - theta) < 1e-12
 
 
 def test_adam_decay_only_shrinks_by_lr_wd():
-    p = parameter(np.array([2.0, -4.0]))
-    opt = Adam([p], lr=0.1, weight_decay=0.01)
-    p.grad = np.zeros(2)
-    opt.step()
-    np.testing.assert_allclose(p.values, np.array([2.0, -4.0]) * (1 - 0.1 * 0.01),
+    theta, m, v, t = adam_rows([[2.0, -4.0]])
+    opt = Adam(lr=0.1, weight_decay=0.01)
+    opt.step(theta, np.zeros((1, 2)), m, v, t)
+    np.testing.assert_allclose(theta, np.array([[2.0, -4.0]]) * (1 - 0.1 * 0.01),
                                rtol=0, atol=1e-15)
-    p.grad = np.zeros(2)
-    opt.step()
-    np.testing.assert_allclose(p.values,
-                               np.array([2.0, -4.0]) * (1 - 0.1 * 0.01) ** 2,
+    opt.step(theta, np.zeros((1, 2)), m, v, t)
+    np.testing.assert_allclose(theta,
+                               np.array([[2.0, -4.0]]) * (1 - 0.1 * 0.01) ** 2,
                                rtol=0, atol=1e-15)
 
 
-def test_adam_missing_grad_raises():
-    """The error names the parameter, and no parameter or moment moves."""
-    params = [parameter(np.ones(2)), parameter(np.ones(3))]
-    params[0].grad = np.ones(2)
-    opt = Adam(params, lr=0.1)
-    with pytest.raises(UsageError, match="parameter 1 of 2 has no gradient"):
-        opt.step()
-    np.testing.assert_array_equal(params[0].values, np.ones(2))
-    assert opt.t == 0 and not opt.m[0].any()
+def test_adam_rows_of_a_stack_step_bit_for_bit_as_one_row_steps():
+    """Each row of a ``[3, P]`` stack, with its own step count, gets the
+    bits of a one-row step from the same state."""
+    rng = np.random.default_rng(31)
+    theta, grad, m = (rng.normal(size=(3, 5)) for _ in range(3))
+    v = rng.random((3, 5))
+    t = np.array([0, 4, 9])
+    alone = [[a[g:g + 1].copy() for a in (theta, grad, m, v, t)]
+             for g in range(3)]
+    opt = Adam(lr=0.05, weight_decay=0.1)
+    opt.step(theta, grad, m, v, t)
+    for g, (theta_g, grad_g, m_g, v_g, t_g) in enumerate(alone):
+        opt.step(theta_g, grad_g, m_g, v_g, t_g)
+        for stacked, one in ((theta, theta_g), (m, m_g), (v, v_g), (t, t_g)):
+            np.testing.assert_array_equal(stacked[g:g + 1], one)
+
+
+def test_adam_step_counts_of_the_wrong_length_raise_and_change_nothing():
+    rng = np.random.default_rng(32)
+    arrays = [rng.normal(size=(3, 4)) for _ in range(4)]
+    t = np.array([2])
+    before = [a.copy() for a in arrays] + [t.copy()]
+    theta, grad, m, v = arrays
+    with pytest.raises(DimensionError, match="1 step counts for 3 parameter rows"):
+        Adam(lr=0.1).step(theta, grad, m, v, t)
+    for got, want in zip(arrays + [t], before):
+        np.testing.assert_array_equal(got, want)
