@@ -204,10 +204,6 @@ class ExperimentConfig:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def default(cls) -> "ExperimentConfig":
-        return cls(**{name: section() for name, section in _SECTIONS.items()})
-
-    @classmethod
     def resolve(cls, *layers: dict[str, str]) -> "ExperimentConfig":
         """Defaults overlaid with each ``{dotted key: raw string}`` layer,
         later layers winning, then validated."""

@@ -128,9 +128,9 @@ def evaluate_accuracy(backbone: Backbone, params: list[np.ndarray],
     """Fraction of argmax-correct predictions; ties go to the lowest class.
 
     ``params``, one client's flat list (the aggregated global parameters, to
-    score the shared model), are loaded into the backbone as a stack of one.
-    Runs without a tape; a given ``load`` tallies the pass's routing, one
-    row per layer.
+    score the shared model), are loaded into the backbone as a stack of one
+    and scored at the backbone's current budget.  Runs without a tape; a
+    given ``load`` tallies the pass's routing, one row per layer.
     """
     if len(test) < 1:
         raise InputError("test set is empty")

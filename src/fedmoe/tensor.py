@@ -1,10 +1,12 @@
 """Dense float64 tensors with tape-based reverse-mode differentiation.
 
-Every forward pass runs inside an active :class:`Tape`, which records one
-backward closure per produced tensor.  ``tape.backward(loss)`` replays the
-tape in reverse and accumulates gradients into every reachable tensor whose
-``requires_grad`` flag is set.  Values are always ``numpy`` arrays of dtype
-float64; there is no other precision in the package.
+Every op hands its values and a backward closure to ``_emit``, the one
+rule for what is recorded: the innermost active :class:`Tape` keeps the
+closure when some input requires grad, and otherwise the output is a
+constant.  ``tape.backward(loss)`` replays the tape in reverse and
+accumulates gradients into every reachable tensor whose ``requires_grad``
+flag is set.  Values are always ``numpy`` arrays of dtype float64; there
+is no other precision in the package.
 
 A tensor refers to its tape only weakly, so a step's tape, activations and
 backward closures form no cycle and are freed with the last name for the tape.
@@ -137,9 +139,6 @@ class Tape:
         if popped is not self:  # pragma: no cover - guards interleaved misuse
             raise UsageError("tape context exited out of order")
 
-    def _record(self, out: Tensor, back: Callable[[np.ndarray], None]) -> None:
-        self._ops.append((out, back))
-
     def backward(self, loss: Tensor) -> None:
         if loss.values.size != 1:
             raise UsageError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -159,22 +158,17 @@ def _accumulate(t: Tensor, g: np.ndarray) -> None:
     t.grad += g
 
 
-def _recording(inputs: Sequence[Tensor]) -> bool:
-    """Whether an op on ``inputs`` is recorded: a tape is active and some
-    input requires grad."""
-    return bool(_TAPES) and any(t.requires_grad for t in inputs)
-
-
 def _emit(values: np.ndarray, inputs: Sequence[Tensor],
           back: Callable[[np.ndarray], None]) -> Tensor:
-    """Wrap ``values`` in a Tensor, recording ``back`` if a tape is active."""
-    if _recording(inputs):
-        out = Tensor(values, requires_grad=True)
+    """Wrap ``values`` in a Tensor, recording ``back`` on the innermost
+    tape if there is one and some input requires grad."""
+    out = Tensor(values)
+    if _TAPES and any(t.requires_grad for t in inputs):
         tape = _TAPES[-1]
+        out.requires_grad = True
         out._tape = weakref.ref(tape)
-        tape._record(out, back)
-        return out
-    return Tensor(values)
+        tape._ops.append((out, back))
+    return out
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -399,12 +393,6 @@ def masked_softmax(a: Tensor, mask: np.ndarray) -> Tensor:
             f"masked_softmax: mask shape {mask.shape} != logits shape {a.shape}")
     if not mask.any(axis=-1).all():
         raise InputError("masked_softmax: a row selects no entries")
-    return _masked_softmax(a, mask)
-
-
-def _masked_softmax(a: Tensor, mask: np.ndarray) -> Tensor:
-    """:func:`masked_softmax` for a boolean ``mask`` already known to fit
-    ``a`` and to select in every row, such as a top-K mask."""
     z = np.where(mask, a.values, -np.inf)
     m = z.max(axis=-1, keepdims=True)
     e = np.where(mask, np.exp(a.values - m), 0.0)

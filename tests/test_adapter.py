@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fedmoe import tensor as tz
 from fedmoe.adapter import AdapterConfig, MoEAdapter, topk_mask
@@ -84,6 +86,53 @@ def test_topk_mask_selects_per_row():
     z = np.array([[3.0, 1.0, 2.0], [1.0, 1.0, 0.0]])
     mask = topk_mask(z, 2)
     np.testing.assert_array_equal(mask, [[True, False, True], [True, True, False]])
+
+
+def gate_loss(weights, probs, a, b):
+    """``sum(weights * a) + sum(probs * b)`` as generic tape ops."""
+    return tz.mul(weights, Tensor(a)).sum() + tz.mul(probs, Tensor(b)).sum()
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_one_softmax_gate_is_bit_identical_to_masked_and_dense_softmax(data):
+    """``_gate``'s top-K weights are ``masked_softmax`` under the top-K mask
+    and its routing mean is the token mean of ``softmax``, values and logits
+    gradient bit for bit, also with ties at a row's maximum and ±0.0 rows."""
+    members, experts = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 8))
+    tokens = data.draw(st.integers(1, 6))
+    k = data.draw(st.lists(st.integers(1, experts), min_size=members,
+                           max_size=members))
+    scale = data.draw(st.floats(1e-3, 30.0))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    shape = (members, tokens, experts)
+    z = rng.normal(0.0, scale, size=shape)
+    kind = rng.integers(0, 3, size=shape[:-1])  # normal, integer, ±0.0 rows
+    z[kind == 1] = np.round(z[kind == 1])
+    z[kind == 2] = rng.choice([0.0, -0.0], size=(np.sum(kind == 2), experts))
+    a, b = rng.normal(size=shape), rng.normal(size=(members, experts))
+    adapter = make_adapter(4, experts, 1, k=experts)
+    adapter.WR.values = np.zeros((members, experts, 4))  # a stack of G
+    adapter.set_budget(k)
+
+    logits = Tensor(z, requires_grad=True)
+    with Tape() as tape:
+        weights, probs, dense, selected = adapter._gate(logits)
+        tape.backward(gate_loss(weights, probs, a, b))
+
+    chain = Tensor(z, requires_grad=True)
+    mask = topk_mask(z, adapter.k)
+    with Tape() as tape:
+        want_weights = tz.masked_softmax(chain, mask)
+        want_dense = tz.softmax(chain)
+        want_probs = tz.tmean(want_dense, axis=-2)
+        tape.backward(gate_loss(want_weights, want_probs, a, b))
+
+    np.testing.assert_array_equal(selected, mask)
+    np.testing.assert_array_equal(weights.values, want_weights.values)
+    np.testing.assert_array_equal(probs.values, want_probs.values)
+    np.testing.assert_array_equal(dense, want_dense.values)
+    np.testing.assert_array_equal(logits.grad, chain.grad)
 
 
 # -- forward -------------------------------------------------------------------
@@ -364,7 +413,7 @@ def run_mix(adapter, arrays, inputs_grad, chain=None, gate=None):
     logits = Tensor(arrays["logits"], requires_grad=True)
     adapter.E1.grad = adapter.E2.grad = None
     with Tape() as tape:
-        weights, _ = (gate or adapter._gate)(logits)
+        weights, *_ = (gate or adapter._gate)(logits)
         if chain is per_expert_mix:
             out, pairs = per_expert_mix(adapter, base, x, weights)
         else:
@@ -441,7 +490,7 @@ def test_mixture_input_gradients_match_finite_differences():
     keys = ["x", "base", "logits"]
 
     def loss_value(_arrays):
-        weights, _ = adapter._gate(Tensor(arrays["logits"]))
+        weights, *_ = adapter._gate(Tensor(arrays["logits"]))
         out = adapter._mix(Tensor(arrays["base"]), Tensor(arrays["x"]), weights)
         return float((out.values * arrays["w"]).sum())
 

@@ -33,7 +33,7 @@ def tiny_flags() -> list[str]:
 
 class TestResolution:
     def test_defaults_validate(self):
-        cfg = ExperimentConfig.default()
+        cfg = ExperimentConfig.resolve()
         cfg.validate()
         assert cfg.federation.clients == 4
         assert cfg.federation.lr == 3e-4
@@ -76,7 +76,7 @@ class TestResolution:
         assert other.hash_id() != cfg.hash_id()
 
     def test_hash_leaves_out_the_output_root(self):
-        default = ExperimentConfig.default()
+        default = ExperimentConfig.resolve()
         elsewhere = ExperimentConfig.resolve({"output.dir": "/tmp/x"})
         assert default.hash_id() == elsewhere.hash_id() == "c607a852c160"
         assert "output.dir = /tmp/x\n" in elsewhere.canonical_text()
@@ -87,7 +87,7 @@ class TestResolution:
         assert cfg.federation.clients == 10
         assert cfg.data.classes == 10
         assert ExperimentConfig.resolve(PRESETS["agnews-like"]) \
-            == ExperimentConfig.default()
+            == ExperimentConfig.resolve()
 
 
 class TestValidation:
