@@ -298,11 +298,13 @@ class Backbone:
                 load: LoadMatrix | None = None) -> Tensor:
         """Logits [G, batch, C] of the loaded stack of G members over
         ``features[rows]``: ``rows`` is a [G, batch] index array, member g's
-        rows in row g, or a slice for a stack of one.  Block 0's prefix
-        comes from the cache.  Each layer's token-mean dense routing,
+        rows in row g, or a slice for a stack of one.  The budget survives
+        a rebind, so it must be one K or one per member of this stack.
+        Block 0's prefix comes from the cache.  Each layer's token-mean dense routing,
         [G, M], goes to ``last_layer_probs``; a given ``load`` also tallies
         the routing."""
-        members = self.adapters[0].WR.shape[0]
+        first = self.adapters[0]
+        members = first.WR.shape[0]
         if not isinstance(rows, slice):
             expected = (f"expected ({members}, batch): one row of indices "
                         f"per member of the stack")
@@ -315,6 +317,11 @@ class Backbone:
             rows = rows.reshape(-1)
         elif members != 1:
             raise DimensionError(f"a slice is for a stack of one, not {members}")
+        budget = first.k.ravel()
+        if len(budget) not in (1, members):
+            raise DimensionError(
+                f"budget K = {budget.tolist()} is for a stack of "
+                f"{len(budget)}, not {members}: set_budget after loading")
         h1, f1 = self._cached_prefix(features)
         h, ffn = Tensor(h1[rows]), Tensor(f1[rows])
         self.last_layer_probs = []

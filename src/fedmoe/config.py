@@ -54,9 +54,10 @@ class SparsitySection:
         n_high = round(self.high_fraction * clients)
         return [high] * n_high + [low] * (clients - n_high)
 
-    def eval_budget(self, clients: int) -> int:
-        """The server's evaluation K: ``eval_k``, else the widest K_n."""
-        return self.eval_k or max(self.budgets(clients))
+    def eval_budget(self, budgets) -> int:
+        """The server's evaluation K: ``eval_k``, else the widest of the
+        clients' ``budgets``."""
+        return self.eval_k or int(max(budgets))
 
 
 @dataclass(frozen=True)

@@ -6,11 +6,13 @@ evaluate the new global model on the held-out test set.  Only adapter
 parameters (and the head, when trainable) move over the wire.
 
 An experiment builds one frozen backbone and shares it: clients train on it
-lock-step by lock-step and the server evaluates on it.  A client is a record
-of its shard (an index array into the training set) and its budget K_n.
-Its state is one row of the :class:`ClientStore`: its latest parameters, in
-the backbone's flat ``layout``, its Adam moments and its Adam step count.
-``ClientState.params`` and the uploads are views of that row.
+lock-step by lock-step and the server evaluates on it.  Client n is row n
+of the :class:`ClientStore`: its shard (an index array into the training
+set), its budget K_n, its latest parameters in the backbone's flat
+``layout``, its Adam moments and its Adam step count.  The round functions
+take the store and client ids, so the store's rows are the uploads, in
+client-id order, by construction.  :class:`ClientState` is a read-only
+handle on one row, built only for an experiment's result.
 
 The round's :func:`schedule` keys every client's step s (counted across its
 epochs) by its batch's row count r, and cuts each (s, r) group, in
@@ -63,36 +65,44 @@ STACK_ROWS = 128
 
 @dataclass
 class ClientStore:
-    """Every client's state, one row per client id: parameters ``theta``
-    [N, P] in ``layout`` order, Adam moments ``m`` and ``v`` [N, P] and Adam
-    step counts ``t`` [N]; and the training set the shards index."""
+    """Every client, one row per client id: its shard ``shards[n]`` (sorted
+    rows of ``train``), its budget ``budgets [N]``, its parameters
+    ``theta`` [N, P] in ``layout`` order, its Adam moments ``m`` and ``v``
+    [N, P] and its Adam step count ``t`` [N]."""
 
     layout: ParameterLayout
     train: LabeledDataset
+    shards: list[np.ndarray]
+    budgets: np.ndarray
     theta: np.ndarray
     m: np.ndarray
     v: np.ndarray
     t: np.ndarray
 
+    def sizes(self) -> list[int]:
+        return [len(shard) for shard in self.shards]
 
-@dataclass
+
+@dataclass(frozen=True, eq=False)
 class ClientState:
-    """One participant: private shard (rows of ``store.train``), sparsity
-    budget, and its row of the store."""
+    """Read-only handle on client ``client_id``'s row of ``store``."""
 
-    client_id: int
-    shard: np.ndarray
-    k_n: int
     store: ClientStore
+    client_id: int
 
     @property
-    def params(self) -> list[np.ndarray]:
-        """The client's latest upload, or the initial adapter values before
-        its first round: per-tensor views of its store row."""
-        return self.store.layout.views(self.store.theta[self.client_id])
+    def shard(self) -> np.ndarray:
+        return self.store.shards[self.client_id]
+
+    @property
+    def k_n(self) -> int:
+        return int(self.store.budgets[self.client_id])
 
     def adapter_params(self) -> list[np.ndarray]:
-        return [v.copy() for v in self.params]
+        """Copies of the client's latest upload, or of the initial adapter
+        values before its first round."""
+        return [v.copy() for v in
+                self.store.layout.views(self.store.theta[self.client_id])]
 
 
 @dataclass
@@ -102,17 +112,10 @@ class ServerState:
 
 
 @dataclass
-class ClientRoundMetrics:
-    client_id: int
-    task_loss: float   # mean over the round's optimization steps
-    aux_loss: float    # mean reduced aux value (before the lambda weight)
-    steps: int
-
-
-@dataclass
 class RoundReport:
     round_index: int
-    clients: list[ClientRoundMetrics]
+    task_losses: np.ndarray  # [N]: client n's mean over its round's steps
+    aux_losses: np.ndarray   # [N]: mean reduced aux value (before lambda)
     task_loss: float   # shard-size-weighted mean of client task losses
     aux_loss: float
     accuracy: float
@@ -125,13 +128,9 @@ class RoundReport:
 # round primitives
 
 
-def broadcast(server: ServerState, clients: list[ClientState]) -> None:
-    """Copy the global parameters into every client's store row: one row
-    copy."""
-    if clients:
-        store = clients[0].store
-        ids = [c.client_id for c in clients]
-        store.theta[ids] = store.layout.flatten(server.global_params)
+def broadcast(server: ServerState, store: ClientStore) -> None:
+    """Copy the global parameters into every client's store row."""
+    store.theta[:] = store.layout.flatten(server.global_params)
 
 
 def schedule(sizes: list[int], batch_size: int, epochs: int
@@ -157,45 +156,42 @@ def schedule(sizes: list[int], batch_size: int, epochs: int
     return steps
 
 
-def local_train(clients: list[ClientState], backbone: Backbone,
+def local_train(store: ClientStore, ids, backbone: Backbone,
                 cfg: ExperimentConfig, round_index: int
-                ) -> list[ClientRoundMetrics]:
-    """One round's local pass of ``clients`` on the shared backbone, as the
-    :func:`schedule`'s lock-steps; each client's parameters, moments and
-    step count are updated in its store row.  Returns each client's loss
-    averages, in the order given.
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One round's local pass of the clients ``ids`` on the shared backbone,
+    as the :func:`schedule`'s lock-steps; each client's parameters, moments
+    and step count are updated in its store row.  Returns each client's
+    mean task loss, mean aux loss and step count, in the order of ``ids``.
 
     Each client's shuffle stream is seeded by (run seed, round, client id),
     so a replay of the same experiment revisits identical batches, in any
     lock-step or alone.  A non-finite loss stops the round before its
     lock-step's update, naming the client, the round and the client's step.
     """
-    for client in clients:
-        if len(client.shard) == 0:
-            raise ConfigurationError(
-                f"client {client.client_id}: empty shard cannot train")
-    store = clients[0].store
+    ids = np.asarray(ids, dtype=np.int64)
+    shards = [store.shards[n] for n in ids]
+    for n, shard in zip(ids, shards):
+        if len(shard) == 0:
+            raise ConfigurationError(f"client {n}: empty shard cannot train")
     fed, aux_cfg = cfg.federation, cfg.aux
-    ids = np.array([c.client_id for c in clients])
     if fed.reset_optimizer:
         store.m[ids] = store.v[ids] = 0.0
         store.t[ids] = 0
-    budgets = np.array([c.k_n for c in clients])
+    budgets = store.budgets[ids]
     features, labels = store.train.features, store.train.labels
     # each client's visiting order over the round's epochs, as training rows
     orders = []
-    for client in clients:
-        rng = np.random.default_rng((cfg.seeds.run, round_index,
-                                     client.client_id))
-        n = len(client.shard)
-        orders.append(client.shard[np.concatenate(
-            [rng.permutation(n) for _ in range(fed.epochs)])])
-    cursor = np.zeros(len(clients), dtype=np.int64)
-    task_sum = np.zeros(len(clients))
-    aux_sum = np.zeros(len(clients))
-    steps = np.zeros(len(clients), dtype=np.int64)
+    for n, shard in zip(ids, shards):
+        rng = np.random.default_rng((cfg.seeds.run, round_index, int(n)))
+        orders.append(shard[np.concatenate(
+            [rng.permutation(len(shard)) for _ in range(fed.epochs)])])
+    cursor = np.zeros(len(ids), dtype=np.int64)
+    task_sum = np.zeros(len(ids))
+    aux_sum = np.zeros(len(ids))
+    steps = np.zeros(len(ids), dtype=np.int64)
     opt = Adam(fed.lr, fed.weight_decay)
-    for s, r, members in schedule([len(c.shard) for c in clients],
+    for s, r, members in schedule([len(shard) for shard in shards],
                                   fed.batch_size, fed.epochs):
         rows = np.stack([orders[i][cursor[i]:cursor[i] + r] for i in members])
         rows_of = ids[members]
@@ -225,9 +221,7 @@ def local_train(clients: list[ClientState], backbone: Backbone,
         task_sum[members] += task_values
         aux_sum[members] += aux
         steps[members] += 1
-    return [ClientRoundMetrics(c.client_id, float(task_sum[i] / steps[i]),
-                               float(aux_sum[i] / steps[i]), int(steps[i]))
-            for i, c in enumerate(clients)]
+    return task_sum / steps, aux_sum / steps, steps
 
 
 def aggregate(rows: np.ndarray, sizes: list[int], layout: ParameterLayout
@@ -265,39 +259,34 @@ def aggregate(rows: np.ndarray, sizes: list[int], layout: ParameterLayout
     return layout.views(out)
 
 
-def run_round(server: ServerState, clients: list[ClientState],
-              backbone: Backbone, test: LabeledDataset,
-              cfg: ExperimentConfig) -> RoundReport:
+def run_round(server: ServerState, store: ClientStore, backbone: Backbone,
+              test: LabeledDataset, cfg: ExperimentConfig) -> RoundReport:
     """broadcast -> local training -> aggregate -> evaluate, all on the one
-    shared backbone.  ``clients`` are every client of their store, in
-    client-id order, so the store's rows are the uploads in the order
-    ``aggregate`` anchors on."""
+    shared backbone; every client of the store trains, and its rows are the
+    uploads in the order ``aggregate`` anchors on."""
     round_index = server.round_index
-    store = clients[0].store
-    if [c.client_id for c in clients] != list(range(len(store.theta))):
-        raise UsageError("run_round needs every client of the store, in "
-                         "client-id order")
-    broadcast(server, clients)
-    fragments = local_train(clients, backbone, cfg, round_index)
-    sizes = [len(c.shard) for c in clients]
+    broadcast(server, store)
+    task, aux, _ = local_train(store, np.arange(len(store.shards)), backbone,
+                               cfg, round_index)
+    sizes = store.sizes()
     server.global_params = aggregate(store.theta, sizes, store.layout)
     server.round_index = round_index + 1
 
     weights = np.array(sizes, dtype=np.float64)
     weights /= weights.sum()
-    task = float(np.dot(weights, [f.task_loss for f in fragments]))
-    aux = float(np.dot(weights, [f.aux_loss for f in fragments]))
 
-    eval_k = cfg.sparsity.eval_budget(len(clients))
+    eval_k = cfg.sparsity.eval_budget(store.budgets)
     backbone.set_budget(eval_k)
     load = LoadMatrix.zeros(cfg.backbone.layers, cfg.adapter.experts)
     accuracy = evaluate_accuracy(backbone, server.global_params, test,
                                  load=load)
     util = utilization_kl(load)
 
-    return RoundReport(round_index=round_index, clients=fragments,
-                       task_loss=task, aux_loss=aux, accuracy=accuracy,
-                       eval_k=eval_k, utilization=util, load=load)
+    return RoundReport(round_index=round_index, task_losses=task,
+                       aux_losses=aux, task_loss=float(np.dot(weights, task)),
+                       aux_loss=float(np.dot(weights, aux)),
+                       accuracy=accuracy, eval_k=eval_k, utilization=util,
+                       load=load)
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +389,10 @@ def write_metrics_csv(reports: list[RoundReport], path) -> None:
         writer = csv.writer(fh)
         writer.writerow(METRICS_COLUMNS)
         for report in reports:
-            for frag in report.clients:
-                writer.writerow([report.round_index, frag.client_id,
-                                 _cell(frag.task_loss), _cell(frag.aux_loss),
-                                 "", ""])
+            for n, (task, aux) in enumerate(zip(report.task_losses,
+                                                report.aux_losses)):
+                writer.writerow([report.round_index, n, _cell(task),
+                                 _cell(aux), "", ""])
             writer.writerow([report.round_index, "global",
                              _cell(report.task_loss), _cell(report.aux_loss),
                              _cell(report.accuracy),
@@ -434,22 +423,20 @@ def _load_dataset(cfg: ExperimentConfig) -> LabeledDataset:
 
 
 def build_clients(cfg: ExperimentConfig, train: LabeledDataset,
-                  backbone: Backbone) -> list[ClientState]:
-    """Partition the training set into client records, with K_n from
-    ``SparsitySection.budgets``, over one new store whose every row holds
-    the backbone's initial adapter values."""
+                  backbone: Backbone) -> ClientStore:
+    """One new store over the training set's partition, with K_n from
+    ``SparsitySection.budgets`` and every row of ``theta`` holding the
+    backbone's initial adapter values."""
     shards = partition(train, cfg.data, cfg.federation.clients, cfg.seeds.data)
-    budgets = cfg.sparsity.budgets(len(shards))
     layout = backbone.layout
     initial = layout.flatten(backbone.member_params(0))
     shape = (len(shards), layout.width)
-    store = ClientStore(layout=layout, train=train,
-                        theta=np.broadcast_to(initial, shape).copy(),
-                        m=np.zeros(shape), v=np.zeros(shape),
-                        t=np.zeros(len(shards), dtype=np.int64))
-    return [ClientState(client_id=i, shard=np.asarray(indices), k_n=k_n,
-                        store=store)
-            for i, (indices, k_n) in enumerate(zip(shards, budgets))]
+    return ClientStore(layout=layout, train=train, shards=shards,
+                       budgets=np.array(cfg.sparsity.budgets(len(shards)),
+                                        dtype=np.int64),
+                       theta=np.broadcast_to(initial, shape).copy(),
+                       m=np.zeros(shape), v=np.zeros(shape),
+                       t=np.zeros(len(shards), dtype=np.int64))
 
 
 def run_experiment(cfg: ExperimentConfig,
@@ -467,7 +454,7 @@ def run_experiment(cfg: ExperimentConfig,
                         classes=train.class_count,
                         input_dim=cfg.data.input_dim,
                         frozen_seed=cfg.seeds.frozen)
-    clients = build_clients(cfg, train, backbone)
+    store = build_clients(cfg, train, backbone)
     server = ServerState(global_params=backbone.member_params(0))
     # Only the split copies are read from here on.  Released at the split,
     # the raw features cost `wide` 4.5 MB of page faults per set-up.
@@ -475,7 +462,7 @@ def run_experiment(cfg: ExperimentConfig,
 
     reports = []
     for _ in range(cfg.federation.rounds):
-        reports.append(run_round(server, clients, backbone, test, cfg))
+        reports.append(run_round(server, store, backbone, test, cfg))
 
     out = Path(run_dir) if run_dir is not None else None
     if out is not None:
@@ -487,27 +474,26 @@ def run_experiment(cfg: ExperimentConfig,
         if reports:
             export_heatmap_csv(reports[-1].load, out / "heatmap.csv")
             export_mean_probs_csv(reports[-1].load, out / "mean_probs.csv")
-        _write_metadata(cfg, clients, backbone, train, test,
-                        out / "metadata.txt")
+        _write_metadata(cfg, store, backbone, test, out / "metadata.txt")
+    clients = [ClientState(store, n) for n in range(len(store.shards))]
     return ExperimentResult(reports=reports, server=server, clients=clients,
                             eval_backbone=backbone, test=test,
                             parameter_names=backbone.parameter_names(),
                             run_dir=out)
 
 
-def _write_metadata(cfg: ExperimentConfig, clients: list[ClientState],
-                    backbone: Backbone, train: LabeledDataset,
-                    test: LabeledDataset, path) -> None:
+def _write_metadata(cfg: ExperimentConfig, store: ClientStore,
+                    backbone: Backbone, test: LabeledDataset, path) -> None:
     lines = [
         f"version = {__version__}",
         f"config_hash = {cfg.hash_id()}",
-        f"eval_k = {cfg.sparsity.eval_budget(len(clients))}",
+        f"eval_k = {cfg.sparsity.eval_budget(store.budgets)}",
         "weight_decay_mode = decoupled",
         f"frozen_checksum = {backbone.frozen_checksum()}",
-        f"classes = {train.class_count}",
-        f"train_examples = {len(train)}",
+        f"classes = {store.train.class_count}",
+        f"train_examples = {len(store.train)}",
         f"test_examples = {len(test)}",
-        f"shard_sizes = {','.join(str(len(c.shard)) for c in clients)}",
-        f"client_k = {','.join(str(c.k_n) for c in clients)}",
+        f"shard_sizes = {','.join(map(str, store.sizes()))}",
+        f"client_k = {','.join(map(str, store.budgets))}",
     ]
     Path(path).write_text("\n".join(lines) + "\n")

@@ -5,7 +5,10 @@ machinery so that it can serve as a second opinion on it.
 """
 
 import csv
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -173,6 +176,21 @@ def load_members(backbone, *members):
 def with_overrides(cfg, overrides):
     """A new config with raw-string overrides applied on ``cfg``."""
     return ExperimentConfig.resolve(dict(cfg.to_items()), overrides)
+
+
+def perfbench_module(name):
+    """``perfbench/<name>.py`` as a module, run from its source without
+    writing bytecode, so nothing is written under ``perfbench/``."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module  # dataclasses look their module up
+    keep, sys.dont_write_bytecode = sys.dont_write_bytecode, True
+    try:
+        spec.loader.exec_module(module)
+    finally:
+        sys.dont_write_bytecode = keep
+    return module
 
 
 def export_partition_csv(shards, path):

@@ -138,6 +138,23 @@ def test_forward_rejects_rows_that_do_not_fit_the_loaded_stack(rows, bad):
     assert logits.shape == (2, 4, 4)
 
 
+def test_forward_names_a_budget_left_from_a_stack_of_another_size():
+    """A per-member budget outlives a rebind: a stack of 2's ``[1, 4]``
+    in front of a stack of one names the budget and the two sizes, and a
+    new ``set_budget`` clears it."""
+    bb = small_backbone()
+    load_members(bb, bb.member_params(0), bb.member_params(0))
+    bb.set_budget([1, 4])
+    bb.load_trainable(bb.member_params(0))
+    f = np.random.default_rng(61).normal(size=(8, 8, 6))
+    with pytest.raises(DimensionError,
+                       match=r"budget K = \[1, 4\] is for a stack of 2, "
+                             r"not 1: set_budget after loading"):
+        bb.forward(f, slice(0, 5))
+    bb.set_budget(2)
+    assert bb.forward(f, slice(0, 5)).shape == (1, 5, 4)
+
+
 def test_zero_adapters_match_adapter_free_oracle():
     bb = small_backbone()  # E2 = 0 at init
     batch = np.random.default_rng(1).normal(size=(4, 8, 6))

@@ -1,7 +1,4 @@
-import importlib.util
 import math
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +12,7 @@ from fedmoe.federation import run_experiment
 from fedmoe.metrics import (LoadMatrix, evaluate_accuracy, export_heatmap_csv,
                             export_mean_probs_csv, utilization_kl)
 
-from oracles import kl_direct, load_members
+from oracles import kl_direct, load_members, perfbench_module
 
 
 def load_from_counts(counts):
@@ -260,17 +257,6 @@ def test_empty_test_sets_are_unconstructible():
         ds.subset([])
 
 
-def bench_workloads():
-    """The benchmark's workloads from ``perfbench/workloads.py``, run from
-    its source so that no bytecode is written under ``perfbench/``."""
-    path = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up
-    exec(compile(path.read_text(), str(path), "exec"), module.__dict__)
-    return module.WORKLOADS
-
-
 @pytest.mark.parametrize("overrides", [
     {}, {"sparsity.mode": "capability", "sparsity.eval_k": "1"}])
 @pytest.mark.parametrize("workload", ["crowd", "grid", "wide"])
@@ -279,7 +265,8 @@ def test_rescoring_the_final_model_reproduces_its_accuracy(workload, overrides):
     set and flags the run unless it gets the last round's accuracy: the
     backbone must keep the round's evaluation budget, here the workload's
     own or a capability run's ``sparsity.eval_k = 1``."""
-    items = bench_workloads()[workload].config_items(1, quick=True)
+    items = perfbench_module("workloads").WORKLOADS[workload].config_items(
+        1, quick=True)
     result = run_experiment(ExperimentConfig.resolve({**items, **overrides}))
     assert evaluate_accuracy(result.eval_backbone, result.server.global_params,
                              result.test) == result.reports[-1].accuracy
